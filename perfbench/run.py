@@ -2,8 +2,8 @@
 
 Run from the repository root:
 
-  python3 perfbench/run.py --workload analyze --seed 1 --seconds 25 --trace 0
-  python3 perfbench/run.py --workload all --seed 1 --seconds 25
+  python3 perfbench/run.py --workload analyze --seed 1 --seconds 30 --trace 0
+  python3 perfbench/run.py --workload all --seed 1 --seconds 30
   python3 perfbench/run.py --record      # re-record the expected answers
   python3 perfbench/run.py --self-test   # one wrong expected answer raises error_rate by its op's share
 
@@ -26,11 +26,11 @@ error_rate (failed / attempted ops) is printed on the report line; it is
 not an end-to-end metric of BENCHMARK.json because it reads 0, and the
 result line carries it as ``attempted`` and ``failed``.
 
-``--trace 1`` runs one op of each kind of the workload, alternately untraced
-and traced (tracer.py), for ``--seconds`` and at least twice traced, and
-prints the per-layer metrics: figures per pass over those ops.  Two traced
-passes over the same inputs must give identical counts; a mismatch fails the
-run.
+``--trace 1`` runs one repetition of the workload's pattern of op kinds,
+alternately untraced and traced (tracer.py), for ``--seconds`` and at least
+twice traced, and prints the per-layer metrics: figures per pass over those
+ops.  Two traced passes over the same inputs must give identical counts; a
+mismatch fails the run.
 
 Not measured on purpose: the wall time of the tier-1 test suite (the test set
 changes from change to change, so its times do not compare) and ``analyze``
@@ -173,7 +173,7 @@ def end_to_end(workload: str, seed: int, seconds: int, runner: Runner, expected)
 
 
 def _pass_figures(rows) -> dict:
-    """Per-layer figures summed over one pass (one op of each kind)."""
+    """Per-layer figures summed over one pass (one repetition of the pattern)."""
     figures = {f"{layer}.self_s": 0.0 for layer in LAYERS}
     counts = {f"{layer}.calls": 0 for layer in LAYERS}
     counts.update({name: 0 for name in list(CALL_COUNTERS) + list(OWN_COUNTERS)})
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="all", choices=workloads.WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--record", action="store_true")
     parser.add_argument("--self-test", action="store_true")
