@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from hashlib import sha256
@@ -71,19 +70,6 @@ def _input_digest(g) -> dict:
 def _emit(report: dict, started: float) -> None:
     report["timing"] = {"wall_time_s": round(time.monotonic() - started, 6)}
     print(json.dumps(report, indent=2))
-
-
-def _threads_env() -> None:
-    raw = os.environ.get("RIGIDKIT_THREADS")
-    if raw is None:
-        return
-    try:
-        if int(raw) < 1:
-            raise ValueError
-    except ValueError:
-        print(f"ignoring invalid RIGIDKIT_THREADS={raw!r}", file=sys.stderr)
-    # all computations currently run on a single thread; the variable is
-    # honored as an upper bound and reserved for future parallel loops
 
 
 def cmd_analyze(args) -> int:
@@ -302,7 +288,6 @@ def _build_parser() -> _ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _threads_env()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

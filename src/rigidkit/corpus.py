@@ -99,7 +99,8 @@ def canonical_chunks(g: Graph) -> tuple[int, ...]:
             chunks.pop()
 
     dfs(0)
-    assert best is not None
+    if best is None:
+        raise AssertionError("internal error: the search found no vertex order")
     return tuple(best)
 
 

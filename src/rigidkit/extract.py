@@ -252,7 +252,9 @@ def globally_rigid_subgraph_2d(g: Graph, rng: Rng | None = None,
 @dataclass(frozen=True)
 class GrnEstimate:
     """Certified lower bound for the largest dimension with a nontrivial
-    globally rigid subgraph; 0 when not even a cycle exists."""
+    globally rigid subgraph; 0 when not even a cycle exists. Witness vertex
+    i is vertex ``witness_vertices[i]`` of the input; both are None with
+    the bound 0."""
 
     lower_bound: int
     witness: Graph | None
@@ -276,9 +278,10 @@ def _iterated_core(g: Graph, min_deg: int) -> tuple[int, ...]:
     return tuple(sorted(alive))
 
 
-def _mader_descent(g: Graph, k: int) -> Graph | None:
+def _mader_descent(g: Graph, k: int) -> tuple[Graph, tuple[int, ...]] | None:
     """Shrink toward a k-connected candidate: delete minimum-degree vertices
-    while |E| > (2k-3)(|V| - k - 1) and |V| > 2k - 1 survive."""
+    while |E| > (2k-3)(|V| - k - 1) and |V| > 2k - 1 survive. Returns the
+    candidate and the input label of each of its vertices."""
     if g.n < 2 * k - 1 or g.m <= (2 * k - 3) * (g.n - k - 1):
         return None
     st = _State(g)
@@ -289,8 +292,7 @@ def _mader_descent(g: Graph, k: int) -> Graph | None:
         if not cands:
             break
         st.delete_vertex(min(cands, key=lambda x: (st.degree(x), x)))
-    out, _ = st.graph()
-    return out
+    return st.graph()
 
 
 def estimate_grn(g: Graph, d_max: int, rng: Rng | None = None) -> GrnEstimate:
@@ -300,7 +302,9 @@ def estimate_grn(g: Graph, d_max: int, rng: Rng | None = None) -> GrnEstimate:
     subgraphs (the (d+1)-core, a connectivity-driven descent, the
     two-dimensional pipeline, cycles for d = 1) and certifies the first
     that passes the global rigidity test on at least d + 2 vertices. The
-    result is a lower bound only; it is never claimed tight.
+    result is a lower bound only; it is never claimed tight. Vertex i of
+    the witness is vertex ``witness_vertices[i]`` of ``g``, so every witness
+    edge maps to an edge of ``g``.
     """
     if d_max < 1:
         raise GraphError("d_max must be >= 1")
@@ -312,12 +316,12 @@ def estimate_grn(g: Graph, d_max: int, rng: Rng | None = None) -> GrnEstimate:
         if len(core) >= d + 2:
             candidates.append((g.induced(core), core))
         mader = _mader_descent(g, d * (d + 1) + 1)
-        if mader is not None and mader.n >= d + 2:
-            candidates.append((mader, ()))
+        if mader is not None and mader[0].n >= d + 2:
+            candidates.append(mader)
         if d == 2:
-            piped = globally_rigid_subgraph_2d(g, sub.child(0), verify=False)
+            piped = globally_rigid_subgraph_2d(g, sub.child(0), verify=False, with_trace=True)
             if piped is not None:
-                candidates.append((piped, ()))
+                candidates.append((piped[0], piped[1].vertices))
         if d == 1:
             from .graph import find_cycle
 
@@ -326,11 +330,10 @@ def estimate_grn(g: Graph, d_max: int, rng: Rng | None = None) -> GrnEstimate:
                 ring = Graph(len(cyc), tuple(
                     (i, (i + 1) % len(cyc)) if i < (i + 1) % len(cyc)
                     else ((i + 1) % len(cyc), i) for i in range(len(cyc))))
-                candidates.append((ring, tuple(sorted(cyc))))
+                candidates.append((ring, tuple(cyc)))  # ring vertex i is cyc[i]
         for ci, (cand, verts) in enumerate(candidates):
             if cand.n >= d + 2 and is_globally_rigid(cand, d, sub.child(1 + ci)):
-                return GrnEstimate(lower_bound=d, witness=cand,
-                                   witness_vertices=verts or None)
+                return GrnEstimate(lower_bound=d, witness=cand, witness_vertices=verts)
     return GrnEstimate(lower_bound=0, witness=None, witness_vertices=None)
 
 

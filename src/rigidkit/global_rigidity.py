@@ -14,18 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .field import PRIME, FieldMatrix, Rng, nullspace_basis, rank, random_combination
+from .field import PRIME, FieldMatrix, Rng, rank, random_combination
 from .graph import Graph, GraphError, is_k_connected
 from .rigidity import (
     TRIALS,
     Realization,
+    _factor,
     _rng,
-    _rows_for,
     is_redundantly_rigid,
-    is_rigid,
     rigid_basis,
     rigid_rank_target,
-    rigidity_matrix,
     sample_realization,
 )
 
@@ -62,29 +60,22 @@ class Stress:
         return self.values[self.edges.index(e)]
 
 
-def _verify_stress(g: Graph, real: Realization, values) -> None:
-    n, d = g.n, real.d
-    acc = [0] * (d * n)
-    for (u, v), w in zip(g.edges, values):
-        if not w:
-            continue
-        pu, pv = real.coords[u], real.coords[v]
-        for k in range(d):
-            diff = (pu[k] - pv[k]) % PRIME
-            acc[d * u + k] = (acc[d * u + k] + w * diff) % PRIME
-            acc[d * v + k] = (acc[d * v + k] - w * diff) % PRIME
-    if any(acc):
-        raise NonGenericRealizationError("constructed vector is not a stress")
-
-
 def stress_basis(g: Graph, d: int, real: Realization, basis) -> list[Stress]:
     """One fundamental stress per non-basis edge, normalized to 1 there.
 
-    Each returned stress is supported on the fundamental circuit of its edge
-    with respect to ``basis`` and is verified exactly against the rigidity
-    matrix. Together they form a basis of the cokernel of R(G,p), of size
-    |E| - r_d(G). A rank shortfall in the realization raises
-    NonGenericRealizationError, which callers treat as a resample signal.
+    One row reduction of R(G,p)^T with the basis columns first and the
+    other edges after them in canonical order: each non-basis column is
+    then free, and its kernel vector is the stress with value 1 on that
+    edge and 0 on the other non-basis edges, supported on the edge's
+    fundamental circuit with respect to ``basis``. Every stress is checked
+    exactly against the rigidity matrix. Together they form a basis of the
+    cokernel of R(G,p), of size |E| - r_d(G).
+
+    Raises:
+        NonGenericRealizationError: when the basis rows are dependent at
+        ``real`` (a stress would then vanish on its own edge) or some
+        non-basis row is independent of them. Callers treat this as a
+        signal to resample.
     """
     if real.d != d or len(real.coords) != g.n:
         raise GraphError("realization does not match the graph and dimension")
@@ -92,27 +83,19 @@ def stress_basis(g: Graph, d: int, real: Realization, basis) -> list[Stress]:
     basis_set = set(basis)
     if not basis_set <= g.edge_set:
         raise GraphError("basis contains edges outside the graph")
-
-    out = []
-    for e in g.edges:
-        if e in basis_set:
-            continue
-        support_edges = basis + (e,)
-        mat = FieldMatrix(len(support_edges), d * g.n, _rows_for(g, real, support_edges))
-        cok = nullspace_basis(mat, side="row")
-        if len(cok) != 1:
-            raise NonGenericRealizationError(
-                f"cokernel of basis + {e} has dimension {len(cok)}, expected 1")
-        vec = cok[0]
-        w_e = vec[-1]
-        if w_e == 0:
-            raise NonGenericRealizationError("fundamental stress vanishes on its own edge")
-        scale = pow(w_e, -1, PRIME)
-        local = {f: (x * scale) % PRIME for f, x in zip(support_edges, vec)}
-        values = tuple(local.get(f, 0) for f in g.edges)
-        _verify_stress(g, real, values)
-        out.append(Stress(edges=g.edges, values=values))
-    return out
+    extras = tuple(e for e in g.edges if e not in basis_set)
+    cols = basis + extras
+    k = len(basis)
+    pivots, stresses = _factor(g, real, cols)
+    if pivots[:k] != list(range(k)):
+        raise NonGenericRealizationError("basis rows are dependent at this realization")
+    if len(pivots) > k:
+        raise NonGenericRealizationError(
+            f"edge {cols[pivots[k]]} is independent of the basis at this realization")
+    position = {e: j for j, e in enumerate(cols)}
+    return [Stress(edges=g.edges,
+                   values=tuple(stresses[k + i][position[f]] for f in g.edges))
+            for i in range(len(extras))]
 
 
 def stress_matrix(g: Graph, stress: Stress) -> FieldMatrix:
@@ -145,25 +128,33 @@ class GlobalRigidityCertificate:
 
 
 def _stress_test(g: Graph, d: int, rng: Rng) -> tuple[bool, str]:
-    if not is_rigid(g, d, rng.child(0)):
-        return False, "not rigid"
+    """Test a random stress of a generic realization for a stress matrix of
+    rank n - d - 1.
+
+    Rank and stresses come from one factorization of R(G,p)^T per trial. A
+    trial short of the rigid rank resamples; when no trial reaches it, the
+    answer is "not rigid". True is backed by an exact stress matrix of the
+    target rank; False may be wrong with negligible probability."""
     target = g.n - d - 1
+    rigid = False
     for t in range(TRIALS):
         sub = rng.child(1 + t)
         real = sample_realization(g, d, sub.child(0))
-        mat = rigidity_matrix(g, real)
-        cok = nullspace_basis(mat, side="row")
-        if g.m - len(cok) != rigid_rank_target(g.n, d):
-            continue  # realization missed the generic rank; resample
-        if not cok:
+        pivots, stresses = _factor(g, real, g.edges)
+        if len(pivots) != rigid_rank_target(g.n, d):
+            continue  # not rigid, or the realization missed the generic rank; resample
+        rigid = True
+        if not stresses:
             return False, "stress-free (minimally rigid)"
         coeff_rng = sub.child(1)
-        coeffs = [coeff_rng.field_element() for _ in cok]
-        values = tuple(sum(c * v[i] for c, v in zip(coeffs, cok)) % PRIME
+        coeffs = [coeff_rng.field_element() for _ in stresses]
+        values = tuple(sum(c * w[i] for c, w in zip(coeffs, stresses.values())) % PRIME
                        for i in range(g.m))
         omega = stress_matrix(g, Stress(edges=g.edges, values=values))
         if rank(omega) == target:
             return True, f"stress matrix reached rank {target} in trial {t}"
+    if not rigid:
+        return False, "not rigid"
     return False, f"no stress matrix of rank {target} in {TRIALS} trials"
 
 
@@ -335,6 +326,12 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     global rigidity is monotone under edge addition, a single pass already
     yields a minimally globally rigid result, and the edge count is at most
     (d+1)|V| - C(d+2, 2) by construction.
+
+    Raises:
+        NotGloballyRigidError: when the input is not globally rigid.
+        RuntimeError: when each of the ``max_attempts`` attempts met a
+        degenerate realization or reducer draw; the last such error is
+        its ``__cause__``.
     """
     rng = _rng(rng)
     if g.n < d + 2:

@@ -622,13 +622,15 @@ def min_mixed_cut(g: Graph) -> MixedCut:
                    (2 * b + 1 in reach and 2 * a not in reach):
                     if a not in cut_s and b not in cut_s:
                         cut_f.add((a, b))
-            assert 2 * len(cut_s) + len(cut_f) == f
+            if 2 * len(cut_s) + len(cut_f) != f:
+                raise AssertionError("internal error: decoded cut cost differs from the flow")
             best = (f, cut_s, cut_f)
             if f == 0:
                 break
         if best is not None and best[0] == 0:
             break
-    assert best is not None
+    if best is None:
+        raise AssertionError("internal error: no vertex pair was separated")
     cost, cut_s, cut_f = best
     cut = MixedCut(tuple(sorted(cut_s)), tuple(sorted(cut_f)), cost)
     if not cut.disconnects(g):

@@ -7,13 +7,23 @@ the maximum over a fixed number of independent trials and any trial that
 reaches the known upper bound settles the answer. With p = 2**61 - 1 the
 per-trial failure probability is bounded by (total degree)/p, which is
 negligible at the scales this package targets.
+
+Rank-only queries (``generic_rank``, ``is_rigid``) use forward elimination.
+Everything else is read off one row reduction of R(G,p)^T per trial (see
+``_factor``): its pivot columns are the greedy basis, and each free column
+yields that edge's fundamental stress, whose support is its fundamental
+circuit. Bridges, components and fundamental circuits come from those
+supports. At a realization of generic rank each support lies inside the
+matching generic circuit, so supports can only come out too small: a
+bridge may be reported wrongly, a component split or a circuit member
+missed, never the reverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import PRIME, FieldMatrix, Rng, nullspace_basis, rank_of_rows
+from .field import PRIME, FieldMatrix, Rng, _rref, rank_of_rows
 from .graph import Graph, GraphError
 
 TRIALS = 3
@@ -148,103 +158,59 @@ def is_circuit(g: Graph, d: int, rng: Rng | None = None) -> bool:
     return not bridges(g, d, rng.child(1))
 
 
-def bridges(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, int], ...]:
-    """Edges whose deletion drops the generic rank.
+def _check_stress(real: Realization, edges, values) -> None:
+    """Exact check that sum_j values[j] * row(edges[j]) = 0 in Z_p^(dn).
 
-    Computed from cokernel supports: at a realization achieving the generic
-    rank, an edge row is spanned by the others exactly when some cokernel
-    vector is nonzero there, and at such realizations the detected
-    non-bridge set can only be a subset of the generic one. Trials whose
-    rank falls short are discarded.
+    This is the kernel vector checked against the unreduced matrix, taken
+    one sparse edge row at a time.
     """
-    rng = _rng(rng)
-    if g.m == 0:
-        return ()
-    upper = rank_upper_bound(g.n, g.m, d)
-    trials = []
-    for t in range(TRIALS):
-        real = sample_realization(g, d, rng.child(t))
-        mat = rigidity_matrix(g, real)
-        cok = nullspace_basis(mat, side="row")
-        r = g.m - len(cok)
-        nonb = set()
-        for vec in cok:
-            nonb.update(i for i, x in enumerate(vec) if x)
-        trials.append((r, nonb))
-        if r >= upper and len(nonb) == g.m:
-            break
-    best = max(r for r, _ in trials)
-    nonbridges: set[int] = set()
-    for r, nonb in trials:
-        if r == best:
-            nonbridges |= nonb
-    return tuple(e for i, e in enumerate(g.edges) if i not in nonbridges)
+    d = real.d
+    acc = [0] * (d * len(real.coords))
+    for (u, v), w in zip(edges, values):
+        if w:
+            pu, pv = real.coords[u], real.coords[v]
+            for k in range(d):
+                x = w * (pu[k] - pv[k])
+                acc[d * u + k] += x
+                acc[d * v + k] -= x
+    if any(a % PRIME for a in acc):
+        raise ArithmeticError("internal error: stress check failed")
 
 
-def rigid_basis(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, int], ...]:
-    """A maximal independent edge set, grown greedily in canonical edge order.
+def _factor(g: Graph, real: Realization, edges) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Row-reduce R(G,p)^T once, with one column per edge of ``edges`` in order.
 
-    For a rigid graph this is a minimally rigid spanning subgraph.
+    Returns ``(pivots, stresses)``. The pivot columns are the greedy basis of
+    ``edges`` at ``real``: a column is a pivot exactly when its edge row is
+    not spanned by the rows of the edges before it. ``stresses`` maps each
+    free column f to the kernel vector with 1 at f, 0 at the other free
+    columns and minus f's reduced column on the pivots. That vector is the
+    fundamental stress of f, and its support is f's fundamental circuit with
+    respect to the pivots. Every stress is checked exactly before return.
     """
-    rng = _rng(rng)
-    if g.m == 0:
-        return ()
-    upper = rank_upper_bound(g.n, g.m, d)
-    cols = d * g.n
-    best: tuple[tuple[int, int], ...] = ()
-    for t in range(TRIALS):
-        real = sample_realization(g, d, rng.child(t))
-        pivots: list[tuple[int, list[int]]] = []
-        chosen = []
-        for e in g.edges:
-            row = _edge_row(real, g.n, *e)
-            for c, prow in pivots:
-                f = row[c]
-                if f:
-                    row = [(a - f * b) % PRIME for a, b in zip(row, prow)]
-            lead = next((c for c in range(cols) if row[c]), None)
-            if lead is None:
-                continue
-            inv = pow(row[lead], -1, PRIME)
-            pivots.append((lead, [(x * inv) % PRIME for x in row]))
-            chosen.append(e)
-        if len(chosen) > len(best):
-            best = tuple(chosen)
-        if len(best) >= upper:
-            break
-    return best
-
-
-def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
-                        ) -> tuple[tuple[int, int], ...]:
-    """The unique circuit inside basis + e, found by rank queries.
-
-    Membership of a basis edge f is decided by whether (basis - f) + e stays
-    independent, one rank query per f plus one to confirm e is spanned.
-    """
-    rng = _rng(rng)
-    basis = tuple(basis)
-    e = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-    basis_set = set(basis)
-    if e in basis_set:
-        raise GraphError(f"edge {e} lies in the basis")
-    if e not in g.edge_set:
-        raise GraphError(f"edge {e} not in graph")
-    if not basis_set <= g.edge_set:
-        raise GraphError("basis contains edges outside the graph")
-    k = len(basis)
-    if _subset_rank(g, d, basis, rng.child(0), upper=k) != k:
-        raise GraphError("the given edge set is not independent")
-    if _subset_rank(g, d, basis + (e,), rng.child(1), upper=k + 1) != k:
-        raise GraphError("edge is independent of the basis; not spanned, so no circuit")
-
-    members = [e]
-    for i, f in enumerate(basis):
-        probe = [x for x in basis if x != f] + [e]
-        if _subset_rank(g, d, probe, rng.child(2 + i), upper=k) == k:
-            members.append(f)
-    members.sort()
-    return tuple(members)
+    d = real.d
+    cols = len(edges)
+    rows = [[0] * cols for _ in range(d * g.n)]
+    for j, (u, v) in enumerate(edges):
+        pu, pv = real.coords[u], real.coords[v]
+        for k in range(d):
+            diff = (pu[k] - pv[k]) % PRIME
+            rows[d * u + k][j] = diff
+            rows[d * v + k][j] = -diff % PRIME
+    _, pivots = _rref(rows, cols)
+    pivot_set = set(pivots)
+    stresses = {}
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        w = [0] * cols
+        w[f] = 1
+        for i, c in enumerate(pivots):
+            if rows[i][f]:
+                w[c] = PRIME - rows[i][f]
+        _check_stress(real, edges, w)
+        stresses[f] = tuple(w)
+    return pivots, stresses
 
 
 class _UnionFind:
@@ -263,33 +229,141 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _classes(m: int, supports) -> list[list[int]]:
+    """Edge indices 0..m-1 grouped by union-find over the supports, each
+    group ascending and the groups ordered by their first index."""
+    uf = _UnionFind(m)
+    for supp in supports:
+        for j in supp[1:]:
+            uf.union(supp[0], j)
+    groups: dict[int, list[int]] = {}
+    for j in range(m):
+        groups.setdefault(uf.find(j), []).append(j)
+    return list(groups.values())
+
+
+def _matroid(g: Graph, d: int, rng: Rng, settled):
+    """Basis, bridges and components of the rigidity matroid, all read off
+    one factorization of R(G,p)^T per trial (see ``_factor``).
+
+    A trial stops the loop when it reaches the a priori rank bound and
+    ``settled(m, supports)`` holds for its stress supports. Trials whose
+    rank falls short of the best one are discarded; the rest pool their
+    supports. At a realization of generic rank each support lies inside a
+    generic circuit, so pooling can only move bridges and components
+    toward the generic answer.
+    """
+    if g.m == 0:
+        return (), (), ()
+    upper = rank_upper_bound(g.n, g.m, d)
+    trials = []
+    for t in range(TRIALS):
+        pivots, stresses = _factor(g, sample_realization(g, d, rng.child(t)), g.edges)
+        trials.append((pivots, [[j for j, x in enumerate(w) if x] for w in stresses.values()]))
+        if len(pivots) >= upper and settled(g.m, trials[-1][1]):
+            break
+    best = max(len(pivots) for pivots, _ in trials)
+    trials = [tr for tr in trials if len(tr[0]) == best]
+    supports = [supp for _, sups in trials for supp in sups]
+    covered = {j for supp in supports for j in supp}
+    basis = tuple(g.edges[j] for j in trials[0][0])
+    bridges_ = tuple(e for j, e in enumerate(g.edges) if j not in covered)
+    components = tuple(tuple(g.edges[j] for j in c) for c in _classes(g.m, supports))
+    return basis, bridges_, components
+
+
+def _always(m, supports) -> bool:
+    return True
+
+
+def _covers(m, supports) -> bool:
+    return len({j for supp in supports for j in supp}) == m
+
+
+def _connects(m, supports) -> bool:
+    return len(_classes(m, supports)) == 1
+
+
+def bridges(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, int], ...]:
+    """Edges whose deletion drops the generic rank.
+
+    Read off one factorization of R(G,p)^T per trial: an edge is a
+    non-bridge exactly when some stress is nonzero on it. Trials whose rank
+    falls short of the best are discarded, and the loop stops early once a
+    trial at the rank bound has every edge in some stress support. At a
+    realization of generic rank each stress support lies inside a generic
+    circuit, so the detected non-bridges can only be a subset of the
+    generic ones: an edge may be reported as a bridge wrongly, never the
+    other way round.
+    """
+    return _matroid(g, d, _rng(rng), _covers)[1]
+
+
+def rigid_basis(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, int], ...]:
+    """A maximal independent edge set, grown greedily in canonical edge order.
+
+    These are the pivot columns of R(G,p)^T, from the first trial of the
+    best rank. For a rigid graph this is a minimally rigid spanning subgraph.
+    The returned set is always independent; only its size can fall short.
+    """
+    return _matroid(g, d, _rng(rng), _always)[0]
+
+
+def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
+                        ) -> tuple[tuple[int, int], ...]:
+    """The unique circuit inside basis + e.
+
+    Each trial row-reduces the columns basis + e of R(G,p)^T, basis first.
+    When every basis column is a pivot, e's column is free and the support
+    of its fundamental stress is the circuit at that realization, which
+    lies inside the generic one; the union over trials is returned, so a
+    member may be missed, never a non-member included.
+
+    Raises:
+        GraphError: when the edges are not in the graph, when e lies in the
+        basis, when no trial finds the basis independent, or when a trial
+        finds e independent of it (then basis + e holds no circuit).
+    """
+    rng = _rng(rng)
+    basis = tuple(basis)
+    e = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
+    basis_set = set(basis)
+    if e in basis_set:
+        raise GraphError(f"edge {e} lies in the basis")
+    if e not in g.edge_set:
+        raise GraphError(f"edge {e} not in graph")
+    if not basis_set <= g.edge_set:
+        raise GraphError("basis contains edges outside the graph")
+    cols = basis + (e,)
+    k = len(basis)
+    members: set[int] = set()  # stays empty until a trial finds the basis independent
+    for t in range(TRIALS):
+        pivots, stresses = _factor(g, sample_realization(g, d, rng.child(t)), cols)
+        if pivots[:k] != list(range(k)):
+            continue  # basis dependent here: degenerate realization or dependent input
+        if k not in stresses:
+            raise GraphError("edge is independent of the basis; not spanned, so no circuit")
+        members.update(j for j, x in enumerate(stresses[k]) if x)
+        if len(members) == k + 1:
+            break
+    if not members:
+        raise GraphError("the given edge set is not independent")
+    return tuple(sorted(cols[j] for j in members))
+
+
 def matroid_components(g: Graph, d: int, rng: Rng | None = None
                        ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Connected components of the rigidity matroid, as edge sets.
 
-    Found by union-find over the fundamental circuits of the non-basis
-    edges; basis edges touched by no circuit stay as singletons (they are
-    exactly the bridges).
+    Union-find over the stress supports of one factorization of R(G,p)^T
+    per trial. Each support is a fundamental circuit, and the fundamental
+    circuits of one basis already connect each component. Trials of less
+    than the best rank are discarded, and the loop stops early once a trial
+    at the rank bound connects every edge. Each support lies inside a
+    generic circuit, so a component may be split wrongly, never merged
+    wrongly. Bridges come out as singletons.
     """
-    rng = _rng(rng)
-    if g.m == 0:
-        return ()
-    basis = rigid_basis(g, d, rng.child(0))
-    index = {e: i for i, e in enumerate(g.edges)}
-    uf = _UnionFind(g.m)
-    basis_set = set(basis)
-    for j, e in enumerate(g.edges):
-        if e in basis_set:
-            continue
-        circuit = fundamental_circuit(g, d, basis, e, rng.child(1 + j))
-        root = index[circuit[0]]
-        for f in circuit[1:]:
-            uf.union(root, index[f])
-    groups: dict[int, list] = {}
-    for e in g.edges:
-        groups.setdefault(uf.find(index[e]), []).append(e)
-    comps = sorted(groups.values(), key=lambda c: c[0])
-    return tuple(tuple(c) for c in comps)
+    return _matroid(g, d, _rng(rng), _connects)[2]
 
 
 def is_matroid_connected(g: Graph, d: int, rng: Rng | None = None) -> bool:
@@ -318,12 +392,16 @@ class MatroidReport:
 
 
 def matroid_report(g: Graph, d: int, rng: Rng | None = None) -> MatroidReport:
-    rng = _rng(rng)
-    basis = rigid_basis(g, d, rng.child(0))
+    """Rank, basis, bridges and components from the same trials, so the three
+    agree: every bridge is a singleton component, and every trial they were
+    read from has the rank of the basis."""
+    basis, brs, comps = _matroid(g, d, _rng(rng), _connects)
     r = len(basis)
-    brs = bridges(g, d, rng.child(1))
-    comps = matroid_components(g, d, rng.child(2))
-    report = MatroidReport(
+    if r > rank_upper_bound(g.n, g.m, d):
+        raise AssertionError("internal error: rank exceeds its a priori bound")
+    if sum(len(c) for c in comps) != g.m:
+        raise AssertionError("internal error: components do not partition E")
+    return MatroidReport(
         d=d,
         rank=r,
         independent=(r == g.m),
@@ -332,8 +410,3 @@ def matroid_report(g: Graph, d: int, rng: Rng | None = None) -> MatroidReport:
         components=comps,
         basis=basis,
     )
-    if r > rank_upper_bound(g.n, g.m, d):
-        raise AssertionError("internal error: rank exceeds its a priori bound")
-    if sum(len(c) for c in comps) != g.m:
-        raise AssertionError("internal error: components do not partition E")
-    return report

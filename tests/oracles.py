@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately dumb: rational arithmetic, exhaustive
-enumeration, definition-level checks. None of it shares code with the
+enumeration, definition-level checks, and the library's earlier
+query-by-query implementations of the rigidity matroid. Beyond sampling
+realizations and building their rows, none of it shares code with the
 paths it verifies.
 """
 
@@ -10,10 +12,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from rigidkit import Graph
-from rigidkit.field import Rng
-from rigidkit.rigidity import sample_realization, _rows_for, TRIALS
-from rigidkit.field import rank_of_rows
+from rigidkit import Graph, GraphError
+from rigidkit.field import PRIME, FieldMatrix, Rng, nullspace_basis, rank_of_rows
+from rigidkit.global_rigidity import NonGenericRealizationError, Stress
+from rigidkit.rigidity import (
+    TRIALS,
+    _edge_row,
+    _rows_for,
+    _subset_rank,
+    rank_upper_bound,
+    sample_realization,
+)
 
 
 def rational_rank(rows) -> int:
@@ -151,3 +160,112 @@ def matroid_components_brute(g: Graph, d: int, seed: int = 12345):
     for i, e in enumerate(g.edges):
         groups.setdefault(find(i), []).append(e)
     return sorted((tuple(v) for v in groups.values()), key=lambda c: c[0])
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations the library used before it read the whole
+# matroid off one factorization per realization: a greedy basis by
+# incremental elimination, fundamental circuits by rank probes, components
+# from those circuits, and stresses from one nullspace per non-basis edge.
+# Slow, but each step is a plain rank or kernel query.
+
+
+def rigid_basis_incremental(g: Graph, d: int, rng: Rng):
+    """Greedy basis in canonical edge order: keep an edge when its row is
+    not spanned by the rows kept so far. Max over trials."""
+    if g.m == 0:
+        return ()
+    upper = rank_upper_bound(g.n, g.m, d)
+    cols = d * g.n
+    best = ()
+    for t in range(TRIALS):
+        real = sample_realization(g, d, rng.child(t))
+        pivots = []
+        chosen = []
+        for e in g.edges:
+            row = _edge_row(real, g.n, *e)
+            for c, prow in pivots:
+                f = row[c]
+                if f:
+                    row = [(a - f * b) % PRIME for a, b in zip(row, prow)]
+            lead = next((c for c in range(cols) if row[c]), None)
+            if lead is None:
+                continue
+            inv = pow(row[lead], -1, PRIME)
+            pivots.append((lead, [(x * inv) % PRIME for x in row]))
+            chosen.append(e)
+        if len(chosen) > len(best):
+            best = tuple(chosen)
+        if len(best) >= upper:
+            break
+    return best
+
+
+def bridges_by_rank_drop(g: Graph, d: int, rng: Rng):
+    """Edges whose deletion drops the generic rank, by definition."""
+    r = _subset_rank(g, d, g.edges, rng.child(0))
+    return tuple(e for i, e in enumerate(g.edges)
+                 if _subset_rank(g, d, [f for f in g.edges if f != e], rng.child(1 + i)) < r)
+
+
+def fundamental_circuit_by_probes(g: Graph, d: int, basis, e, rng: Rng):
+    """The circuit inside basis + e: a basis edge f belongs to it exactly
+    when (basis - f) + e stays independent, one rank probe per f."""
+    basis = tuple(basis)
+    k = len(basis)
+    if _subset_rank(g, d, basis, rng.child(0), upper=k) != k:
+        raise GraphError("the given edge set is not independent")
+    if _subset_rank(g, d, basis + (e,), rng.child(1), upper=k + 1) != k:
+        raise GraphError("edge is independent of the basis; not spanned, so no circuit")
+    members = [e]
+    for i, f in enumerate(basis):
+        probe = [x for x in basis if x != f] + [e]
+        if _subset_rank(g, d, probe, rng.child(2 + i), upper=k) == k:
+            members.append(f)
+    return tuple(sorted(members))
+
+
+def matroid_components_by_probes(g: Graph, d: int, rng: Rng):
+    """Union-find over the probed fundamental circuits of the non-basis edges."""
+    if g.m == 0:
+        return ()
+    basis = rigid_basis_incremental(g, d, rng.child(0))
+    index = {e: i for i, e in enumerate(g.edges)}
+    parent = list(range(g.m))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    basis_set = set(basis)
+    for j, e in enumerate(g.edges):
+        if e in basis_set:
+            continue
+        circuit = fundamental_circuit_by_probes(g, d, basis, e, rng.child(1 + j))
+        for f in circuit[1:]:
+            parent[find(index[f])] = find(index[circuit[0]])
+    groups: dict[int, list] = {}
+    for e in g.edges:
+        groups.setdefault(find(index[e]), []).append(e)
+    return tuple(tuple(c) for c in sorted(groups.values(), key=lambda c: c[0]))
+
+
+def stress_basis_per_edge(g: Graph, d: int, real, basis) -> list[Stress]:
+    """One fundamental stress per non-basis edge, each from the cokernel of
+    the rows basis + e, normalized to 1 on e."""
+    basis = tuple(basis)
+    basis_set = set(basis)
+    out = []
+    for e in g.edges:
+        if e in basis_set:
+            continue
+        support_edges = basis + (e,)
+        mat = FieldMatrix(len(support_edges), d * g.n, _rows_for(g, real, support_edges))
+        cok = nullspace_basis(mat, side="row")
+        if len(cok) != 1 or cok[0][-1] == 0:
+            raise NonGenericRealizationError(f"no single stress on basis + {e}")
+        scale = pow(cok[0][-1], -1, PRIME)
+        local = {f: (x * scale) % PRIME for f, x in zip(support_edges, cok[0])}
+        out.append(Stress(edges=g.edges, values=tuple(local.get(f, 0) for f in g.edges)))
+    return out

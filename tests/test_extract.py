@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from rigidkit import (
     ExtractionError,
@@ -18,7 +21,13 @@ from rigidkit import (
 )
 from rigidkit.corpus import random_graph, random_graph_with_edges
 from rigidkit.field import Rng
-from rigidkit.extract import CutSplit, DeleteVertex
+from rigidkit.extract import CutSplit, DeleteVertex, _mader_descent
+
+
+def assert_witness_maps_into(g: Graph, est) -> None:
+    assert len(est.witness_vertices) == est.witness.n
+    for a, b in est.witness.edges:
+        assert g.has_edge(est.witness_vertices[a], est.witness_vertices[b])
 
 
 def k7_with_pendant_path() -> Graph:
@@ -145,6 +154,39 @@ class TestEstimateGrn:
                 assert est.witness.n >= est.lower_bound + 2
                 assert is_globally_rigid(est.witness, est.lower_bound,
                                          rng.child(200 + i))
+
+
+    def test_cycle_witness_is_labelled_in_ring_order(self):
+        g = Graph(7, ((3, 0), (0, 5), (5, 1), (1, 3), (3, 2), (2, 6), (6, 4), (4, 3)))
+        est = estimate_grn(g, 1)
+        assert est.lower_bound == 1
+        assert_witness_maps_into(g, est)
+
+    @given(n=st.integers(3, 10), data=st.data())
+    def test_every_witness_edge_maps_to_an_input_edge(self, n, data):
+        pairs = list(combinations(range(n), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, tuple(e for e, k in zip(pairs, keep) if k))
+        est = estimate_grn(g, 2, Rng(data.draw(st.integers(0, 2**32))))
+        if est.lower_bound:
+            assert_witness_maps_into(g, est)
+        else:
+            assert est.witness is None and est.witness_vertices is None
+
+    def test_pipeline_witness_maps_into_the_input(self):
+        # the pipeline candidate is labelled by the vertices its trace kept
+        g = random_graph_with_edges(9, 31, Rng(64))
+        sub, trace = globally_rigid_subgraph_2d(g, Rng(6), with_trace=True)
+        assert trace.vertices == (1, 2, 4, 5, 6, 7, 8)
+        for a, b in sub.edges:
+            assert g.has_edge(trace.vertices[a], trace.vertices[b])
+
+    def test_mader_candidate_maps_into_the_input(self):
+        g = k7_with_pendant_path()
+        cand, labels = _mader_descent(g, 3)
+        assert cand.n == len(labels) == 5
+        for a, b in cand.edges:
+            assert g.has_edge(labels[a], labels[b])
 
 
 class TestConditionalBound:

@@ -1,0 +1,195 @@
+"""The rigidity matroid read off one factorization per realization.
+
+Differential tests against the earlier query-by-query implementations kept
+in ``oracles``, a count of the eliminations behind ``matroid_report``, and
+the resample and retry paths driven by a degenerate ``Rng``.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rigidkit import (
+    Graph,
+    GraphError,
+    NonGenericRealizationError,
+    bridges,
+    complete,
+    fundamental_circuit,
+    is_globally_rigid,
+    is_minimally_globally_rigid,
+    matroid_components,
+    matroid_report,
+    minimally_globally_rigid_edge_bound,
+    rigid_basis,
+    sample_realization,
+    RankNotAchievableError,
+    sparsify_globally_rigid,
+    stress_basis,
+    subset_rank_reduce,
+)
+from rigidkit import rigidity
+from rigidkit.field import FieldMatrix, Rng
+from rigidkit.global_rigidity import _stress_test
+
+from degenerate import DegenerateRng
+from oracles import (
+    bridges_by_rank_drop,
+    fundamental_circuit_by_probes,
+    matroid_components_by_probes,
+    rigid_basis_incremental,
+    stress_basis_per_edge,
+)
+
+
+@st.composite
+def small_graphs(draw, d):
+    """Up to 12 vertices: a nearly complete core on d + 2 to 7 of them, so
+    that circuits occur in dimension d, plus a few edges anywhere."""
+    n = draw(st.integers(d + 2, 12))
+    label = draw(st.permutations(range(n)))
+    core = list(combinations(range(draw(st.integers(d + 2, min(n, 7)))), 2))
+    missing = draw(st.lists(st.sampled_from(core), max_size=min(4, len(core) - 1), unique=True))
+    pairs = list(combinations(range(n), 2))
+    edges = [e for e in core if e not in missing]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))
+    return Graph(n, tuple({tuple(sorted((label[u], label[v]))) for u, v in edges}))
+
+
+class TestAgainstQueryByQuery:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_matroid_matches_the_oracles(self, d, data):
+        g = data.draw(small_graphs(d))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        basis = rigid_basis(g, d, rng.child(0))
+        assert basis == rigid_basis_incremental(g, d, rng.child(0))
+        assert bridges(g, d, rng.child(1)) == bridges_by_rank_drop(g, d, rng.child(1))
+        assert matroid_components(g, d, rng.child(2)) == \
+            matroid_components_by_probes(g, d, rng.child(2))
+
+        report = matroid_report(g, d, rng.child(3))
+        assert report.basis == basis
+        assert report.bridges == bridges(g, d, rng.child(1))
+        assert report.components == matroid_components(g, d, rng.child(2))
+
+        extras = [e for e in g.edges if e not in set(basis)]
+        for i, e in enumerate(extras):
+            assert fundamental_circuit(g, d, basis, e, rng.child(10 + i)) == \
+                fundamental_circuit_by_probes(g, d, basis, e, rng.child(10 + i))
+
+        real = sample_realization(g, d, rng.child(4))
+        try:
+            expect = stress_basis_per_edge(g, d, real, basis)
+        except NonGenericRealizationError:
+            with pytest.raises(NonGenericRealizationError):
+                stress_basis(g, d, real, basis)
+        else:
+            got = stress_basis(g, d, real, basis)
+            assert [w.values for w in got] == [w.values for w in expect]
+            for w, e in zip(got, extras):
+                assert set(w.support) == set(fundamental_circuit(g, d, basis, e, rng.child(5)))
+
+    def test_fundamental_circuit_rejects_an_independent_edge(self):
+        g = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        with pytest.raises(GraphError, match="independent of the basis"):
+            fundamental_circuit(g, 1, ((0, 1), (1, 2)), (2, 3))
+
+    def test_fundamental_circuit_rejects_a_dependent_basis(self):
+        g = complete(4)
+        with pytest.raises(GraphError, match="not independent"):
+            fundamental_circuit(g, 1, ((0, 1), (0, 2), (1, 2)), (2, 3))
+
+
+class TestOneFactorizationPerTrial:
+    @pytest.mark.parametrize("g, d", [
+        (complete(5).disjoint_union(complete(3)), 2),
+        (Graph(5, complete(4).edges + ((3, 4),)), 2),
+        (complete(8), 3),
+    ])
+    def test_matroid_report_eliminates_at_most_trials_times(self, g, d, monkeypatch):
+        calls = []
+        real_rref = rigidity._rref
+
+        def counting(rows, cols):
+            calls.append((len(rows), cols))
+            return real_rref(rows, cols)
+
+        monkeypatch.setattr(rigidity, "_rref", counting)
+        report = matroid_report(g, d, Rng(3))
+        assert 1 <= len(calls) <= rigidity.TRIALS
+        assert all(shape == (d * g.n, g.m) for shape in calls)
+        assert report.rank == len(report.basis)
+
+    def test_a_connected_matroid_settles_in_one_trial(self, monkeypatch):
+        calls = []
+        real_rref = rigidity._rref
+        monkeypatch.setattr(rigidity, "_rref",
+                            lambda rows, cols: calls.append(cols) or real_rref(rows, cols))
+        assert len(matroid_report(complete(6), 2, Rng(4)).components) == 1
+        assert len(calls) == 1
+
+
+class TestDegenerateRealizations:
+    def test_short_rank_trial_is_discarded(self):
+        # trial 0 places every vertex at one point: rank 0, and every edge a
+        # loop whose singleton support would hide the pendant bridge
+        g = Graph(5, complete(4).edges + ((3, 4),))
+        rng = DegenerateRng(11, [(0,)])
+        assert bridges(g, 2, rng) == ((3, 4),)
+        assert rigid_basis(g, 2, rng) == rigid_basis(g, 2, Rng(11))
+        report = matroid_report(g, 2, rng)
+        assert report.rank == 6 and report.bridges == ((3, 4),)
+        assert report.components == (complete(4).edges, ((3, 4),))
+
+    def test_fundamental_circuit_skips_a_degenerate_trial(self):
+        g = complete(4)
+        basis = rigid_basis(g, 2, Rng(1))
+        (extra,) = [e for e in g.edges if e not in set(basis)]
+        assert fundamental_circuit(g, 2, basis, extra, DegenerateRng(2, [(0,)])) == g.edges
+
+    def test_stress_test_resamples_after_a_short_trial(self):
+        g = complete(6)
+        ok, note = _stress_test(g, 3, DegenerateRng(5, [(1, 0)]))
+        assert ok and "trial 1" in note
+
+    def test_stress_test_without_a_rigid_trial_says_not_rigid(self):
+        # a wrong "no" is the documented direction of the stress test
+        rng = DegenerateRng(5, [(1, 0), (2, 0), (3, 0)])
+        assert _stress_test(complete(6), 3, rng) == (False, "not rigid")
+        assert not is_globally_rigid(complete(6), 3, rng, method="stress")
+
+    def test_stress_basis_rejects_a_degenerate_realization(self):
+        g = complete(5)
+        real = sample_realization(g, 3, DegenerateRng(6, [(0,)]).child(0))
+        with pytest.raises(NonGenericRealizationError):
+            stress_basis(g, 3, real, rigid_basis(g, 3, Rng(6)))
+
+    def test_stress_basis_rejects_a_non_spanning_basis(self):
+        g = complete(5)
+        real = sample_realization(g, 3, Rng(8))
+        with pytest.raises(NonGenericRealizationError, match="independent of the basis"):
+            stress_basis(g, 3, real, rigid_basis(g, 3, Rng(9))[:-1])
+
+    def test_sparsify_retries_after_a_degenerate_attempt(self):
+        g = complete(7)
+        # attempt 0 draws its stress realization from rng.child(1).child(1)
+        result = sparsify_globally_rigid(g, 3, DegenerateRng(7, [(1, 1)]))
+        assert result.log["retries"] == 1
+        assert result.graph.m <= minimally_globally_rigid_edge_bound(g.n, 3)
+        assert is_minimally_globally_rigid(result.graph, 3, Rng(70))
+
+    def test_sparsify_gives_up_with_a_documented_error(self):
+        bad = [(1 + attempt, 1) for attempt in range(3)]
+        with pytest.raises(RuntimeError, match="after 3 randomized attempts") as info:
+            sparsify_globally_rigid(complete(7), 3, DegenerateRng(7, bad))
+        assert isinstance(info.value.__cause__, NonGenericRealizationError)
+
+    def test_reducer_retries_a_degenerate_combination(self):
+        # equal coefficients cancel I and -I; one fresh draw recovers rank 2
+        mats = [FieldMatrix.identity(2), FieldMatrix(2, 2, [[-1, 0], [0, -1]])]
+        assert subset_rank_reduce(mats, 2, DegenerateRng(3, [(0, 0)]))[0] == (0, 1)
+        with pytest.raises(RankNotAchievableError):
+            subset_rank_reduce(mats, 2, DegenerateRng(3, [(0, t) for t in range(3)]))
