@@ -27,6 +27,7 @@ from .global_rigidity import (
 )
 from .linked import CONJECTURES, CorpusSpec, explore_conjecture
 from .extract import (
+    DeleteVertex,
     ExtractionError,
     conditional_grn_bound,
     globally_rigid_subgraph_2d,
@@ -173,7 +174,7 @@ def cmd_extract(args) -> int:
         return EXIT_PREMISE
     steps = []
     for step in trace.steps:
-        if hasattr(step, "vertex"):
+        if isinstance(step, DeleteVertex):
             steps.append({"delete_vertex": step.vertex, "reason": step.reason})
         else:
             steps.append({"cut_vertices": list(step.cut_vertices),

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .field import Rng
-from .graph import Graph, GraphError, min_mixed_cut
+from .graph import Graph, GraphError, find_cycle, min_mixed_cut
 from .rigidity import _rng
 from .global_rigidity import is_globally_rigid, is_redundantly_globally_rigid
 
@@ -89,6 +89,19 @@ class _State:
         del self.adj[v]
         self.vertices.discard(v)
 
+    def peel(self, removable) -> list[tuple[int, int]]:
+        """Delete the vertex of least (degree, label) among those for which
+        ``removable(v)`` holds, until it holds for none; returns
+        (vertex, degree at deletion) for each deletion, in order."""
+        deleted = []
+        while True:
+            cands = [v for v in self.vertices if removable(v)]
+            if not cands:
+                return deleted
+            v = min(cands, key=lambda x: (self.degree(x), x))
+            deleted.append((v, self.degree(v)))
+            self.delete_vertex(v)
+
     def restrict(self, keep, drop_edges) -> None:
         keep = set(keep)
         drop = set(drop_edges)
@@ -124,13 +137,12 @@ def mixed_k_connected_subgraph(g: Graph, k: int) -> tuple[Graph, ExtractionTrace
 
     st = _State(g)
     steps = []
-    while True:
-        low = [v for v in st.vertices if st.degree(v) < k]
-        if not low:
-            break
-        v = min(low, key=lambda x: (st.degree(x), x))
-        steps.append(DeleteVertex(vertex=v, reason="degree"))
-        st.delete_vertex(v)
+
+    def delete_while(removable) -> None:
+        steps.extend(DeleteVertex(vertex=v, reason="degree" if deg < k else "minimality")
+                     for v, deg in st.peel(removable))
+
+    delete_while(lambda v: st.degree(v) < k)
 
     if st.nv < k + 1:
         raise ExtractionError(
@@ -145,15 +157,7 @@ def mixed_k_connected_subgraph(g: Graph, k: int) -> tuple[Graph, ExtractionTrace
     while True:
         # deletion phase: drop vertices while the premise survives,
         # cheapest (minimum degree) first
-        while True:
-            cands = [v for v in st.vertices
-                     if _premise(st.nv - 1, st.ne - st.degree(v), k)]
-            if not cands:
-                break
-            v = min(cands, key=lambda x: (st.degree(x), x))
-            steps.append(DeleteVertex(
-                vertex=v, reason="degree" if st.degree(v) < k else "minimality"))
-            st.delete_vertex(v)
+        delete_while(lambda v: _premise(st.nv - 1, st.ne - st.degree(v), k))
 
         cur, labels = st.graph()
         cut = min_mixed_cut(cur)
@@ -165,33 +169,9 @@ def mixed_k_connected_subgraph(g: Graph, k: int) -> tuple[Graph, ExtractionTrace
         # split along the cheap cut; at least one side keeps the premise
         cut_vertices = tuple(sorted(labels[i] for i in cut.vertices))
         cut_edges = tuple(sorted((labels[a], labels[b]) for a, b in cut.edges))
-        removed = set(cut_vertices)
         dropped = set(cut_edges)
-        survivors = [v for v in st.vertices if v not in removed]
-        comp_graph = {v: set() for v in survivors}
-        for u, v in st.edges:
-            if u in removed or v in removed:
-                continue
-            if ((u, v) if u < v else (v, u)) in dropped:
-                continue
-            comp_graph[u].add(v)
-            comp_graph[v].add(u)
-        comps = []
-        seen = set()
-        for s in sorted(survivors):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            seen.add(s)
-            while stack:
-                x = stack.pop()
-                for y in comp_graph[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(comp)
+        comps = [{labels[i] for i in comp}
+                 for comp in cur.connected_components(cut.vertices, cut.edges)]
         if len(comps) < 2:
             raise AssertionError("internal error: cheap cut fails to disconnect")
 
@@ -262,20 +242,11 @@ class GrnEstimate:
 
 
 def _iterated_core(g: Graph, min_deg: int) -> tuple[int, ...]:
-    """Vertices of the subgraph left by stripping degree < min_deg repeatedly."""
-    alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in alive}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if deg[v] < min_deg:
-                alive.discard(v)
-                for w in g.adjacency[v]:
-                    if w in alive:
-                        deg[w] -= 1
-                changed = True
-    return tuple(sorted(alive))
+    """Vertices of the subgraph left by stripping degree < min_deg repeatedly
+    (the min_deg-core, which does not depend on the order of deletion)."""
+    st = _State(g)
+    st.peel(lambda v: st.degree(v) < min_deg)
+    return tuple(sorted(st.vertices))
 
 
 def _mader_descent(g: Graph, k: int) -> tuple[Graph, tuple[int, ...]] | None:
@@ -285,13 +256,8 @@ def _mader_descent(g: Graph, k: int) -> tuple[Graph, tuple[int, ...]] | None:
     if g.n < 2 * k - 1 or g.m <= (2 * k - 3) * (g.n - k - 1):
         return None
     st = _State(g)
-    while True:
-        cands = [v for v in st.vertices
-                 if st.nv - 1 >= 2 * k - 1
-                 and st.ne - st.degree(v) > (2 * k - 3) * (st.nv - 1 - k - 1)]
-        if not cands:
-            break
-        st.delete_vertex(min(cands, key=lambda x: (st.degree(x), x)))
+    st.peel(lambda v: st.nv - 1 >= 2 * k - 1
+            and st.ne - st.degree(v) > (2 * k - 3) * (st.nv - 1 - k - 1))
     return st.graph()
 
 
@@ -323,8 +289,6 @@ def estimate_grn(g: Graph, d_max: int, rng: Rng | None = None) -> GrnEstimate:
             if piped is not None:
                 candidates.append((piped[0], piped[1].vertices))
         if d == 1:
-            from .graph import find_cycle
-
             cyc = find_cycle(g)
             if cyc is not None and len(cyc) >= 3:
                 ring = Graph(len(cyc), tuple(

@@ -22,7 +22,6 @@ from .rigidity import (
     _factor,
     _rng,
     is_redundantly_rigid,
-    rigid_basis,
     rigid_rank_target,
     sample_realization,
 )
@@ -318,10 +317,12 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
                             max_attempts: int = 3) -> SparsifyResult:
     """Extract a minimally globally rigid spanning subgraph.
 
-    Pipeline: pick a maximal independent edge set E0; build the fundamental
-    stress matrices of the remaining edges at one generic realization;
-    reduce them to n - d - 1 generators whose combination keeps stress
-    matrix rank n - d - 1; keep E0 plus the surviving edges; then greedily
+    Pipeline: factor R(G,p)^T once at a generic realization; its pivots are
+    a maximal independent edge set E0 and its kernel vectors the fundamental
+    stresses of the remaining edges (a realization short of the rigid rank
+    counts as degenerate); reduce their stress matrices to n - d - 1
+    generators whose combination keeps stress matrix rank n - d - 1; keep
+    E0 plus the surviving edges; then greedily
     drop edges in canonical order while global rigidity persists. Since
     global rigidity is monotone under edge addition, a single pass already
     yields a minimally globally rigid result, and the edge count is at most
@@ -345,11 +346,15 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     for attempt in range(max_attempts):
         sub = rng.child(1 + attempt)
         try:
-            basis = rigid_basis(g, d, sub.child(0))
             real = sample_realization(g, d, sub.child(1))
-            stresses = stress_basis(g, d, real, basis)
-            extras = [e for e in g.edges if e not in set(basis)]
-            mats = [stress_matrix(g, w) for w in stresses]
+            pivots, stresses = _factor(g, real, g.edges)
+            if len(pivots) < rigid_rank_target(g.n, d):
+                raise NonGenericRealizationError(
+                    "realization falls short of the rigid rank")
+            basis = tuple(g.edges[j] for j in pivots)
+            extras = [g.edges[f] for f in stresses]
+            mats = [stress_matrix(g, Stress(edges=g.edges, values=w))
+                    for w in stresses.values()]
             idx, _ = subset_rank_reduce(mats, target, sub.child(2))
             chosen = tuple(extras[i] for i in idx)
             h = Graph(g.n, basis + chosen)

@@ -141,8 +141,14 @@ class Graph:
         shifted = tuple((u + self.n, v + self.n) for u, v in other.edges)
         return Graph(self.n + other.n, self.edges + shifted)
 
-    def connected_components(self) -> list[list[int]]:
+    def connected_components(self, without=(), cut_edges=()) -> list[list[int]]:
+        """Components of the graph minus the vertices ``without`` and the
+        edges ``cut_edges``, in this graph's labels: each sorted, ordered by
+        their least vertex."""
         seen = [False] * self.n
+        for w in without:
+            seen[w] = True
+        cut = {(a, b) if a < b else (b, a) for a, b in cut_edges}
         comps = []
         for s in range(self.n):
             if seen[s]:
@@ -154,7 +160,7 @@ class Graph:
                 u = queue.popleft()
                 comp.append(u)
                 for w in self.adjacency[u]:
-                    if not seen[w]:
+                    if not seen[w] and ((u, w) if u < w else (w, u)) not in cut:
                         seen[w] = True
                         queue.append(w)
             comps.append(sorted(comp))
@@ -367,13 +373,9 @@ def two_separation(g: Graph, u: int, v: int, add_edge: bool) -> tuple[Graph, Gra
     if u == v or not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError("u, v must be distinct vertices")
     h = g.delete_edge(u, v) if g.has_edge(u, v) else g
-    rest = [w for w in range(g.n) if w not in (u, v)]
-    comps = h.induced(rest).connected_components()
+    comps = g.connected_components(without=(u, v))
     if len(comps) < 2:
         raise GraphError(f"{{{u}, {v}}} is not a separating pair")
-    back = {i: w for i, w in enumerate(rest)}
-    comps = [sorted(back[i] for i in comp) for comp in comps]
-    comps.sort(key=lambda c: c[0])
     sides = [set(comps[0]), set(x for c in comps[1:] for x in c)]
 
     pieces = []
@@ -393,12 +395,19 @@ def two_separation(g: Graph, u: int, v: int, add_edge: bool) -> tuple[Graph, Gra
 # max-flow core and connectivity
 
 class _FlowNet:
-    """Tiny deterministic max-flow network (BFS augmentation, integer caps)."""
+    """Tiny deterministic max-flow network (BFS augmentation, integer caps).
+
+    ``cap`` holds the capacities as built. Every ``max_flow`` query starts
+    from them afresh, so one network answers any number of source-sink
+    pairs; ``residual`` keeps the residual capacities of the last query,
+    which ``reachable`` reads.
+    """
 
     def __init__(self, nodes: int):
         self.nodes = nodes
         self.to: list[int] = []
         self.cap: list[int] = []
+        self.residual: list[int] = []
         self.head: list[list[int]] = [[] for _ in range(nodes)]
 
     def add_arc(self, u: int, v: int, cap: int) -> None:
@@ -410,6 +419,7 @@ class _FlowNet:
         self.cap.append(0)
 
     def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
+        cap = self.residual = list(self.cap)
         flow = 0
         while limit is None or flow < limit:
             parent_arc = [-1] * self.nodes
@@ -419,7 +429,7 @@ class _FlowNet:
                 u = queue.popleft()
                 for a in self.head[u]:
                     w = self.to[a]
-                    if parent_arc[w] == -1 and self.cap[a] > 0:
+                    if parent_arc[w] == -1 and cap[a] > 0:
                         parent_arc[w] = a
                         queue.append(w)
             if parent_arc[t] == -1:
@@ -428,13 +438,13 @@ class _FlowNet:
             w = t
             while w != s:
                 a = parent_arc[w]
-                bottleneck = self.cap[a] if bottleneck is None else min(bottleneck, self.cap[a])
+                bottleneck = cap[a] if bottleneck is None else min(bottleneck, cap[a])
                 w = self.to[a ^ 1]
             w = t
             while w != s:
                 a = parent_arc[w]
-                self.cap[a] -= bottleneck
-                self.cap[a ^ 1] += bottleneck
+                cap[a] -= bottleneck
+                cap[a ^ 1] += bottleneck
                 w = self.to[a ^ 1]
             flow += bottleneck
         return flow
@@ -446,18 +456,27 @@ class _FlowNet:
             u = queue.popleft()
             for a in self.head[u]:
                 w = self.to[a]
-                if w not in seen and self.cap[a] > 0:
+                if w not in seen and self.residual[a] > 0:
                     seen.add(w)
                     queue.append(w)
         return seen
 
 
-def _split_network(g: Graph, s: int, t: int, vertex_cap: int):
-    """Vertex-split transformation: w_in = 2w, w_out = 2w + 1."""
+def _split_network(g: Graph, vertex_cap: int) -> _FlowNet:
+    """Vertex-split network of g: w_in = 2w, w_out = 2w + 1, an arc
+    w_in -> w_out of capacity ``vertex_cap`` per vertex and unit arcs
+    a_out -> b_in, b_out -> a_in per edge ab.
+
+    The u-v query is the flow from u_out to v_in. An augmenting path is
+    simple and ends where it reaches v_in, so it never takes v_in -> v_out;
+    it never takes u_in -> u_out either, which would return to the source,
+    so no flow passes through u_in. The capacities of the endpoints' own
+    arcs therefore never matter, and one network serves every pair. The
+    edge uv, when present, is the arc u_out -> v_in: one more unit path.
+    """
     net = _FlowNet(2 * g.n)
-    big = 2 * g.n + 2 * g.m + 1
     for w in range(g.n):
-        net.add_arc(2 * w, 2 * w + 1, big if w in (s, t) else vertex_cap)
+        net.add_arc(2 * w, 2 * w + 1, vertex_cap)
     for a, b in g.edges:
         net.add_arc(2 * a + 1, 2 * b, 1)
         net.add_arc(2 * b + 1, 2 * a, 1)
@@ -465,17 +484,14 @@ def _split_network(g: Graph, s: int, t: int, vertex_cap: int):
 
 
 def local_connectivity(g: Graph, u: int, v: int, limit: int | None = None) -> int:
-    """kappa(u, v): the maximum number of internally disjoint u-v paths."""
+    """kappa(u, v): the maximum number of internally disjoint u-v paths, the
+    edge uv counting as one path when present; capped at ``limit`` when
+    given. It is the u_out-v_in flow of the unit vertex-split network."""
     if u == v:
         raise GraphError("local connectivity needs u != v")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError("vertex out of range")
-    if g.has_edge(u, v):
-        inner = local_connectivity(g.delete_edge(u, v), u, v,
-                                   None if limit is None else limit - 1)
-        return 1 + inner
-    net = _split_network(g, u, v, vertex_cap=1)
-    return net.max_flow(2 * u + 1, 2 * v, limit=limit)
+    return _split_network(g, vertex_cap=1).max_flow(2 * u + 1, 2 * v, limit=limit)
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -484,12 +500,13 @@ def vertex_connectivity(g: Graph) -> int:
         raise GraphError("vertex connectivity needs n >= 2")
     if g.is_complete():
         return g.n - 1
+    net = _split_network(g, vertex_cap=1)
     best = g.n - 2
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.has_edge(u, v):
                 continue
-            k = local_connectivity(g, u, v, limit=best + 1)
+            k = net.max_flow(2 * u + 1, 2 * v, limit=best + 1)
             if k < best:
                 best = k
                 if best == 0:
@@ -553,11 +570,12 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return not articulation_points(g)
     if g.min_degree() < k:
         return False
+    net = _split_network(g, vertex_cap=1)
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.has_edge(u, v):
                 continue
-            if local_connectivity(g, u, v, limit=k) < k:
+            if net.max_flow(2 * u + 1, 2 * v, limit=k) < k:
                 return False
     return True
 
@@ -583,33 +601,24 @@ class MixedCut:
             raise GraphError("mixed cut cost must equal 2|S| + |F|")
 
     def disconnects(self, g: Graph) -> bool:
-        remaining = [w for w in range(g.n) if w not in set(self.vertices)]
-        if len(remaining) < 2:
-            return False
-        drop = set(self.edges)
-        keep = g.induced(remaining)
-        index = {w: i for i, w in enumerate(remaining)}
-        pruned = Graph(keep.n, tuple(e for e in keep.edges
-                                     if (remaining[e[0]], remaining[e[1]]) not in drop))
-        del index
-        return len(pruned.connected_components()) >= 2
+        return len(g.connected_components(self.vertices, self.edges)) >= 2
 
 
 def min_mixed_cut(g: Graph) -> MixedCut:
     """A minimum-cost mixed cut of g.
 
-    Computed as the minimum over vertex pairs s, t of the s-t cut in the
+    Computed as the minimum over vertex pairs s, t of the s-t cut in one
     vertex-split network (internal vertices cost 2, edges cost 1), decoded
     back into (S, F). The graph is mixed k-connected iff the returned cost
     is >= k. On complete graphs this isolates a cheapest vertex.
     """
     if g.n < 2:
         raise GraphError("mixed cut needs n >= 2")
+    net = _split_network(g, vertex_cap=2)
     best: tuple[int, set, set] | None = None
     for s in range(g.n):
         for t in range(s + 1, g.n):
             limit = None if best is None else best[0]
-            net = _split_network(g, s, t, vertex_cap=2)
             f = net.max_flow(2 * s + 1, 2 * t, limit=limit)
             if limit is not None and f >= limit:
                 continue

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +22,7 @@ from rigidkit import (
 )
 from rigidkit.corpus import random_graph, random_graph_with_edges
 from rigidkit.field import Rng
-from rigidkit.extract import CutSplit, DeleteVertex, _mader_descent
+from rigidkit.extract import CutSplit, DeleteVertex, _iterated_core, _mader_descent
 
 
 def assert_witness_maps_into(g: Graph, est) -> None:
@@ -187,6 +188,18 @@ class TestEstimateGrn:
         assert cand.n == len(labels) == 5
         for a, b in cand.edges:
             assert g.has_edge(labels[a], labels[b])
+
+
+class TestIteratedCore:
+    @given(n=st.integers(1, 10), k=st.integers(0, 5), data=st.data())
+    def test_matches_the_networkx_k_core(self, n, k, data):
+        pairs = list(combinations(range(n), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, tuple(e for e, kept in zip(pairs, keep) if kept))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        assert _iterated_core(g, k) == tuple(sorted(nx.k_core(h, k)))
 
 
 class TestConditionalBound:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,7 @@ from rigidkit import (
     generate,
     icosahedron,
     icosahedron_braced,
+    is_k_connected,
     k4e_chain,
     local_connectivity,
     min_mixed_cut,
@@ -25,6 +28,7 @@ from rigidkit import (
     vertex_connectivity,
     wheel,
 )
+from rigidkit import graph as graph_module
 from rigidkit.corpus import random_graph
 from rigidkit.field import Rng
 from oracles import local_connectivity_brute, min_mixed_cut_brute, vertex_connectivity_brute
@@ -61,6 +65,23 @@ class TestGraphBasics:
     def test_induced(self):
         g = complete(5).induced([4, 0, 2])
         assert g == complete(3)
+
+    @given(n=st.integers(1, 9), data=st.data())
+    def test_components_without_vertices_and_edges_match_the_induced_route(self, n, data):
+        pairs = list(combinations(range(n), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, tuple(e for e, k in zip(pairs, keep) if k))
+        without = data.draw(st.sets(st.integers(0, n - 1)))
+        # each edge is kept, cut as (u, v) or cut written as (v, u)
+        how = data.draw(st.lists(st.sampled_from(("keep", "cut", "cut reversed")),
+                                 min_size=g.m, max_size=g.m))
+        cut = [(b, a) if h == "cut reversed" else (a, b)
+               for (a, b), h in zip(g.edges, how) if h != "keep"]
+        rest = [w for w in range(n) if w not in without]
+        kept = tuple(e for e, h in zip(g.edges, how) if h == "keep")
+        pruned = Graph(n, kept).induced(rest)
+        expected = [[rest[i] for i in comp] for comp in pruned.connected_components()]
+        assert g.connected_components(without, cut) == expected
 
 
 class TestParse:
@@ -341,6 +362,28 @@ class TestMinMixedCut:
             cost = min_mixed_cut(g).cost
             kappa = vertex_connectivity(g)
             assert (cost + 1) // 2 <= kappa <= cost
+
+
+class TestOneNetworkPerCall:
+    """Each cut query builds one vertex-split network and runs every vertex
+    pair it examines on that network."""
+
+    @pytest.mark.parametrize("query", [
+        min_mixed_cut,
+        vertex_connectivity,
+        lambda g: is_k_connected(g, 3),
+    ], ids=["min_mixed_cut", "vertex_connectivity", "is_k_connected_3"])
+    def test_one_network_per_call(self, monkeypatch, query):
+        built = []
+        build = graph_module._split_network
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "_split_network", counting)
+        query(icosahedron())
+        assert len(built) == 1
 
 
 class TestFindCycle:
