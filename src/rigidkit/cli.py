@@ -17,7 +17,7 @@ from hashlib import sha256
 from . import __version__
 from .field import PRIME, Rng
 from .graph import GraphError, ParseError, generate, min_mixed_cut, parse_edge_list
-from .rigidity import DEFAULT_SEED, generic_rank, is_rigid, matroid_report
+from .rigidity import DEFAULT_SEED, _rigid_at_rank, matroid_report
 from .global_rigidity import (
     NotGloballyRigidError,
     is_globally_rigid,
@@ -93,7 +93,7 @@ def cmd_analyze(args) -> int:
         "method": args.method,
         "results": {
             "generic_rank": report_m.rank,
-            "rigid": is_rigid(g, d, rng.child(3)),
+            "rigid": _rigid_at_rank(g.n, d, report_m.rank),
             "independent": report_m.independent,
             "circuit": report_m.circuit,
             "bridge_count": len(report_m.bridges),
@@ -109,7 +109,7 @@ def cmd_analyze(args) -> int:
             "minimally_globally_rigid_edges": bound,
             "edges_exceed_bound": g.m > bound,
             "minimally_connected_edges": (d + 1) * g.n - (d + 1) ** 2,
-            "conditional_grn_lower_bound": conditional_grn_bound(g),
+            "conditional_grn_lower_bound": conditional_grn_bound(g) if g.n else None,
             "conditional_note": "assumes the sufficient-connectivity conjecture; reported, not asserted",
         },
     }

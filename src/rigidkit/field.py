@@ -133,9 +133,12 @@ class FieldMatrix:
         return f"FieldMatrix({self.rows}x{self.cols})"
 
 
-def _forward_rank(rows: list[list[int]], cols: int) -> int:
-    """Rank by forward elimination; mutates ``rows``."""
+def _echelon(rows: list[list[int]], cols: int) -> list[int]:
+    """Row echelon form in place by forward elimination; returns the pivot
+    columns, so the rank is their number. Row i of the result has a 1 in
+    column pivots[i] and zeros before it and below it."""
     nrows = len(rows)
+    pivots = []
     rank = 0
     for c in range(cols):
         pivot = None
@@ -154,59 +157,59 @@ def _forward_rank(rows: list[list[int]], cols: int) -> int:
             f = rows[i][c]
             if f:
                 rows[i] = [(a - f * b) % PRIME for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rref(rows: list[list[int]], cols: int) -> tuple[int, list[int]]:
-    """Reduced row echelon form in place; returns (rank, pivot columns)."""
-    nrows = len(rows)
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = pow(prow[c], -1, PRIME)
-        prow = [(x * inv) % PRIME for x in prow]
-        rows[rank] = prow
-        for i in range(nrows):
-            if i != rank:
-                f = rows[i][c]
-                if f:
-                    rows[i] = [(a - f * b) % PRIME for a, b in zip(rows[i], prow)]
         pivots.append(c)
         rank += 1
         if rank == nrows:
             break
-    return rank, pivots
+    return pivots
+
+
+def _kernel(rows: list[list[int]], pivots: list[int], cols: int) -> dict[int, tuple]:
+    """Kernel of an ``_echelon`` result, one vector per free column.
+
+    Reduces the pivot rows upward in place to the reduced echelon form, then
+    maps each free column f to the vector with 1 at f, 0 at the other free
+    columns and minus f's reduced column on the pivots.
+    """
+    if len(pivots) == cols:
+        return {}
+    for i in range(len(pivots) - 1, 0, -1):
+        c, prow = pivots[i], rows[i]
+        for k in range(i):
+            f = rows[k][c]
+            if f:
+                rows[k] = [(a - f * b) % PRIME for a, b in zip(rows[k], prow)]
+    pivot_set = set(pivots)
+    kernel = {}
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = [0] * cols
+        v[free] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][free] % PRIME
+        kernel[free] = tuple(v)
+    return kernel
 
 
 def rank(m: FieldMatrix) -> int:
     """Exact rank of ``m`` over Z_p."""
-    return _forward_rank([list(r) for r in m.data], m.cols)
+    return len(_echelon([list(r) for r in m.data], m.cols))
 
 
 def rank_of_rows(rows, cols: int) -> int:
     """Rank of a raw row list without building a FieldMatrix first."""
-    return _forward_rank([list(r) for r in rows], cols)
+    return len(_echelon([list(r) for r in rows], cols))
 
 
 def nullspace_basis(m: FieldMatrix, side: str = "column") -> list[tuple]:
     """Canonical basis of the kernel of ``m``.
 
     ``side="column"`` solves M v = 0, ``side="row"`` solves v^T M = 0. The
-    basis comes from the reduced echelon form: one vector per free column,
-    with a 1 in the free position. Every vector is re-checked against ``m``
-    exactly before being returned.
+    basis is read off the reduced echelon form, which forward elimination
+    followed by upward reduction of the pivot rows reaches: one vector per
+    free column, with a 1 in the free position. Every vector is re-checked
+    against ``m`` exactly before being returned.
 
     Returns:
         List of coefficient tuples; empty when the kernel is trivial.
@@ -217,20 +220,10 @@ def nullspace_basis(m: FieldMatrix, side: str = "column") -> list[tuple]:
         raise ValueError(f"side must be 'column' or 'row', not {side!r}")
 
     rows = [list(r) for r in m.data]
-    rank_, pivots = _rref(rows, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[free] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-rows[i][free]) % PRIME
-        vec = tuple(v)
+    basis = list(_kernel(rows, _echelon(rows, m.cols), m.cols).values())
+    for vec in basis:
         if any(m.mul_vector(vec)):
             raise ArithmeticError("internal error: kernel vector check failed")
-        basis.append(vec)
     return basis
 
 

@@ -62,7 +62,7 @@ class Stress:
 def stress_basis(g: Graph, d: int, real: Realization, basis) -> list[Stress]:
     """One fundamental stress per non-basis edge, normalized to 1 there.
 
-    One row reduction of R(G,p)^T with the basis columns first and the
+    One factorization of R(G,p)^T with the basis columns first and the
     other edges after them in canonical order: each non-basis column is
     then free, and its kernel vector is the stress with value 1 on that
     edge and 0 on the other non-basis edges, supported on the edge's

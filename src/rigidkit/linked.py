@@ -21,7 +21,6 @@ from .rigidity import (
     fundamental_circuit,
     generic_rank,
     is_matroid_connected,
-    is_redundantly_matroid_connected,
     rigid_basis,
 )
 
@@ -215,13 +214,14 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
             if g.m < 2 or not is_matroid_connected(g, dim + 1, sub.child(0)):
                 continue
             cases += 1
-            if is_redundantly_matroid_connected(g, dim, sub.child(1)):
-                confirmed += 1
-            else:
-                failing = [list(e) for e in g.edges
-                           if not is_matroid_connected(g.delete_edge(e), dim, sub.child(2))]
+            edge_rng = sub.child(1)
+            failing = [list(e) for i, e in enumerate(g.edges)
+                       if not is_matroid_connected(g.delete_edge(e), dim, edge_rng.child(i))]
+            if failing:
                 candidates.append({"graph": _graph_payload(g),
                                    "failing_edges": failing})
+            else:
+                confirmed += 1
         else:  # bridge
             if not is_matroid_connected(g, dim, sub.child(0)):
                 continue

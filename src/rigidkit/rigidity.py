@@ -8,12 +8,13 @@ reaches the known upper bound settles the answer. With p = 2**61 - 1 the
 per-trial failure probability is bounded by (total degree)/p, which is
 negligible at the scales this package targets.
 
-Rank-only queries (``generic_rank``, ``is_rigid``) use forward elimination.
-Everything else is read off one row reduction of R(G,p)^T per trial (see
-``_factor``): its pivot columns are the greedy basis, and each free column
-yields that edge's fundamental stress, whose support is its fundamental
-circuit. Bridges, components and fundamental circuits come from those
-supports. At a realization of generic rank each support lies inside the
+Every elimination is forward elimination (``field._echelon``). Rank-only
+queries (``generic_rank``, ``is_rigid``) stop there. Everything else is
+read off one factorization of R(G,p)^T per trial (see ``_factor``): its
+pivot columns are the greedy basis, and each free column yields that
+edge's fundamental stress, whose support is its fundamental circuit.
+Bridges, components and fundamental circuits come from those supports.
+At a realization of generic rank each support lies inside the
 matching generic circuit, so supports can only come out too small: a
 bridge may be reported wrongly, a component split or a circuit member
 missed, never the reverse.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import PRIME, FieldMatrix, Rng, _rref, rank_of_rows
+from .field import PRIME, FieldMatrix, Rng, _echelon, _kernel, rank_of_rows
 from .graph import Graph, GraphError
 
 TRIALS = 3
@@ -92,13 +93,12 @@ def rigid_rank_target(n: int, d: int) -> int:
     return d * n - (d + 1) * d // 2
 
 
-def _subset_rank(g: Graph, d: int, edges, rng: Rng, upper: int | None = None) -> int:
+def _subset_rank(g: Graph, d: int, edges, rng: Rng) -> int:
     """Generic rank of an edge subset: max over trials, early exit at the bound."""
     edges = list(edges)
     if not edges:
         return 0
-    if upper is None:
-        upper = rank_upper_bound(g.n, len(edges), d)
+    upper = rank_upper_bound(g.n, len(edges), d)
     best = 0
     for t in range(TRIALS):
         real = sample_realization(g, d, rng.child(t))
@@ -117,15 +117,16 @@ def generic_rank(g: Graph, d: int, rng: Rng | None = None) -> int:
     return _subset_rank(g, d, g.edges, _rng(rng))
 
 
-def is_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
-    """Generic rigidity in dimension d.
+def _rigid_at_rank(n: int, d: int, r: int) -> bool:
+    """Whether an n-vertex graph of generic rank r is rigid in dimension d:
+    r must be the rank of K_n. For n <= d vertices that is C(n, 2), so rigid
+    iff complete; from n = d + 1 on it is d*n - d(d+1)/2."""
+    return r == rank_upper_bound(n, n * (n - 1) // 2, d)
 
-    For n <= d vertices the convention is rigid iff complete; from n = d + 1
-    on, rigid iff the generic rank hits d*n - d(d+1)/2.
-    """
-    if g.n <= d:
-        return g.is_complete()
-    return generic_rank(g, d, rng) == rigid_rank_target(g.n, d)
+
+def is_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
+    """Generic rigidity in dimension d, by ``_rigid_at_rank`` on the generic rank."""
+    return _rigid_at_rank(g.n, d, generic_rank(g, d, rng))
 
 
 def is_redundantly_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
@@ -178,8 +179,10 @@ def _check_stress(real: Realization, edges, values) -> None:
 
 
 def _factor(g: Graph, real: Realization, edges) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Row-reduce R(G,p)^T once, with one column per edge of ``edges`` in order.
+    """Factor R(G,p)^T once, with one column per edge of ``edges`` in order.
 
+    Forward elimination (``field._echelon``) gives the pivots, and
+    ``field._kernel`` reads the stresses off the reduced pivot rows.
     Returns ``(pivots, stresses)``. The pivot columns are the greedy basis of
     ``edges`` at ``real``: a column is a pivot exactly when its edge row is
     not spanned by the rows of the edges before it. ``stresses`` maps each
@@ -188,28 +191,12 @@ def _factor(g: Graph, real: Realization, edges) -> tuple[list[int], dict[int, tu
     fundamental stress of f, and its support is f's fundamental circuit with
     respect to the pivots. Every stress is checked exactly before return.
     """
-    d = real.d
     cols = len(edges)
-    rows = [[0] * cols for _ in range(d * g.n)]
-    for j, (u, v) in enumerate(edges):
-        pu, pv = real.coords[u], real.coords[v]
-        for k in range(d):
-            diff = (pu[k] - pv[k]) % PRIME
-            rows[d * u + k][j] = diff
-            rows[d * v + k][j] = -diff % PRIME
-    _, pivots = _rref(rows, cols)
-    pivot_set = set(pivots)
-    stresses = {}
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        w = [0] * cols
-        w[f] = 1
-        for i, c in enumerate(pivots):
-            if rows[i][f]:
-                w[c] = PRIME - rows[i][f]
+    rows = [list(col) for col in zip(*_rows_for(g, real, edges))]
+    pivots = _echelon(rows, cols)
+    stresses = _kernel(rows, pivots, cols)
+    for w in stresses.values():
         _check_stress(real, edges, w)
-        stresses[f] = tuple(w)
     return pivots, stresses
 
 
@@ -313,7 +300,7 @@ def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
                         ) -> tuple[tuple[int, int], ...]:
     """The unique circuit inside basis + e.
 
-    Each trial row-reduces the columns basis + e of R(G,p)^T, basis first.
+    Each trial factors the columns basis + e of R(G,p)^T, basis first.
     When every basis column is a pivot, e's column is free and the support
     of its fundamental stress is the circuit at that realization, which
     lies inside the generic one; the union over trials is returned, so a

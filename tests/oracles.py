@@ -1,10 +1,10 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here is deliberately dumb: rational arithmetic, exhaustive
-enumeration, definition-level checks, and the library's earlier
-query-by-query implementations of the rigidity matroid. Beyond sampling
-realizations and building their rows, none of it shares code with the
-paths it verifies.
+Everything here is deliberately dumb: rational arithmetic, Gauss-Jordan
+elimination, exhaustive enumeration, definition-level checks, and the
+library's earlier query-by-query implementations of the rigidity matroid.
+Beyond sampling realizations and building their rows, none of it shares
+code with the paths it verifies.
 """
 
 from __future__ import annotations
@@ -44,6 +44,57 @@ def rational_rank(rows) -> int:
                 mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
         rank += 1
     return rank
+
+
+def rref(rows: list[list[int]], cols: int) -> tuple[int, list[int]]:
+    """Gauss-Jordan reduced row echelon form over Z_p in place, clearing
+    each pivot column above and below at once; returns (rank, pivot columns).
+    The elimination the library used before forward elimination plus
+    upward reduction replaced it."""
+    nrows = len(rows)
+    pivots = []
+    rank = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(rank, nrows):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        inv = pow(prow[c], -1, PRIME)
+        prow = [(x * inv) % PRIME for x in prow]
+        rows[rank] = prow
+        for i in range(nrows):
+            if i != rank:
+                f = rows[i][c]
+                if f:
+                    rows[i] = [(a - f * b) % PRIME for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, pivots
+
+
+def kernel_by_rref(rows, cols: int) -> tuple[list[int], dict[int, tuple]]:
+    """Pivots and kernel vectors read off ``rref``: one vector per free
+    column f, with 1 at f, 0 at the other free columns and minus f's reduced
+    column on the pivots."""
+    rows = [list(r) for r in rows]
+    _, pivots = rref(rows, cols)
+    kernel = {}
+    for free in range(cols):
+        if free in pivots:
+            continue
+        v = [0] * cols
+        v[free] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-rows[i][free]) % PRIME
+        kernel[free] = tuple(v)
+    return pivots, kernel
 
 
 def local_connectivity_brute(g: Graph, u: int, v: int) -> int:
@@ -213,14 +264,14 @@ def fundamental_circuit_by_probes(g: Graph, d: int, basis, e, rng: Rng):
     when (basis - f) + e stays independent, one rank probe per f."""
     basis = tuple(basis)
     k = len(basis)
-    if _subset_rank(g, d, basis, rng.child(0), upper=k) != k:
+    if _subset_rank(g, d, basis, rng.child(0)) != k:
         raise GraphError("the given edge set is not independent")
-    if _subset_rank(g, d, basis + (e,), rng.child(1), upper=k + 1) != k:
+    if _subset_rank(g, d, basis + (e,), rng.child(1)) != k:
         raise GraphError("edge is independent of the basis; not spanned, so no circuit")
     members = [e]
     for i, f in enumerate(basis):
         probe = [x for x in basis if x != f] + [e]
-        if _subset_rank(g, d, probe, rng.child(2 + i), upper=k) == k:
+        if _subset_rank(g, d, probe, rng.child(2 + i)) == k:
             members.append(f)
     return tuple(sorted(members))
 

@@ -3,7 +3,10 @@ import subprocess
 import sys
 
 from rigidkit import complete, cycle, complete_bipartite, icosahedron_braced, k4e_chain, parse_edge_list
+from rigidkit import cli
 from rigidkit.cli import main
+
+from degenerate import DegenerateRng
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +81,28 @@ class TestAnalyze:
         assert a == b
         # the serialized reproducible sections are byte-identical
         assert json.dumps(a, indent=2) == json.dumps(b, indent=2)
+
+    def test_empty_graph(self, capsys, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("0 0\n", encoding="ascii")
+        code, out, _ = run_cli(capsys, "analyze", "--in", str(p), "--dim", "2")
+        assert code == 0
+        report = json.loads(out)
+        assert report["results"]["min_degree"] is None
+        assert report["results"]["min_mixed_cut_cost"] is None
+        assert report["bounds"]["conditional_grn_lower_bound"] is None
+
+    def test_rigid_follows_the_reported_rank(self, capsys, tmp_path, monkeypatch):
+        # every realization drawn from the stream rng.child(3) is degenerate;
+        # no part of the report may read its rigidity off that stream
+        monkeypatch.setattr(cli, "Rng", lambda seed: DegenerateRng(seed, [(3, t) for t in range(3)]))
+        path = write_graph(tmp_path, complete(5))
+        code, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "2")
+        assert code == 0
+        r = json.loads(out)["results"]
+        assert r["generic_rank"] == 7
+        assert r["rigid"] is True
+        assert r["globally_rigid"] is True
 
     def test_bad_dim_exits_3(self, capsys, tmp_path):
         path = write_graph(tmp_path, complete(4))

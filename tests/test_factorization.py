@@ -111,13 +111,13 @@ class TestOneFactorizationPerTrial:
     ])
     def test_matroid_report_eliminates_at_most_trials_times(self, g, d, monkeypatch):
         calls = []
-        real_rref = rigidity._rref
+        real_echelon = rigidity._echelon
 
         def counting(rows, cols):
             calls.append((len(rows), cols))
-            return real_rref(rows, cols)
+            return real_echelon(rows, cols)
 
-        monkeypatch.setattr(rigidity, "_rref", counting)
+        monkeypatch.setattr(rigidity, "_echelon", counting)
         report = matroid_report(g, d, Rng(3))
         assert 1 <= len(calls) <= rigidity.TRIALS
         assert all(shape == (d * g.n, g.m) for shape in calls)
@@ -125,9 +125,9 @@ class TestOneFactorizationPerTrial:
 
     def test_a_connected_matroid_settles_in_one_trial(self, monkeypatch):
         calls = []
-        real_rref = rigidity._rref
-        monkeypatch.setattr(rigidity, "_rref",
-                            lambda rows, cols: calls.append(cols) or real_rref(rows, cols))
+        real_echelon = rigidity._echelon
+        monkeypatch.setattr(rigidity, "_echelon",
+                            lambda rows, cols: calls.append(cols) or real_echelon(rows, cols))
         assert len(matroid_report(complete(6), 2, Rng(4)).components) == 1
         assert len(calls) == 1
 

@@ -1,15 +1,17 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rigidkit.field import (
     PRIME,
     FieldMatrix,
     Rng,
+    _echelon,
+    _kernel,
     nullspace_basis,
     random_combination,
     rank,
 )
-from oracles import rational_rank
+from oracles import kernel_by_rref, rational_rank
 
 
 def test_prime_is_the_mersenne_prime():
@@ -109,6 +111,40 @@ class TestNullspace:
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError):
             nullspace_basis(FieldMatrix.identity(2), side="diagonal")
+
+
+@st.composite
+def small_matrices(draw):
+    """(cols, rows) up to 8 x 8, wide, tall or square, possibly empty. Zeros
+    and small entries are common, and some rows are multiples of earlier
+    ones, so that rank deficiency and free columns occur often."""
+    nrows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(st.sampled_from([0, 0, 1, 2, PRIME - 1]), st.integers(0, PRIME - 1))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            t = draw(entry)
+            rows.append([t * x % PRIME for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    return cols, rows
+
+
+class TestEchelonAndKernel:
+    @settings(max_examples=200)
+    @given(small_matrices())
+    @example((5, [[0] * 5] * 3))
+    @example((3, [[1, 2, 3]] * 4))
+    @example((0, [[], []]))
+    @example((4, []))
+    @example((2, [[1, 2], [3, 4], [5, 6]]))
+    def test_match_gauss_jordan(self, matrix):
+        cols, rows = matrix
+        expect_pivots, expect_kernel = kernel_by_rref(rows, cols)
+        work = [list(r) for r in rows]
+        pivots = _echelon(work, cols)
+        assert pivots == expect_pivots
+        assert _kernel(work, pivots, cols) == expect_kernel
 
 
 class TestRandomCombination:

@@ -21,6 +21,8 @@ from rigidkit import (
 from rigidkit.field import Rng
 from rigidkit.linked import NO, UNKNOWN, YES, CorpusSpec, REASON_EDGE, REASON_KAPPA
 
+from degenerate import DegenerateRng
+
 
 def two_k4_sharing_a_vertex() -> Graph:
     edges = list(complete(4).edges)
@@ -206,6 +208,17 @@ class TestExplorer:
                                  CorpusSpec(max_n=5, isomorph_reject=True), Rng(4))
         assert rep["counts"]["counterexample_candidates"] == 0
         assert rep["counts"]["cases"] > 0
+
+    def test_redundant_mc_candidate_lists_the_edges_behind_its_verdict(self):
+        # the deletion of each graph's first edge is tested on a degenerate
+        # stream, so every case fails there, and only there
+        spec = CorpusSpec(max_n=5, isomorph_reject=True)
+        rng = DegenerateRng(4, [(1 + gi, 1, 0) for gi in range(100)])  # 52 graphs
+        rep = explore_conjecture("redundant-mc", 1, spec, rng)
+        assert rep["counts"]["cases"] > 0
+        assert rep["counts"]["counterexample_candidates"] == rep["counts"]["cases"]
+        for cand in rep["candidates"]:
+            assert cand["failing_edges"] == [cand["graph"]["edges"][0]]
 
     def test_bridge_small(self):
         rep = explore_conjecture("bridge", 1,
