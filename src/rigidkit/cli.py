@@ -82,7 +82,7 @@ def cmd_analyze(args) -> int:
     cert = is_globally_rigid(g, d, rng.child(1), method=args.method)
     minimal = is_minimally_globally_rigid(g, d, rng.child(2), method=args.method) \
         if cert.globally_rigid else False
-    bound = minimally_globally_rigid_edge_bound(g.n, d)
+    bound = minimally_globally_rigid_edge_bound(g.n, d) if g.n >= d + 2 else None
     report = {
         "schema_version": SCHEMA_VERSION,
         "prime": PRIME,
@@ -107,8 +107,8 @@ def cmd_analyze(args) -> int:
         },
         "bounds": {
             "minimally_globally_rigid_edges": bound,
-            "edges_exceed_bound": g.m > bound,
-            "minimally_connected_edges": (d + 1) * g.n - (d + 1) ** 2,
+            "edges_exceed_bound": None if bound is None else g.m > bound,
+            "minimally_connected_edges": None if bound is None else (d + 1) * g.n - (d + 1) ** 2,
             "conditional_grn_lower_bound": conditional_grn_bound(g) if g.n else None,
             "conditional_note": "assumes the sufficient-connectivity conjecture; reported, not asserted",
         },

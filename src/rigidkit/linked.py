@@ -6,7 +6,9 @@ agrees in every equivalent generic realization) are fully understood only in
 special situations; the two-dimensional query below answers "yes" or "no"
 exactly on matroid-connected graphs via the local connectivity threshold 3,
 answers "yes" through a circuit-based reduction when the pair is linked in
-dimension 3, and otherwise reports "unknown" rather than guessing.
+dimension 3, and otherwise reports "unknown" rather than guessing. Linkedness
+errs one way: at a trial of generic rank "not linked" is exact and only
+"linked" can be wrong.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ from dataclasses import dataclass, field
 
 from .field import Rng
 from .graph import Graph, GraphError, local_connectivity
-from .rigidity import (
-    _rng,
-    bridges,
-    fundamental_circuit,
-    generic_rank,
-    is_matroid_connected,
-    rigid_basis,
-)
+from .rigidity import _rng, _span, bridges, is_matroid_connected
 
 YES = "yes"
 NO = "no"
@@ -46,15 +41,14 @@ class PairVerdict:
 
 
 def is_linked(g: Graph, u: int, v: int, d: int, rng: Rng | None = None) -> bool:
-    """True when adding uv does not raise the generic rank (edges count)."""
+    """True when adding uv does not raise the generic rank (edges count):
+    one ``rigidity._span`` elimination per trial. At a trial of generic
+    rank "not linked" is exact; only "linked" can be wrong."""
     if u == v:
         raise GraphError("linkedness needs u != v")
     if g.has_edge(u, v):
         return True
-    rng = _rng(rng)
-    r_before = generic_rank(g, d, rng.child(0))
-    r_after = generic_rank(g.add_edge(u, v), d, rng.child(1))
-    return r_after == r_before
+    return (min(u, v), max(u, v)) in _span(g, d, _rng(rng), [(u, v)])[1]
 
 
 def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> PairVerdict:
@@ -80,18 +74,15 @@ def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> P
         return PairVerdict(pair=pair, linked={2: is_linked(g, u, v, 2, rng.child(1))},
                            globally_linked=verdict, reason=REASON_KAPPA)
 
-    linked3 = is_linked(g, u, v, 3, rng.child(2))
-    if not linked3:
+    circuit = _span(g, 3, rng.child(2), [pair])[1].get(pair)
+    if circuit is None:
         return PairVerdict(pair=pair, linked={3: False},
                            globally_linked=UNKNOWN, reason=REASON_OPEN)
-    gplus = g.add_edge(u, v)
-    basis = rigid_basis(g, 3, rng.child(3))
-    circuit = fundamental_circuit(gplus, 3, basis, pair, rng.child(4))
-    cgraph, labels = gplus.edge_subgraph(circuit)
+    cgraph, labels = g.add_edge(u, v).edge_subgraph(circuit)
     pos = {w: i for i, w in enumerate(labels)}
     cminus = cgraph.delete_edge(pos[u], pos[v])
     if local_connectivity(cminus, pos[u], pos[v]) >= 3 and \
-            is_matroid_connected(cminus, 2, rng.child(5)):
+            is_matroid_connected(cminus, 2, rng.child(3)):
         return PairVerdict(pair=pair, linked={3: True},
                            globally_linked=YES, reason=REASON_CIRCUIT,
                            witness=circuit)
@@ -182,9 +173,10 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
         graphs_seen += 1
         sub = rng.child(1 + gi)
         if kind == "linked-gl":
-            for pi, (u, v) in enumerate(
-                    (u, v) for u in range(g.n) for v in range(u + 1, g.n)):
-                if not is_linked(g, u, v, dim + 1, sub.child(2 * pi)):
+            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+            circuits = _span(g, dim + 1, sub.child(0), set(pairs) - g.edge_set)[1]
+            for pi, (u, v) in enumerate(pairs):
+                if not (g.has_edge(u, v) or (u, v) in circuits):
                     continue
                 cases += 1
                 if dim == 1:
@@ -195,7 +187,7 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
                                            "pair": [u, v],
                                            "detail": "linked in dim 2 but not globally linked in dim 1"})
                 elif dim == 2:
-                    verdict = is_globally_linked_2d(g, u, v, sub.child(2 * pi + 1))
+                    verdict = is_globally_linked_2d(g, u, v, sub.child(1 + pi))
                     if verdict.globally_linked == YES:
                         confirmed += 1
                     elif verdict.globally_linked == NO:

@@ -8,23 +8,22 @@ reaches the known upper bound settles the answer. With p = 2**61 - 1 the
 per-trial failure probability is bounded by (total degree)/p, which is
 negligible at the scales this package targets.
 
-Every elimination is forward elimination (``field._echelon``). Rank-only
-queries (``generic_rank``, ``is_rigid``) stop there. Everything else is
-read off one factorization of R(G,p)^T per trial (see ``_factor``): its
-pivot columns are the greedy basis, and each free column yields that
-edge's fundamental stress, whose support is its fundamental circuit.
-Bridges, components and fundamental circuits come from those supports.
-At a realization of generic rank each support lies inside the
-matching generic circuit, so supports can only come out too small: a
-bridge may be reported wrongly, a component split or a circuit member
-missed, never the reverse.
+Every elimination is forward elimination (``field._echelon``) of R(G,p)^T.
+``_span`` reads rank, linked pairs and the circuits they close off one per
+trial; ``_matroid`` reads basis, bridges and components off one
+factorization per trial (``_factor``), whose free columns give each
+non-basis edge's fundamental stress and circuit. At a realization of
+generic rank each support lies inside the matching generic circuit, so
+supports can only come out too small: a bridge may be reported wrongly, a
+component split or a circuit member missed, never the reverse; and a pair
+may be reported linked wrongly, never unlinked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import PRIME, FieldMatrix, Rng, _echelon, _kernel, rank_of_rows
+from .field import PRIME, FieldMatrix, Rng, _echelon, _kernel
 from .graph import Graph, GraphError
 
 TRIALS = 3
@@ -93,28 +92,51 @@ def rigid_rank_target(n: int, d: int) -> int:
     return d * n - (d + 1) * d // 2
 
 
-def _subset_rank(g: Graph, d: int, edges, rng: Rng) -> int:
-    """Generic rank of an edge subset: max over trials, early exit at the bound."""
-    edges = list(edges)
-    if not edges:
-        return 0
-    upper = rank_upper_bound(g.n, len(edges), d)
-    best = 0
+def _span(g: Graph, d: int, rng: Rng, pairs=()) -> tuple[int, dict]:
+    """Rank of G and the vertex pairs of ``pairs`` (non-edges) linked in G,
+    each with its circuit in G + pair, from one elimination per trial.
+
+    A trial eliminates R(G + pairs, p)^T pivoting on G's columns only, the
+    pair columns riding along; the pivots give the rank at p. A pair is
+    linked at p when its column is zero below the pivots, and only then is
+    its fundamental stress read (``field._kernel``) and checked exactly; its
+    support is the circuit. Trials short of the best rank are dropped, and
+    the first at the rank bound ends the loop. A pair is linked when every
+    kept trial finds it so, its circuit the union of their supports. At a
+    trial of generic rank "not linked" is exact; only "linked" can be wrong.
+
+    Returns ``(rank, circuits)``, ``circuits`` mapping each linked pair to
+    the sorted edges of its circuit, the pair included.
+    """
+    pairs = Graph(g.n, pairs).edges
+    edges, m = g.edges + pairs, g.m
+    upper = rank_upper_bound(g.n, m, d)
+    trials = []
     for t in range(TRIALS):
         real = sample_realization(g, d, rng.child(t))
-        r = rank_of_rows(_rows_for(g, real, edges), d * g.n)
-        if r > best:
-            best = r
-        if best >= upper:
+        rows = [list(col) for col in zip(*_rows_for(g, real, edges))]
+        pivots = _echelon(rows, m)
+        r = len(pivots)
+        cols = pivots + [j for j in range(m, len(edges)) if not any(row[j] for row in rows[r:])]
+        found = {}
+        if len(cols) > r:
+            sub = [[row[c] for c in cols] for row in rows[:r]]
+            sub_edges = [edges[c] for c in cols]
+            for f, w in _kernel(sub, list(range(r)), len(cols)).items():
+                _check_stress(real, sub_edges, w)
+                found[sub_edges[f]] = {e for e, x in zip(sub_edges, w) if x}
+        trials.append((r, found))
+        if r >= upper:
             break
-    return best
+    best = max(r for r, _ in trials)
+    kept = [found for r, found in trials if r == best]
+    return best, {p: tuple(sorted(set().union(*(found[p] for found in kept))))
+                  for p in pairs if all(p in found for found in kept)}
 
 
 def generic_rank(g: Graph, d: int, rng: Rng | None = None) -> int:
     """r_d(G), the rank of the d-dimensional rigidity matroid."""
-    if d < 1:
-        raise GraphError("dimension must be >= 1")
-    return _subset_rank(g, d, g.edges, _rng(rng))
+    return _span(g, d, _rng(rng))[0]
 
 
 def _rigid_at_rank(n: int, d: int, r: int) -> bool:
@@ -130,11 +152,10 @@ def is_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
 
 
 def is_redundantly_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
-    """Rigid, and still rigid after deleting any single edge."""
-    rng = _rng(rng)
-    if not is_rigid(g, d, rng.child(0)):
-        return False
-    return not bridges(g, d, rng.child(1))
+    """Rigid, and still rigid after deleting any single edge: rank and
+    bridges from the same trials, those of ``bridges``."""
+    basis, brs, _ = _matroid(g, d, _rng(rng), _covers)
+    return _rigid_at_rank(g.n, d, len(basis)) and not brs
 
 
 def is_vertex_redundantly_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
@@ -150,13 +171,10 @@ def is_independent(g: Graph, d: int, rng: Rng | None = None) -> bool:
 
 
 def is_circuit(g: Graph, d: int, rng: Rng | None = None) -> bool:
-    """A minimal dependent edge set: rank |E| - 1 and no rank-dropping edge."""
-    rng = _rng(rng)
-    if g.m == 0:
-        return False
-    if generic_rank(g, d, rng.child(0)) != g.m - 1:
-        return False
-    return not bridges(g, d, rng.child(1))
+    """A minimal dependent edge set: rank |E| - 1 and no rank-dropping edge,
+    both read off the trials of ``bridges``."""
+    basis, brs, _ = _matroid(g, d, _rng(rng), _covers)
+    return g.m > 0 and len(basis) == g.m - 1 and not brs
 
 
 def _check_stress(real: Realization, edges, values) -> None:
@@ -300,18 +318,17 @@ def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
                         ) -> tuple[tuple[int, int], ...]:
     """The unique circuit inside basis + e.
 
-    Each trial factors the columns basis + e of R(G,p)^T, basis first.
-    When every basis column is a pivot, e's column is free and the support
-    of its fundamental stress is the circuit at that realization, which
-    lies inside the generic one; the union over trials is returned, so a
-    member may be missed, never a non-member included.
+    One ``_span`` call on the graph of the basis with e as its pair: the
+    basis must come out independent, and e linked to it. The circuit is the
+    union of the supports of e's fundamental stress over the trials of full
+    rank, each inside the generic circuit, so a member may be missed, never
+    a non-member included.
 
     Raises:
         GraphError: when the edges are not in the graph, when e lies in the
-        basis, when no trial finds the basis independent, or when a trial
-        finds e independent of it (then basis + e holds no circuit).
+        basis, when no trial finds the basis independent, or when a trial of
+        full rank finds e independent of it (then basis + e has no circuit).
     """
-    rng = _rng(rng)
     basis = tuple(basis)
     e = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
     basis_set = set(basis)
@@ -321,21 +338,12 @@ def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
         raise GraphError(f"edge {e} not in graph")
     if not basis_set <= g.edge_set:
         raise GraphError("basis contains edges outside the graph")
-    cols = basis + (e,)
-    k = len(basis)
-    members: set[int] = set()  # stays empty until a trial finds the basis independent
-    for t in range(TRIALS):
-        pivots, stresses = _factor(g, sample_realization(g, d, rng.child(t)), cols)
-        if pivots[:k] != list(range(k)):
-            continue  # basis dependent here: degenerate realization or dependent input
-        if k not in stresses:
-            raise GraphError("edge is independent of the basis; not spanned, so no circuit")
-        members.update(j for j, x in enumerate(stresses[k]) if x)
-        if len(members) == k + 1:
-            break
-    if not members:
+    rank, circuits = _span(Graph(g.n, basis), d, _rng(rng), [e])
+    if rank < len(basis):
         raise GraphError("the given edge set is not independent")
-    return tuple(sorted(cols[j] for j in members))
+    if e not in circuits:
+        raise GraphError("edge is independent of the basis; not spanned, so no circuit")
+    return circuits[e]
 
 
 def matroid_components(g: Graph, d: int, rng: Rng | None = None

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from rigidkit import field, rigidity
 from rigidkit.corpus import nonisomorphic_graphs
 from rigidkit.field import Rng
 
@@ -22,3 +23,19 @@ def connected_by_n():
 @pytest.fixture
 def rng():
     return Rng(0xC0FFEE)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The (rows, cols) shape of every forward elimination run in the test,
+    whether the matroid layer calls it or a field-level rank does."""
+    calls = []
+    real_echelon = field._echelon
+
+    def counting(rows, cols):
+        calls.append((len(rows), cols))
+        return real_echelon(rows, cols)
+
+    monkeypatch.setattr(field, "_echelon", counting)
+    monkeypatch.setattr(rigidity, "_echelon", counting)
+    return calls

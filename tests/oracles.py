@@ -19,7 +19,6 @@ from rigidkit.rigidity import (
     TRIALS,
     _edge_row,
     _rows_for,
-    _subset_rank,
     rank_upper_bound,
     sample_realization,
 )
@@ -221,6 +220,31 @@ def matroid_components_brute(g: Graph, d: int, seed: int = 12345):
 # Slow, but each step is a plain rank or kernel query.
 
 
+def subset_rank(g: Graph, d: int, edges, rng: Rng) -> int:
+    """Generic rank of an edge subset from its edge rows: max over trials,
+    early exit at the bound."""
+    edges = list(edges)
+    if not edges:
+        return 0
+    upper = rank_upper_bound(g.n, len(edges), d)
+    best = 0
+    for t in range(TRIALS):
+        real = sample_realization(g, d, rng.child(t))
+        best = max(best, rank_of_rows(_rows_for(g, real, edges), d * g.n))
+        if best >= upper:
+            break
+    return best
+
+
+def is_linked_by_ranks(g: Graph, u: int, v: int, d: int, rng: Rng) -> bool:
+    """Linked when adding uv leaves the rank unchanged, as two ranks drawn
+    from independent trial sets."""
+    if g.has_edge(u, v):
+        return True
+    return subset_rank(g, d, g.edges + ((u, v),), rng.child(1)) == \
+        subset_rank(g, d, g.edges, rng.child(0))
+
+
 def rigid_basis_incremental(g: Graph, d: int, rng: Rng):
     """Greedy basis in canonical edge order: keep an edge when its row is
     not spanned by the rows kept so far. Max over trials."""
@@ -254,9 +278,9 @@ def rigid_basis_incremental(g: Graph, d: int, rng: Rng):
 
 def bridges_by_rank_drop(g: Graph, d: int, rng: Rng):
     """Edges whose deletion drops the generic rank, by definition."""
-    r = _subset_rank(g, d, g.edges, rng.child(0))
+    r = subset_rank(g, d, g.edges, rng.child(0))
     return tuple(e for i, e in enumerate(g.edges)
-                 if _subset_rank(g, d, [f for f in g.edges if f != e], rng.child(1 + i)) < r)
+                 if subset_rank(g, d, [f for f in g.edges if f != e], rng.child(1 + i)) < r)
 
 
 def fundamental_circuit_by_probes(g: Graph, d: int, basis, e, rng: Rng):
@@ -264,14 +288,14 @@ def fundamental_circuit_by_probes(g: Graph, d: int, basis, e, rng: Rng):
     when (basis - f) + e stays independent, one rank probe per f."""
     basis = tuple(basis)
     k = len(basis)
-    if _subset_rank(g, d, basis, rng.child(0)) != k:
+    if subset_rank(g, d, basis, rng.child(0)) != k:
         raise GraphError("the given edge set is not independent")
-    if _subset_rank(g, d, basis + (e,), rng.child(1)) != k:
+    if subset_rank(g, d, basis + (e,), rng.child(1)) != k:
         raise GraphError("edge is independent of the basis; not spanned, so no circuit")
     members = [e]
     for i, f in enumerate(basis):
         probe = [x for x in basis if x != f] + [e]
-        if _subset_rank(g, d, probe, rng.child(2 + i)) == k:
+        if subset_rank(g, d, probe, rng.child(2 + i)) == k:
             members.append(f)
     return tuple(sorted(members))
 

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from rigidkit import complete, cycle, complete_bipartite, icosahedron_braced, k4e_chain, parse_edge_list
+from rigidkit import Graph, complete, cycle, complete_bipartite, icosahedron_braced, k4e_chain, parse_edge_list
 from rigidkit import cli
 from rigidkit.cli import main
 
@@ -91,6 +91,20 @@ class TestAnalyze:
         assert report["results"]["min_degree"] is None
         assert report["results"]["min_mixed_cut_cost"] is None
         assert report["bounds"]["conditional_grn_lower_bound"] is None
+
+    def test_bounds_are_null_below_d_plus_2(self, capsys, tmp_path):
+        # the edge bounds are stated for n >= d + 2 vertices only
+        for g, d in ((Graph(0), 2), (complete(2), 2), (complete(3), 2), (complete(4), 3)):
+            path = write_graph(tmp_path, g)
+            code, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", str(d))
+            assert code == 0
+            bounds = json.loads(out)["bounds"]
+            assert bounds["minimally_globally_rigid_edges"] is None
+            assert bounds["edges_exceed_bound"] is None
+            assert bounds["minimally_connected_edges"] is None
+        path = write_graph(tmp_path, complete(4))
+        _, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "2")
+        assert json.loads(out)["bounds"]["minimally_globally_rigid_edges"] == 6
 
     def test_rigid_follows_the_reported_rank(self, capsys, tmp_path, monkeypatch):
         # every realization drawn from the stream rng.child(3) is degenerate;

@@ -19,6 +19,7 @@ from rigidkit import (
     fundamental_circuit,
     is_globally_rigid,
     is_minimally_globally_rigid,
+    is_redundantly_rigid,
     matroid_components,
     matroid_report,
     minimally_globally_rigid_edge_bound,
@@ -130,6 +131,10 @@ class TestOneFactorizationPerTrial:
                             lambda rows, cols: calls.append(cols) or real_echelon(rows, cols))
         assert len(matroid_report(complete(6), 2, Rng(4)).components) == 1
         assert len(calls) == 1
+
+    def test_redundant_rigidity_of_k4_takes_one_elimination(self, eliminations):
+        assert is_redundantly_rigid(complete(4), 2, Rng(4))
+        assert len(eliminations) == 1
 
 
 class TestDegenerateRealizations:

@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigidkit import (
     Graph,
@@ -18,10 +21,12 @@ from rigidkit import (
     vertex_connectivity,
     TwoSumSpec,
 )
+from rigidkit import rigidity
 from rigidkit.field import Rng
-from rigidkit.linked import NO, UNKNOWN, YES, CorpusSpec, REASON_EDGE, REASON_KAPPA
+from rigidkit.linked import NO, UNKNOWN, YES, CorpusSpec, REASON_CIRCUIT, REASON_EDGE, REASON_KAPPA
 
 from degenerate import DegenerateRng
+from oracles import is_linked_by_ranks
 
 
 def two_k4_sharing_a_vertex() -> Graph:
@@ -52,6 +57,61 @@ class TestIsLinked:
     def test_same_vertex_rejected(self):
         with pytest.raises(GraphError):
             is_linked(complete(3), 2, 2, 1)
+
+
+@st.composite
+def graphs_with_a_pair(draw):
+    n = draw(st.integers(2, 9))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
+    u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return Graph(n, tuple(edges)), u, v
+
+
+class TestLinkedAgainstRanks:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_is_linked_matches_the_rank_comparison(self, d, data):
+        g, u, v = data.draw(graphs_with_a_pair())
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        linked = is_linked(g, u, v, d, rng.child(0))
+        assert linked == is_linked_by_ranks(g, u, v, d, rng.child(1))
+        if d == 1:  # the graphic matroid: linked iff one component holds u and v
+            assert linked == any(u in c and v in c for c in g.connected_components())
+
+
+class TestOneEliminationPerTrial:
+    def test_is_linked_eliminates_at_most_trials_times(self, eliminations):
+        assert not is_linked(two_k4_sharing_a_vertex(), 0, 4, 2, Rng(5))
+        assert 1 <= len(eliminations) <= rigidity.TRIALS
+
+    def test_linked_gl_eliminates_at_most_trials_times_per_graph(self, eliminations):
+        rep = explore_conjecture("linked-gl", 1,
+                                 CorpusSpec(max_n=5, isomorph_reject=True), Rng(1))
+        assert rep["counts"]["cases"] > 0
+        assert len(eliminations) <= rigidity.TRIALS * rep["counts"]["graphs"]
+
+
+class TestDegenerateFirstTrial:
+    # trial 0 puts every vertex at one point: every column is zero there, so
+    # every pair looks linked, and the trial must be dropped for its short rank
+    def test_is_linked_drops_the_collapsed_trial(self):
+        g = two_k4_sharing_a_vertex()
+        assert not is_linked(g, 0, 4, 2, DegenerateRng(5, [(0,)]))
+
+    def test_circuit_route_keeps_its_witness(self):
+        # K5 minus an edge plus a pendant edge: the pair closes K5, a circuit in d=3
+        g = Graph(6, complete(5).edges + ((4, 5),)).delete_edge(0, 1)
+        expect = is_globally_linked_2d(g, 0, 1, Rng(9))
+        assert expect.reason == REASON_CIRCUIT and expect.witness == complete(5).edges
+        assert is_globally_linked_2d(g, 0, 1, DegenerateRng(9, [(2, 0)])) == expect
+
+    def test_a_short_trial_cannot_say_not_linked(self):
+        # K4 plus vertex 4 on 0 and 1 is rigid in d=2, so (2, 4) is linked;
+        # trial 0 puts vertex 4 on vertex 0, drops the row of (0, 4), and
+        # there (2, 4) is not linked
+        g = Graph(5, complete(4).edges + ((0, 4), (1, 4)))
+        assert is_linked(g, 2, 4, 2, DegenerateRng(3, [(0,)], period=8))
 
 
 class TestGloballyLinked2d:
