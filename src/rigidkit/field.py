@@ -197,11 +197,6 @@ def rank(m: FieldMatrix) -> int:
     return len(_echelon([list(r) for r in m.data], m.cols))
 
 
-def rank_of_rows(rows, cols: int) -> int:
-    """Rank of a raw row list without building a FieldMatrix first."""
-    return len(_echelon([list(r) for r in rows], cols))
-
-
 def nullspace_basis(m: FieldMatrix, side: str = "column") -> list[tuple]:
     """Canonical basis of the kernel of ``m``.
 

@@ -6,7 +6,11 @@ realization has a stress matrix of rank n - d - 1. This module implements
 that certificate over Z_p, the deterministic combinatorial characterizations
 for d <= 2 (2-connectivity, and 3-connectivity plus redundant rigidity),
 a randomized subset-rank reducer for matrix pencils, and the sparsifier
-that extracts a minimally globally rigid spanning subgraph.
+that extracts a minimally globally rigid spanning subgraph. At a realization
+p the stresses of G - e are the stresses of G that vanish on e, so the
+edge-deletion questions (minimal and redundant global rigidity, the
+sparsifier's greedy pass) read every G - e off one factorization of
+R(G,p)^T per trial.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .graph import Graph, GraphError, is_k_connected
 from .rigidity import (
     TRIALS,
     Realization,
+    _check_stress,
     _factor,
     _rng,
     is_redundantly_rigid,
@@ -126,35 +131,90 @@ class GlobalRigidityCertificate:
         return self.globally_rigid
 
 
-def _stress_test(g: Graph, d: int, rng: Rng) -> tuple[bool, str]:
-    """Test a random stress of a generic realization for a stress matrix of
-    rank n - d - 1.
+def _stress_spaces(g: Graph, d: int, rng: Rng):
+    """The stress space W of G at each trial realization of rigid rank.
 
-    Rank and stresses come from one factorization of R(G,p)^T per trial. A
-    trial short of the rigid rank resamples; when no trial reaches it, the
-    answer is "not rigid". True is backed by an exact stress matrix of the
-    target rank; False may be wrong with negligible probability."""
-    target = g.n - d - 1
-    rigid = False
+    Trial t samples p from ``rng.child(1 + t).child(0)`` and factors
+    R(G,p)^T once (``_factor``); trials short of the rigid rank are skipped.
+    Yields ``(t, real, stresses, sub)``: the kernel vectors of the
+    factorization, a k x m basis of W with one vector per free column, and
+    ``sub = rng.child(1 + t)`` for the trial's further draws.
+    """
     for t in range(TRIALS):
         sub = rng.child(1 + t)
         real = sample_realization(g, d, sub.child(0))
         pivots, stresses = _factor(g, real, g.edges)
-        if len(pivots) != rigid_rank_target(g.n, d):
-            continue  # not rigid, or the realization missed the generic rank; resample
-        rigid = True
+        if len(pivots) == rigid_rank_target(g.n, d):
+            yield t, real, list(stresses.values()), sub
+
+
+def _without(stresses, j: int):
+    """A basis of the stresses in span(``stresses``) that vanish on edge j:
+    the first vector nonzero on j clears j from the others (one pivot step)
+    and is dropped. None when every vector vanishes on j, so that j is a
+    bridge at the realization."""
+    pivot = next((w for w in stresses if w[j]), None)
+    if pivot is None:
+        return None
+    inv = pow(pivot[j], -1, PRIME)
+    rest = []
+    for w in stresses:
+        if w is not pivot:
+            f = w[j] * inv % PRIME
+            rest.append(tuple((a - f * b) % PRIME for a, b in zip(w, pivot)) if f else w)
+    return rest
+
+
+def _certifies(g: Graph, real: Realization, stresses, rng: Rng, gone=frozenset()) -> bool:
+    """Whether a random combination of ``stresses`` (stresses of G at
+    ``real``, each zero on the edge indices in ``gone``) has a stress matrix
+    of rank n - d - 1. The combination is first checked exactly as a stress
+    of G minus the edges in ``gone``, so a True carries an exact witness."""
+    coeffs = [rng.field_element() for _ in stresses]
+    values = tuple(sum(c * w[i] for c, w in zip(coeffs, stresses)) % PRIME
+                   for i in range(g.m))
+    live = [i for i in range(g.m) if i not in gone]
+    _check_stress(real, [g.edges[i] for i in live], [values[i] for i in live])
+    return rank(stress_matrix(g, Stress(edges=g.edges, values=values))) == g.n - real.d - 1
+
+
+def _stress_test(g: Graph, d: int, rng: Rng) -> tuple[bool, str]:
+    """Test a random stress of a generic realization for a stress matrix of
+    rank n - d - 1.
+
+    Rank and stresses come from one factorization of R(G,p)^T per trial
+    (``_stress_spaces``). A trial short of the rigid rank resamples; when no
+    trial reaches it, the answer is "not rigid". True is backed by an exact
+    stress matrix of the target rank; False may be wrong with negligible
+    probability."""
+    target = g.n - d - 1
+    rigid = False
+    for t, real, stresses, sub in _stress_spaces(g, d, rng):
         if not stresses:
             return False, "stress-free (minimally rigid)"
-        coeff_rng = sub.child(1)
-        coeffs = [coeff_rng.field_element() for _ in stresses]
-        values = tuple(sum(c * w[i] for c, w in zip(coeffs, stresses.values())) % PRIME
-                       for i in range(g.m))
-        omega = stress_matrix(g, Stress(edges=g.edges, values=values))
-        if rank(omega) == target:
+        if _certifies(g, real, stresses, sub.child(1)):
             return True, f"stress matrix reached rank {target} in trial {t}"
+        rigid = True
     if not rigid:
         return False, "not rigid"
     return False, f"no stress matrix of rank {target} in {TRIALS} trials"
+
+
+def _route(g: Graph, d: int, method: str) -> str:
+    """The path ``is_globally_rigid`` takes for these arguments, which it
+    validates: "complete-small", "combinatorial-1d", "combinatorial-2d" or
+    "stress"."""
+    if method not in ("auto", "stress", "combinatorial"):
+        raise ValueError(f"unknown method {method!r}")
+    if d < 1:
+        raise GraphError("dimension must be >= 1")
+    if g.n <= d + 1:
+        return "complete-small"
+    if method == "combinatorial" and d > 2:
+        raise ValueError("no combinatorial characterization is available for d >= 3")
+    if method == "stress" or (method == "auto" and d > 2):
+        return "stress"
+    return f"combinatorial-{d}d"
 
 
 def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
@@ -168,38 +228,78 @@ def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     stress test has one-sided error: a True verdict is backed by an exact
     witness, a False verdict is wrong with negligible probability.
     """
-    if method not in ("auto", "stress", "combinatorial"):
-        raise ValueError(f"unknown method {method!r}")
-    if d < 1:
-        raise GraphError("dimension must be >= 1")
+    how = _route(g, d, method)
     rng = _rng(rng)
-    seed = rng.seed
 
-    def cert(value, how, note=""):
-        return GlobalRigidityCertificate(bool(value), how, d, seed, note)
+    def cert(value, note=""):
+        return GlobalRigidityCertificate(bool(value), how, d, rng.seed, note)
 
-    if g.n <= d + 1:
-        return cert(g.is_complete(), "complete-small")
-    if method == "combinatorial" and d > 2:
-        raise ValueError("no combinatorial characterization is available for d >= 3")
-
-    use_combinatorial = method == "combinatorial" or (method == "auto" and d <= 2)
-    if use_combinatorial:
-        if d == 1:
-            return cert(is_k_connected(g, 2), "combinatorial-1d")
+    if how == "complete-small":
+        return cert(g.is_complete())
+    if how == "combinatorial-1d":
+        return cert(is_k_connected(g, 2))
+    if how == "combinatorial-2d":
         if not is_k_connected(g, 3):
-            return cert(False, "combinatorial-2d", "not 3-connected")
-        return cert(is_redundantly_rigid(g, 2, rng.child(0)),
-                    "combinatorial-2d")
+            return cert(False, "not 3-connected")
+        return cert(is_redundantly_rigid(g, 2, rng.child(0)))
+    return cert(*_stress_test(g, d, rng))
 
-    value, note = _stress_test(g, d, rng)
-    return cert(value, "stress", note)
+
+def _edge_deletions(g: Graph, d: int, rng: Rng, minimal: bool) -> bool:
+    """Minimal (``minimal``) or redundant global rigidity on the stress
+    route: G and every G - e read off the same <= TRIALS factorizations of
+    R(G,p)^T, one per trial of ``_stress_spaces``.
+
+    At p the stresses of G - e are the stresses of G that vanish on e
+    (``_without``). Once a trial has proved G, each open edge gets one draw
+    there: a proof of G - e settles "not minimal", and a G - e that is
+    stress-free at the rigid rank is not globally rigid, which settles "not
+    redundant". The other edges stay open for the next trial.
+    """
+    proved = False
+    open_edges = list(range(g.m))
+    for _, real, stresses, sub in _stress_spaces(g, d, rng):
+        if not stresses:
+            return False  # stress-free at the rigid rank: G is not globally rigid
+        if not proved:
+            proved = _certifies(g, real, stresses, sub.child(1))
+            if not proved:
+                continue
+        still_open = []
+        for j in open_edges:
+            rest = _without(stresses, j)
+            if rest is None:  # j a bridge at p: G - e is not rigid there
+                still_open.append(j)
+            elif not rest:
+                if not minimal:
+                    return False
+            elif _certifies(g, real, rest, sub.child(2 + j), {j}):
+                if minimal:
+                    return False
+            else:
+                still_open.append(j)
+        open_edges = still_open
+        if not open_edges:
+            break
+    return proved and (minimal or not open_edges)
 
 
 def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
                                 method: str = "auto") -> bool:
-    """Globally rigid, and no longer so after any single edge deletion."""
+    """Globally rigid, and no longer so after any single edge deletion.
+
+    On the stress route (d >= 3 with ``method="auto"``, or
+    ``method="stress"``) G and every G - e are tested on the same <= TRIALS
+    factorizations of R(G,p)^T: at any realization p the stresses of G - e
+    are exactly the stresses of G that vanish on e. The first G - e proved
+    globally rigid ends the test. A proof needs a random stress whose
+    matrix reaches rank n - d - 1, so a G - e can only be missed: a wrong
+    answer can only be a wrong "yes". Other routes test each G - e on its
+    own.
+    """
     rng = _rng(rng)
+    if _route(g, d, method) == "stress":
+        return _edge_deletions(g, d, rng, minimal=True)
     if not is_globally_rigid(g, d, rng.child(0), method=method):
         return False
     return not any(is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
@@ -208,8 +308,19 @@ def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
 
 def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
                                   method: str = "auto") -> bool:
-    """Globally rigid after deleting any single edge."""
+    """Globally rigid after deleting any single edge.
+
+    On the stress route (d >= 3 with ``method="auto"``, or
+    ``method="stress"``) G and every G - e are tested on the same <= TRIALS
+    factorizations of R(G,p)^T: at any realization p the stresses of G - e
+    are exactly the stresses of G that vanish on e. Every G - e must be
+    proved globally rigid within those trials, each proof an exact stress
+    of G - e whose matrix has rank n - d - 1, so a wrong answer can only be
+    a wrong "no". Other routes test each G - e on its own.
+    """
     rng = _rng(rng)
+    if _route(g, d, method) == "stress":
+        return _edge_deletions(g, d, rng, minimal=False)
     if not is_globally_rigid(g, d, rng.child(0), method=method):
         return False
     return all(is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
@@ -313,6 +424,33 @@ def minimally_globally_rigid_edge_bound(n: int, d: int) -> int:
     return (d + 1) * n - (d + 2) * (d + 1) // 2
 
 
+def _greedy_pass(h: Graph, d: int, rng: Rng) -> Graph:
+    """Drop h's edges in canonical order while global rigidity persists,
+    all at one realization.
+
+    The first trial of ``_stress_spaces`` that proves h globally rigid is
+    the pass's realization. Each candidate e of the current graph h' then
+    gets one draw there: the stresses of h' - e are those of h' that vanish
+    on e (``_without``), and an accepted deletion keeps them as the new
+    stress space, so h is factored once per trial and never again.
+
+    Raises:
+        NonGenericRealizationError: when no trial proves h globally rigid.
+    """
+    for _, real, stresses, sub in _stress_spaces(h, d, rng):
+        if stresses and _certifies(h, real, stresses, sub.child(1)):
+            break
+    else:
+        raise NonGenericRealizationError("no trial proved the reduced subgraph globally rigid")
+    gone = set()
+    for j in range(h.m):
+        rest = _without(stresses, j)
+        if rest and _certifies(h, real, rest, sub.child(2 + j), gone | {j}):
+            stresses = rest
+            gone.add(j)
+    return Graph(h.n, tuple(e for j, e in enumerate(h.edges) if j not in gone))
+
+
 def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
                             max_attempts: int = 3) -> SparsifyResult:
     """Extract a minimally globally rigid spanning subgraph.
@@ -322,17 +460,25 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     stresses of the remaining edges (a realization short of the rigid rank
     counts as degenerate); reduce their stress matrices to n - d - 1
     generators whose combination keeps stress matrix rank n - d - 1; keep
-    E0 plus the surviving edges; then greedily
-    drop edges in canonical order while global rigidity persists. Since
-    global rigidity is monotone under edge addition, a single pass already
-    yields a minimally globally rigid result, and the edge count is at most
+    E0 plus the surviving edges; then greedily drop edges in canonical
+    order while global rigidity persists (``_greedy_pass``). Since global
+    rigidity is monotone under edge addition, a single pass already yields
+    a minimally globally rigid result, and the edge count is at most
     (d+1)|V| - C(d+2, 2) by construction.
+
+    The pass factors the kept graph once, at the first realization that
+    proves it globally rigid, and reads every deletion off that stress
+    space: at p the stresses of H - e are exactly the stresses of H that
+    vanish on e. Each candidate gets one draw there. Every accepted
+    deletion is proved by an exact stress of rank n - d - 1; a wrong
+    rejection only keeps an extra edge.
 
     Raises:
         NotGloballyRigidError: when the input is not globally rigid.
         RuntimeError: when each of the ``max_attempts`` attempts met a
-        degenerate realization or reducer draw; the last such error is
-        its ``__cause__``.
+        degenerate realization or reducer draw, or no pass realization
+        proved the kept graph globally rigid; the last such error is its
+        ``__cause__``.
     """
     rng = _rng(rng)
     if g.n < d + 2:
@@ -358,31 +504,23 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
             idx, _ = subset_rank_reduce(mats, target, sub.child(2))
             chosen = tuple(extras[i] for i in idx)
             h = Graph(g.n, basis + chosen)
-            if not is_globally_rigid(h, d, sub.child(3)):
-                raise NonGenericRealizationError(
-                    "reduced subgraph failed the global rigidity check")
+            pruned = _greedy_pass(h, d, sub.child(3))
         except (NonGenericRealizationError, RankNotAchievableError) as exc:
             retries += 1
             last_error = exc
             continue
 
-        removed = 0
-        for i, e in enumerate(h.edges):
-            candidate = h.delete_edge(e)
-            if is_globally_rigid(candidate, d, sub.child(100 + i)):
-                h = candidate
-                removed += 1
         bound = minimally_globally_rigid_edge_bound(g.n, d)
-        if h.m > bound:
+        if pruned.m > bound:
             raise AssertionError("internal error: sparsifier exceeded the edge bound")
         log = {
             "basis_size": len(basis),
             "generators_before": len(mats),
             "generators_after": len(idx),
-            "minimization_removed": removed,
+            "minimization_removed": h.m - pruned.m,
             "edge_bound": bound,
             "retries": retries,
         }
-        return SparsifyResult(extra_edges=chosen, graph=h, log=log, seed=rng.seed)
+        return SparsifyResult(extra_edges=chosen, graph=pruned, log=log, seed=rng.seed)
     raise RuntimeError(
         f"sparsification failed after {max_attempts} randomized attempts") from last_error

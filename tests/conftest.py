@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from rigidkit import field, rigidity
+from rigidkit import field, global_rigidity, rigidity
 from rigidkit.corpus import nonisomorphic_graphs
 from rigidkit.field import Rng
 
@@ -39,3 +39,18 @@ def eliminations(monkeypatch):
     monkeypatch.setattr(field, "_echelon", counting)
     monkeypatch.setattr(rigidity, "_echelon", counting)
     return calls
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The graph of every factorization of R(G,p)^T the global rigidity
+    layer runs in the test."""
+    graphs = []
+    real_factor = global_rigidity._factor
+
+    def counting(g, real, edges):
+        graphs.append(g)
+        return real_factor(g, real, edges)
+
+    monkeypatch.setattr(global_rigidity, "_factor", counting)
+    return graphs

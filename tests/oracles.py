@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from rigidkit import Graph, GraphError
-from rigidkit.field import PRIME, FieldMatrix, Rng, nullspace_basis, rank_of_rows
-from rigidkit.global_rigidity import NonGenericRealizationError, Stress
+from rigidkit.field import PRIME, FieldMatrix, Rng, _echelon, nullspace_basis
+from rigidkit.global_rigidity import NonGenericRealizationError, Stress, is_globally_rigid
 from rigidkit.rigidity import (
     TRIALS,
     _edge_row,
@@ -22,6 +22,11 @@ from rigidkit.rigidity import (
     rank_upper_bound,
     sample_realization,
 )
+
+
+def rank_of_rows(rows, cols: int) -> int:
+    """Rank of a raw row list over Z_p, without building a FieldMatrix."""
+    return len(_echelon([list(r) for r in rows], cols))
 
 
 def rational_rank(rows) -> int:
@@ -344,3 +349,36 @@ def stress_basis_per_edge(g: Graph, d: int, real, basis) -> list[Stress]:
         local = {f: (x * scale) % PRIME for f, x in zip(support_edges, cok[0])}
         out.append(Stress(edges=g.edges, values=tuple(local.get(f, 0) for f in g.edges)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations the library used before it read every G - e off
+# one stress space per realization: one full global rigidity test per
+# deleted edge, each on its own realizations.
+
+
+def minimally_globally_rigid_per_edge(g: Graph, d: int, rng: Rng, method: str = "auto") -> bool:
+    """Globally rigid, and no G - e is, one test per graph."""
+    if not is_globally_rigid(g, d, rng.child(0), method=method):
+        return False
+    return not any(is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
+                   for i, e in enumerate(g.edges))
+
+
+def redundantly_globally_rigid_per_edge(g: Graph, d: int, rng: Rng, method: str = "auto") -> bool:
+    """Globally rigid, and so is every G - e, one test per graph."""
+    if not is_globally_rigid(g, d, rng.child(0), method=method):
+        return False
+    return all(is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
+               for i, e in enumerate(g.edges))
+
+
+def greedy_pass_per_edge(h: Graph, d: int, rng: Rng) -> Graph:
+    """The sparsifier's minimization pass: walk h's edges in canonical order
+    and drop each one whose deletion leaves the current graph globally
+    rigid, one full test per candidate."""
+    for i, e in enumerate(h.edges):
+        candidate = h.delete_edge(e)
+        if is_globally_rigid(candidate, d, rng.child(i)):
+            h = candidate
+    return h

@@ -1,8 +1,11 @@
-"""The rigidity matroid read off one factorization per realization.
+"""The rigidity matroid and the stress spaces of every G - e read off one
+factorization per realization.
 
-Differential tests against the earlier query-by-query implementations kept
-in ``oracles``, a count of the eliminations behind ``matroid_report``, and
-the resample and retry paths driven by a degenerate ``Rng``.
+Differential tests against the earlier query-by-query and edge-by-edge
+implementations kept in ``oracles``, counts of the eliminations behind
+``matroid_report`` and of the factorizations behind the edge-deletion
+predicates and the sparsifier, and the resample and retry paths driven by a
+degenerate ``Rng``.
 """
 
 from itertools import combinations
@@ -17,8 +20,10 @@ from rigidkit import (
     bridges,
     complete,
     fundamental_circuit,
+    icosahedron_braced,
     is_globally_rigid,
     is_minimally_globally_rigid,
+    is_redundantly_globally_rigid,
     is_redundantly_rigid,
     matroid_components,
     matroid_report,
@@ -32,13 +37,17 @@ from rigidkit import (
 )
 from rigidkit import rigidity
 from rigidkit.field import FieldMatrix, Rng
-from rigidkit.global_rigidity import _stress_test
+from rigidkit.global_rigidity import _greedy_pass, _stress_test, _without
 
 from degenerate import DegenerateRng
 from oracles import (
     bridges_by_rank_drop,
     fundamental_circuit_by_probes,
+    greedy_pass_per_edge,
     matroid_components_by_probes,
+    minimally_globally_rigid_per_edge,
+    rank_of_rows,
+    redundantly_globally_rigid_per_edge,
     rigid_basis_incremental,
     stress_basis_per_edge,
 )
@@ -56,6 +65,16 @@ def small_graphs(draw, d):
     edges = [e for e in core if e not in missing]
     edges += draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))
     return Graph(n, tuple({tuple(sorted((label[u], label[v]))) for u, v in edges}))
+
+
+@st.composite
+def dense_graphs(draw, d):
+    """Complete graphs on d + 2 to 9 vertices less up to 2n edges: minimally,
+    redundantly or not globally rigid in dimension d, or none of these."""
+    n = draw(st.integers(d + 2, 9))
+    pairs = list(combinations(range(n), 2))
+    missing = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)))
+    return Graph(n, tuple(e for e in pairs if e not in missing))
 
 
 class TestAgainstQueryByQuery:
@@ -104,6 +123,46 @@ class TestAgainstQueryByQuery:
             fundamental_circuit(g, 1, ((0, 1), (0, 2), (1, 2)), (2, 3))
 
 
+class TestAgainstEdgeByEdge:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_stresses_of_g_minus_e_are_those_of_g_vanishing_on_e(self, d, data):
+        g = data.draw(dense_graphs(d))
+        real = sample_realization(g, d, Rng(data.draw(st.integers(0, 2**32))))
+        pivots, stresses = rigidity._factor(g, real, g.edges)
+        stresses = list(stresses.values())
+        for j, e in enumerate(g.edges):
+            h = g.delete_edge(e)
+            pivots_h, stresses_h = rigidity._factor(h, real, h.edges)
+            rest = _without(stresses, j)
+            if rest is None:
+                assert len(pivots_h) == len(pivots) - 1  # e is a bridge at p
+                continue
+            assert len(pivots_h) == len(pivots) and len(rest) == len(stresses_h)
+            on_h = [w[:j] + w[j + 1:] for w in rest]
+            assert all(w[j] == 0 for w in rest)
+            for w in on_h:
+                rigidity._check_stress(real, h.edges, w)
+            assert rank_of_rows(on_h, h.m) == len(on_h)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_deletion_families_match_the_per_edge_oracles(self, d, data):
+        g = data.draw(dense_graphs(d))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        assert is_minimally_globally_rigid(g, d, rng.child(0), method="stress") == \
+            minimally_globally_rigid_per_edge(g, d, rng.child(0), method="stress")
+        assert is_redundantly_globally_rigid(g, d, rng.child(1), method="stress") == \
+            redundantly_globally_rigid_per_edge(g, d, rng.child(1), method="stress")
+        if is_globally_rigid(g, d, rng.child(2), method="stress"):
+            pruned = _greedy_pass(g, d, rng.child(3))
+            assert pruned == greedy_pass_per_edge(g, d, rng.child(3))
+            assert is_minimally_globally_rigid(pruned, d, rng.child(4), method="stress")
+            assert minimally_globally_rigid_per_edge(pruned, d, rng.child(4), method="stress")
+
+
 class TestOneFactorizationPerTrial:
     @pytest.mark.parametrize("g, d", [
         (complete(5).disjoint_union(complete(3)), 2),
@@ -136,6 +195,29 @@ class TestOneFactorizationPerTrial:
         assert is_redundantly_rigid(complete(4), 2, Rng(4))
         assert len(eliminations) == 1
 
+    def test_minimality_of_the_braced_icosahedron_shares_its_factorizations(
+            self, factorizations):
+        g = icosahedron_braced()
+        assert is_minimally_globally_rigid(g, 3, Rng(5))
+        assert 1 <= len(factorizations) <= rigidity.TRIALS
+        assert all(f == g for f in factorizations)
+
+    def test_redundancy_shares_its_factorizations(self, factorizations):
+        assert is_redundantly_globally_rigid(complete(7), 3, Rng(5))
+        assert not is_redundantly_globally_rigid(complete(5), 3, Rng(5))
+        assert len(factorizations) <= 2 * rigidity.TRIALS
+
+    def test_the_greedy_pass_factors_at_most_trials_times(self, factorizations):
+        g = complete(9)
+        result = sparsify_globally_rigid(g, 3, Rng(6))
+        assert result.log["minimization_removed"] > 0
+        assert 1 <= len([f for f in factorizations if f != g]) <= rigidity.TRIALS
+
+    def test_sparsifying_k11_takes_at_most_ten_factorizations(self, factorizations):
+        result = sparsify_globally_rigid(complete(11), 3, Rng(7))
+        assert result.graph.m <= minimally_globally_rigid_edge_bound(11, 3)
+        assert len(factorizations) <= 10
+
 
 class TestDegenerateRealizations:
     def test_short_rank_trial_is_discarded(self):
@@ -165,6 +247,31 @@ class TestDegenerateRealizations:
         rng = DegenerateRng(5, [(1, 0), (2, 0), (3, 0)])
         assert _stress_test(complete(6), 3, rng) == (False, "not rigid")
         assert not is_globally_rigid(complete(6), 3, rng, method="stress")
+
+    def test_minimality_skips_a_collapsed_shared_trial(self, factorizations):
+        # trial 0 of the shared factorization puts every vertex at one point
+        assert is_minimally_globally_rigid(icosahedron_braced(), 3, DegenerateRng(5, [(1, 0)]))
+        assert len(factorizations) == 2
+
+    def test_redundancy_skips_a_collapsed_shared_trial(self, factorizations):
+        assert is_redundantly_globally_rigid(complete(7), 3, DegenerateRng(5, [(1, 0)]))
+        assert len(factorizations) == 2
+
+    def test_greedy_pass_resamples_a_collapsed_realization(self, factorizations):
+        g = complete(7)
+        # the pass draws trial t's realization from rng.child(1).child(3).child(1 + t)
+        result = sparsify_globally_rigid(g, 3, DegenerateRng(7, [(1, 3, 1)]))
+        assert result.log["retries"] == 0
+        assert len([f for f in factorizations if f != g]) == 2
+        assert is_minimally_globally_rigid(result.graph, 3, Rng(70))
+
+    def test_greedy_pass_without_a_rigid_realization_retries_the_attempt(self):
+        g = complete(7)
+        bad = [(1, 3, 1 + t) for t in range(3)]
+        result = sparsify_globally_rigid(g, 3, DegenerateRng(7, bad))
+        assert result.log["retries"] == 1
+        assert result.graph.m <= minimally_globally_rigid_edge_bound(g.n, 3)
+        assert is_minimally_globally_rigid(result.graph, 3, Rng(70))
 
     def test_stress_basis_rejects_a_degenerate_realization(self):
         g = complete(5)
