@@ -434,9 +434,21 @@ def _greedy_pass(h: Graph, d: int, rng: Rng) -> Graph:
     on e (``_without``), and an accepted deletion keeps them as the new
     stress space, so h is factored once per trial and never again.
 
+    At d = 1 each candidate is tested by 2-connectivity instead: that check
+    is linear time, where a draw costs an n x n rank.
+
     Raises:
-        NonGenericRealizationError: when no trial proves h globally rigid.
+        NonGenericRealizationError: when no trial proves h globally rigid,
+        or at d = 1 when h is not 2-connected.
     """
+    if d == 1:
+        if not is_k_connected(h, 2):
+            raise NonGenericRealizationError("reduced subgraph is not 2-connected")
+        for e in h.edges:
+            candidate = h.delete_edge(e)
+            if is_k_connected(candidate, 2):
+                h = candidate
+        return h
     for _, real, stresses, sub in _stress_spaces(h, d, rng):
         if stresses and _certifies(h, real, stresses, sub.child(1)):
             break
@@ -466,12 +478,13 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     a minimally globally rigid result, and the edge count is at most
     (d+1)|V| - C(d+2, 2) by construction.
 
-    The pass factors the kept graph once, at the first realization that
-    proves it globally rigid, and reads every deletion off that stress
-    space: at p the stresses of H - e are exactly the stresses of H that
-    vanish on e. Each candidate gets one draw there. Every accepted
-    deletion is proved by an exact stress of rank n - d - 1; a wrong
-    rejection only keeps an extra edge.
+    For d >= 2 the pass factors the kept graph once, at the first
+    realization that proves it globally rigid, and reads every deletion off
+    that stress space: at p the stresses of H - e are exactly the stresses
+    of H that vanish on e. Each candidate gets one draw there. Every
+    accepted deletion is proved by an exact stress of rank n - d - 1; a
+    wrong rejection only keeps an extra edge. For d = 1 each candidate is
+    tested by 2-connectivity, which is exact.
 
     Raises:
         NotGloballyRigidError: when the input is not globally rigid.

@@ -36,8 +36,8 @@ from rigidkit import (
     subset_rank_reduce,
 )
 from rigidkit import rigidity
-from rigidkit.field import FieldMatrix, Rng
-from rigidkit.global_rigidity import _greedy_pass, _stress_test, _without
+from rigidkit.field import PRIME, FieldMatrix, Rng
+from rigidkit.global_rigidity import _certifies, _greedy_pass, _stress_test, _without
 
 from degenerate import DegenerateRng
 from oracles import (
@@ -161,6 +161,30 @@ class TestAgainstEdgeByEdge:
             assert pruned == greedy_pass_per_edge(g, d, rng.child(3))
             assert is_minimally_globally_rigid(pruned, d, rng.child(4), method="stress")
             assert minimally_globally_rigid_per_edge(pruned, d, rng.child(4), method="stress")
+
+
+class TestExactWitness:
+    """The exact stress check behind every "yes" raises, also under -O."""
+
+    def test_a_corrupted_stress_raises(self):
+        g = complete(6)
+        real = sample_realization(g, 3, Rng(12))
+        _, stresses = rigidity._factor(g, real, g.edges)
+        w = list(next(iter(stresses.values())))
+        w[0] = (w[0] + 1) % PRIME
+        with pytest.raises(ArithmeticError, match="stress check failed"):
+            _certifies(g, real, [tuple(w)], Rng(13))
+
+    def test_a_stress_left_nonzero_on_a_deleted_edge_raises(self):
+        # a stress of G that is nonzero on e is no stress of G - e
+        g = complete(6)
+        real = sample_realization(g, 3, Rng(12))
+        _, stresses = rigidity._factor(g, real, g.edges)
+        stresses = list(stresses.values())
+        j = next(j for j in range(g.m) if all(w[j] for w in stresses))
+        assert _certifies(g, real, _without(stresses, j), Rng(13), {j})
+        with pytest.raises(ArithmeticError, match="stress check failed"):
+            _certifies(g, real, stresses, Rng(13), {j})
 
 
 class TestOneFactorizationPerTrial:
