@@ -8,9 +8,11 @@ for d <= 2 (2-connectivity, and 3-connectivity plus redundant rigidity),
 a randomized subset-rank reducer for matrix pencils, and the sparsifier
 that extracts a minimally globally rigid spanning subgraph. At a realization
 p the stresses of G - e are the stresses of G that vanish on e, so the
-edge-deletion questions (minimal and redundant global rigidity, the
-sparsifier's greedy pass) read every G - e off one factorization of
-R(G,p)^T per trial.
+edge-deletion questions (minimal and redundant global rigidity) read every
+G - e off one factorization of R(G,p)^T per trial. The sparsifier runs
+whole off one such factorization: the reducer's first combination is the
+stress test of G, its result proves the kept graph at the same p, and the
+greedy pass reads every deletion off that stress space.
 """
 
 from __future__ import annotations
@@ -136,16 +138,17 @@ def _stress_spaces(g: Graph, d: int, rng: Rng):
 
     Trial t samples p from ``rng.child(1 + t).child(0)`` and factors
     R(G,p)^T once (``_factor``); trials short of the rigid rank are skipped.
-    Yields ``(t, real, stresses, sub)``: the kernel vectors of the
-    factorization, a k x m basis of W with one vector per free column, and
-    ``sub = rng.child(1 + t)`` for the trial's further draws.
+    Yields ``(t, real, pivots, stresses, sub)``: the factorization's pivot
+    columns, its map from each free column to that column's fundamental
+    stress (together a basis of W), and ``sub = rng.child(1 + t)`` for the
+    trial's further draws.
     """
     for t in range(TRIALS):
         sub = rng.child(1 + t)
         real = sample_realization(g, d, sub.child(0))
         pivots, stresses = _factor(g, real, g.edges)
         if len(pivots) == rigid_rank_target(g.n, d):
-            yield t, real, list(stresses.values()), sub
+            yield t, real, pivots, stresses, sub
 
 
 def _without(stresses, j: int):
@@ -189,10 +192,10 @@ def _stress_test(g: Graph, d: int, rng: Rng) -> tuple[bool, str]:
     probability."""
     target = g.n - d - 1
     rigid = False
-    for t, real, stresses, sub in _stress_spaces(g, d, rng):
+    for t, real, _, stresses, sub in _stress_spaces(g, d, rng):
         if not stresses:
             return False, "stress-free (minimally rigid)"
-        if _certifies(g, real, stresses, sub.child(1)):
+        if _certifies(g, real, stresses.values(), sub.child(1)):
             return True, f"stress matrix reached rank {target} in trial {t}"
         rigid = True
     if not rigid:
@@ -245,22 +248,32 @@ def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     return cert(*_stress_test(g, d, rng))
 
 
-def _edge_deletions(g: Graph, d: int, rng: Rng, minimal: bool) -> bool:
-    """Minimal (``minimal``) or redundant global rigidity on the stress
-    route: G and every G - e read off the same <= TRIALS factorizations of
-    R(G,p)^T, one per trial of ``_stress_spaces``.
+def _edge_deletions(g: Graph, d: int, rng: Rng | None, method: str, minimal: bool) -> bool:
+    """Minimal (``minimal``) or redundant global rigidity: G and every
+    G - e tested on the route of ``is_globally_rigid``.
 
-    At p the stresses of G - e are the stresses of G that vanish on e
-    (``_without``). Once a trial has proved G, each open edge gets one draw
-    there: a proof of G - e settles "not minimal", and a G - e that is
-    stress-free at the rigid rank is not globally rigid, which settles "not
-    redundant". The other edges stay open for the next trial.
+    Off the stress route each graph gets its own test. On it, G and every
+    G - e read off the same <= TRIALS factorizations of R(G,p)^T, one per
+    trial of ``_stress_spaces``: at p the stresses of G - e are the
+    stresses of G that vanish on e (``_without``). Once a trial has proved
+    G, each open edge gets one draw there: a proof of G - e settles "not
+    minimal", and a G - e that is stress-free at the rigid rank is not
+    globally rigid, which settles "not redundant". The other edges stay
+    open for the next trial.
     """
+    rng = _rng(rng)
+    if _route(g, d, method) != "stress":
+        if not is_globally_rigid(g, d, rng.child(0), method=method):
+            return False
+        verdicts = (is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
+                    for i, e in enumerate(g.edges))
+        return not any(verdicts) if minimal else all(verdicts)
     proved = False
     open_edges = list(range(g.m))
-    for _, real, stresses, sub in _stress_spaces(g, d, rng):
+    for _, real, _, stresses, sub in _stress_spaces(g, d, rng):
         if not stresses:
             return False  # stress-free at the rigid rank: G is not globally rigid
+        stresses = stresses.values()
         if not proved:
             proved = _certifies(g, real, stresses, sub.child(1))
             if not proved:
@@ -297,13 +310,7 @@ def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     answer can only be a wrong "yes". Other routes test each G - e on its
     own.
     """
-    rng = _rng(rng)
-    if _route(g, d, method) == "stress":
-        return _edge_deletions(g, d, rng, minimal=True)
-    if not is_globally_rigid(g, d, rng.child(0), method=method):
-        return False
-    return not any(is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
-                   for i, e in enumerate(g.edges))
+    return _edge_deletions(g, d, rng, method, minimal=True)
 
 
 def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
@@ -318,13 +325,7 @@ def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     of G - e whose matrix has rank n - d - 1, so a wrong answer can only be
     a wrong "no". Other routes test each G - e on its own.
     """
-    rng = _rng(rng)
-    if _route(g, d, method) == "stress":
-        return _edge_deletions(g, d, rng, minimal=False)
-    if not is_globally_rigid(g, d, rng.child(0), method=method):
-        return False
-    return all(is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
-               for i, e in enumerate(g.edges))
+    return _edge_deletions(g, d, rng, method, minimal=False)
 
 
 def is_globally_k_d_rigid(g: Graph, k: int, d: int, rng: Rng | None = None) -> bool:
@@ -409,7 +410,8 @@ class SparsifyResult:
 
     ``graph`` is the final minimally globally rigid spanning subgraph;
     ``extra_edges`` are the non-basis edges selected by the rank reducer
-    before the minimization pass. The log records per-stage counts.
+    before the minimization pass. The log records per-stage counts;
+    ``log["retries"]`` counts the trials skipped before the certifying one.
     """
 
     extra_edges: tuple[tuple[int, int], ...]
@@ -424,116 +426,96 @@ def minimally_globally_rigid_edge_bound(n: int, d: int) -> int:
     return (d + 1) * n - (d + 2) * (d + 1) // 2
 
 
-def _greedy_pass(h: Graph, d: int, rng: Rng) -> Graph:
-    """Drop h's edges in canonical order while global rigidity persists,
-    all at one realization.
+def _greedy_pass(g: Graph, real: Realization, stresses, gone, rng: Rng) -> Graph | None:
+    """Drop the edges of H = G minus the edge indices in ``gone`` in
+    canonical order while global rigidity persists, all at ``real``.
 
-    The first trial of ``_stress_spaces`` that proves h globally rigid is
-    the pass's realization. Each candidate e of the current graph h' then
-    gets one draw there: the stresses of h' - e are those of h' that vanish
-    on e (``_without``), and an accepted deletion keeps them as the new
-    stress space, so h is factored once per trial and never again.
+    H is globally rigid at ``real`` and ``stresses`` span its stresses
+    there, each zero on ``gone``. Each candidate e of the current graph H'
+    gets one draw: the stresses of H' - e are those of H' that vanish on e
+    (``_without``), and an accepted deletion keeps them as the new stress
+    space. The pass draws no realization and factors nothing.
 
     At d = 1 each candidate is tested by 2-connectivity instead: that check
-    is linear time, where a draw costs an n x n rank.
-
-    Raises:
-        NonGenericRealizationError: when no trial proves h globally rigid,
-        or at d = 1 when h is not 2-connected.
+    is linear time, where a draw costs an n x n rank. Returns None when H
+    is not 2-connected, which a certificate at a generic ``real`` rules out.
     """
-    if d == 1:
+    gone = set(gone)
+    if real.d == 1:
+        h = Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in gone))
         if not is_k_connected(h, 2):
-            raise NonGenericRealizationError("reduced subgraph is not 2-connected")
+            return None
         for e in h.edges:
             candidate = h.delete_edge(e)
             if is_k_connected(candidate, 2):
                 h = candidate
         return h
-    for _, real, stresses, sub in _stress_spaces(h, d, rng):
-        if stresses and _certifies(h, real, stresses, sub.child(1)):
-            break
-    else:
-        raise NonGenericRealizationError("no trial proved the reduced subgraph globally rigid")
-    gone = set()
-    for j in range(h.m):
+    for j in range(g.m):  # every stress is zero on gone, so _without skips it
         rest = _without(stresses, j)
-        if rest and _certifies(h, real, rest, sub.child(2 + j), gone | {j}):
+        if rest and _certifies(g, real, rest, rng.child(j), gone | {j}):
             stresses = rest
             gone.add(j)
-    return Graph(h.n, tuple(e for j, e in enumerate(h.edges) if j not in gone))
+    return Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in gone))
 
 
-def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
-                            max_attempts: int = 3) -> SparsifyResult:
+def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> SparsifyResult:
     """Extract a minimally globally rigid spanning subgraph.
 
-    Pipeline: factor R(G,p)^T once at a generic realization; its pivots are
-    a maximal independent edge set E0 and its kernel vectors the fundamental
-    stresses of the remaining edges (a realization short of the rigid rank
-    counts as degenerate); reduce their stress matrices to n - d - 1
-    generators whose combination keeps stress matrix rank n - d - 1; keep
-    E0 plus the surviving edges; then greedily drop edges in canonical
-    order while global rigidity persists (``_greedy_pass``). Since global
-    rigidity is monotone under edge addition, a single pass already yields
-    a minimally globally rigid result, and the edge count is at most
-    (d+1)|V| - C(d+2, 2) by construction.
+    Each trial of ``_stress_spaces`` factors R(G,p)^T once. Its pivots are
+    a maximal independent edge set E0, its kernel vectors the fundamental
+    stresses of the other edges. The reducer (``subset_rank_reduce``)
+    shrinks their stress matrices to at most n - d - 1 generators whose
+    random combination keeps rank n - d - 1; its first combination, of all
+    of them, is the stress test of G, and a trial where it fails did not
+    certify G. The kept graph H = E0 plus the surviving edges has exactly
+    the span of the surviving stresses as its stresses at p (each is 1 on
+    its own edge and 0 on the other non-basis edges), so the reducer's
+    verified combination proves H globally rigid at p. The greedy pass
+    (``_greedy_pass``) then drops edges in canonical order while global
+    rigidity persists, at the same p. Global rigidity is monotone under
+    edge addition, so one pass yields a minimally globally rigid result,
+    with at most (d+1)|V| - C(d+2, 2) edges by construction.
 
-    For d >= 2 the pass factors the kept graph once, at the first
-    realization that proves it globally rigid, and reads every deletion off
-    that stress space: at p the stresses of H - e are exactly the stresses
-    of H that vanish on e. Each candidate gets one draw there. Every
-    accepted deletion is proved by an exact stress of rank n - d - 1; a
-    wrong rejection only keeps an extra edge. For d = 1 each candidate is
-    tested by 2-connectivity, which is exact.
+    For d >= 2 the pass gives each candidate one draw, and every accepted
+    deletion is proved by an exact stress of rank n - d - 1; a wrong
+    rejection only keeps an extra edge. For d = 1 it tests each candidate
+    by 2-connectivity, and a trial whose H is not 2-connected is skipped.
 
     Raises:
-        NotGloballyRigidError: when the input is not globally rigid.
-        RuntimeError: when each of the ``max_attempts`` attempts met a
-        degenerate realization or reducer draw, or no pass realization
-        proved the kept graph globally rigid; the last such error is its
-        ``__cause__``.
+        GraphError: when d < 1 or G has fewer than d + 2 vertices.
+        NotGloballyRigidError: when no trial certifies G. At every d this
+        "no" may be wrong, with negligible probability.
     """
-    rng = _rng(rng)
+    if d < 1:
+        raise GraphError("dimension must be >= 1")
     if g.n < d + 2:
         raise GraphError("sparsifier needs at least d + 2 vertices")
-    if not is_globally_rigid(g, d, rng.child(0)):
-        raise NotGloballyRigidError(f"input is not globally rigid in dimension {d}")
-
-    target = g.n - d - 1
-    retries = 0
-    last_error = None
-    for attempt in range(max_attempts):
-        sub = rng.child(1 + attempt)
+    rng = _rng(rng)
+    for t, real, pivots, stresses, sub in _stress_spaces(g, d, rng):
+        if not stresses:
+            break  # stress-free at the rigid rank: G is not globally rigid
+        free = list(stresses)
+        mats = [stress_matrix(g, Stress(edges=g.edges, values=w)) for w in stresses.values()]
         try:
-            real = sample_realization(g, d, sub.child(1))
-            pivots, stresses = _factor(g, real, g.edges)
-            if len(pivots) < rigid_rank_target(g.n, d):
-                raise NonGenericRealizationError(
-                    "realization falls short of the rigid rank")
-            basis = tuple(g.edges[j] for j in pivots)
-            extras = [g.edges[f] for f in stresses]
-            mats = [stress_matrix(g, Stress(edges=g.edges, values=w))
-                    for w in stresses.values()]
-            idx, _ = subset_rank_reduce(mats, target, sub.child(2))
-            chosen = tuple(extras[i] for i in idx)
-            h = Graph(g.n, basis + chosen)
-            pruned = _greedy_pass(h, d, sub.child(3))
-        except (NonGenericRealizationError, RankNotAchievableError) as exc:
-            retries += 1
-            last_error = exc
+            idx, _ = subset_rank_reduce(mats, g.n - d - 1, sub.child(1))
+        except RankNotAchievableError:
             continue
-
+        chosen = [free[i] for i in idx]
+        gone = set(free) - set(chosen)
+        pruned = _greedy_pass(g, real, [stresses[f] for f in chosen], gone, sub.child(2))
+        if pruned is None:
+            continue
         bound = minimally_globally_rigid_edge_bound(g.n, d)
         if pruned.m > bound:
             raise AssertionError("internal error: sparsifier exceeded the edge bound")
         log = {
-            "basis_size": len(basis),
+            "basis_size": len(pivots),
             "generators_before": len(mats),
             "generators_after": len(idx),
-            "minimization_removed": h.m - pruned.m,
+            "minimization_removed": g.m - len(gone) - pruned.m,
             "edge_bound": bound,
-            "retries": retries,
+            "retries": t,
         }
-        return SparsifyResult(extra_edges=chosen, graph=pruned, log=log, seed=rng.seed)
-    raise RuntimeError(
-        f"sparsification failed after {max_attempts} randomized attempts") from last_error
+        return SparsifyResult(extra_edges=tuple(g.edges[f] for f in chosen), graph=pruned,
+                              log=log, seed=rng.seed)
+    raise NotGloballyRigidError(f"input is not globally rigid in dimension {d}")

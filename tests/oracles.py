@@ -2,9 +2,11 @@
 
 Everything here is deliberately dumb: rational arithmetic, Gauss-Jordan
 elimination, exhaustive enumeration, definition-level checks, and the
-library's earlier query-by-query implementations of the rigidity matroid.
-Beyond sampling realizations and building their rows, none of it shares
-code with the paths it verifies.
+library's earlier implementations of the rigidity matroid, the
+edge-deletion predicates and the sparsifier. Beyond sampling realizations
+and building their rows, the brute-force oracles share no code with the
+paths they verify; the earlier implementations reuse the library's
+primitives and differ from it in how they combine them.
 """
 
 from __future__ import annotations
@@ -14,12 +16,28 @@ from itertools import combinations
 
 from rigidkit import Graph, GraphError
 from rigidkit.field import PRIME, FieldMatrix, Rng, _echelon, nullspace_basis
-from rigidkit.global_rigidity import NonGenericRealizationError, Stress, is_globally_rigid
+from rigidkit.global_rigidity import (
+    NonGenericRealizationError,
+    NotGloballyRigidError,
+    RankNotAchievableError,
+    SparsifyResult,
+    Stress,
+    _certifies,
+    _stress_spaces,
+    _without,
+    is_globally_rigid,
+    minimally_globally_rigid_edge_bound,
+    stress_matrix,
+    subset_rank_reduce,
+)
+from rigidkit.graph import is_k_connected
 from rigidkit.rigidity import (
     TRIALS,
     _edge_row,
+    _factor,
     _rows_for,
     rank_upper_bound,
+    rigid_rank_target,
     sample_realization,
 )
 
@@ -382,3 +400,75 @@ def greedy_pass_per_edge(h: Graph, d: int, rng: Rng) -> Graph:
         if is_globally_rigid(candidate, d, rng.child(i)):
             h = candidate
     return h
+
+
+# ---------------------------------------------------------------------------
+# The sparsifier before it ran off one stress space per trial: an opening
+# global rigidity test, then attempts that each draw and factor their own
+# realization, and a greedy pass that draws and factors the kept graph again.
+
+
+def greedy_pass_own_realization(h: Graph, d: int, rng: Rng) -> Graph:
+    """Drop h's edges in canonical order while global rigidity persists, at
+    the first realization of its own that proves h globally rigid; at d = 1
+    by 2-connectivity."""
+    if d == 1:
+        if not is_k_connected(h, 2):
+            raise NonGenericRealizationError("reduced subgraph is not 2-connected")
+        for e in h.edges:
+            candidate = h.delete_edge(e)
+            if is_k_connected(candidate, 2):
+                h = candidate
+        return h
+    for _, real, _, stresses, sub in _stress_spaces(h, d, rng):
+        stresses = list(stresses.values())
+        if stresses and _certifies(h, real, stresses, sub.child(1)):
+            break
+    else:
+        raise NonGenericRealizationError("no trial proved the reduced subgraph globally rigid")
+    gone = set()
+    for j in range(h.m):
+        rest = _without(stresses, j)
+        if rest and _certifies(h, real, rest, sub.child(2 + j), gone | {j}):
+            stresses = rest
+            gone.add(j)
+    return Graph(h.n, tuple(e for j, e in enumerate(h.edges) if j not in gone))
+
+
+def sparsify_three_realizations(g: Graph, d: int, rng: Rng,
+                                max_attempts: int = 3) -> SparsifyResult:
+    """Test G, then per attempt factor G at a fresh realization, reduce its
+    fundamental stress matrices and run ``greedy_pass_own_realization`` on
+    the kept graph; a degenerate realization or reducer draw retries."""
+    if g.n < d + 2:
+        raise GraphError("sparsifier needs at least d + 2 vertices")
+    if not is_globally_rigid(g, d, rng.child(0)):
+        raise NotGloballyRigidError(f"input is not globally rigid in dimension {d}")
+    retries = 0
+    for attempt in range(max_attempts):
+        sub = rng.child(1 + attempt)
+        try:
+            real = sample_realization(g, d, sub.child(1))
+            pivots, stresses = _factor(g, real, g.edges)
+            if len(pivots) < rigid_rank_target(g.n, d):
+                raise NonGenericRealizationError("realization falls short of the rigid rank")
+            basis = tuple(g.edges[j] for j in pivots)
+            extras = [g.edges[f] for f in stresses]
+            mats = [stress_matrix(g, Stress(edges=g.edges, values=w)) for w in stresses.values()]
+            idx, _ = subset_rank_reduce(mats, g.n - d - 1, sub.child(2))
+            chosen = tuple(extras[i] for i in idx)
+            h = Graph(g.n, basis + chosen)
+            pruned = greedy_pass_own_realization(h, d, sub.child(3))
+        except (NonGenericRealizationError, RankNotAchievableError):
+            retries += 1
+            continue
+        log = {
+            "basis_size": len(basis),
+            "generators_before": len(mats),
+            "generators_after": len(idx),
+            "minimization_removed": h.m - pruned.m,
+            "edge_bound": minimally_globally_rigid_edge_bound(g.n, d),
+            "retries": retries,
+        }
+        return SparsifyResult(extra_edges=chosen, graph=pruned, log=log, seed=rng.seed)
+    raise RuntimeError(f"sparsification failed after {max_attempts} randomized attempts")

@@ -154,6 +154,17 @@ class TestSparsify:
         code, _, err = run_cli(capsys, "sparsify", "--in", path, "--dim", "2")
         assert code == 4 and "not globally rigid" in err
 
+    def test_collapsed_realizations_exit_4(self, capsys, tmp_path, monkeypatch):
+        # trial t draws its realization from rng.child(1 + t).child(0) and its
+        # reducer coefficients from rng.child(1 + t).child(1); with every
+        # realization collapsed no trial certifies the input, and the
+        # documented "no" must come out as exit 4, not a traceback
+        bad = [(1 + t, k) for t in range(3) for k in (0, 1)]
+        monkeypatch.setattr(cli, "Rng", lambda seed: DegenerateRng(seed, bad))
+        path = write_graph(tmp_path, complete(7))
+        code, out, err = run_cli(capsys, "sparsify", "--in", path, "--dim", "3")
+        assert code == 4 and "not globally rigid" in err and out == ""
+
 
 class TestExtract:
     def test_k7_grs2d(self, capsys, tmp_path):

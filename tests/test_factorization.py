@@ -8,7 +8,7 @@ predicates and the sparsifier, and the resample and retry paths driven by a
 degenerate ``Rng``.
 """
 
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +17,7 @@ from rigidkit import (
     Graph,
     GraphError,
     NonGenericRealizationError,
+    NotGloballyRigidError,
     bridges,
     complete,
     fundamental_circuit,
@@ -35,9 +36,16 @@ from rigidkit import (
     stress_basis,
     subset_rank_reduce,
 )
-from rigidkit import rigidity
+from rigidkit import global_rigidity, rigidity
+from rigidkit.corpus import random_graph_with_edges
 from rigidkit.field import PRIME, FieldMatrix, Rng
-from rigidkit.global_rigidity import _certifies, _greedy_pass, _stress_test, _without
+from rigidkit.global_rigidity import (
+    _certifies,
+    _greedy_pass,
+    _stress_spaces,
+    _stress_test,
+    _without,
+)
 
 from degenerate import DegenerateRng
 from oracles import (
@@ -49,6 +57,7 @@ from oracles import (
     rank_of_rows,
     redundantly_globally_rigid_per_edge,
     rigid_basis_incremental,
+    sparsify_three_realizations,
     stress_basis_per_edge,
 )
 
@@ -75,6 +84,14 @@ def dense_graphs(draw, d):
     pairs = list(combinations(range(n), 2))
     missing = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)))
     return Graph(n, tuple(e for e in pairs if e not in missing))
+
+
+def g13_52() -> Graph:
+    """A G(13, 52) of minimum degree 5, as in the benchmark's sparsify
+    workload: globally rigid in dimension 3."""
+    rng = Rng(13)
+    return next(g for g in (random_graph_with_edges(13, 52, rng.child(i)) for i in count())
+                if g.min_degree() >= 5)
 
 
 class TestAgainstQueryByQuery:
@@ -157,10 +174,29 @@ class TestAgainstEdgeByEdge:
         assert is_redundantly_globally_rigid(g, d, rng.child(1), method="stress") == \
             redundantly_globally_rigid_per_edge(g, d, rng.child(1), method="stress")
         if is_globally_rigid(g, d, rng.child(2), method="stress"):
-            pruned = _greedy_pass(g, d, rng.child(3))
+            for _, real, _, stresses, sub in _stress_spaces(g, d, rng.child(3)):
+                if stresses and _certifies(g, real, stresses.values(), sub.child(1)):
+                    break
+            pruned = _greedy_pass(g, real, stresses.values(), (), sub.child(2))
             assert pruned == greedy_pass_per_edge(g, d, rng.child(3))
             assert is_minimally_globally_rigid(pruned, d, rng.child(4), method="stress")
             assert minimally_globally_rigid_per_edge(pruned, d, rng.child(4), method="stress")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @given(data=st.data())
+    def test_sparsifier_matches_its_oracle(self, d, data):
+        g = data.draw(dense_graphs(d))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        try:
+            expect = sparsify_three_realizations(g, d, rng.child(0))
+        except NotGloballyRigidError:
+            with pytest.raises(NotGloballyRigidError):
+                sparsify_globally_rigid(g, d, rng.child(1))
+            return
+        got = sparsify_globally_rigid(g, d, rng.child(1))
+        assert got.graph == expect.graph
+        assert got.extra_edges == expect.extra_edges
+        assert got.log == expect.log
 
 
 class TestExactWitness:
@@ -231,16 +267,14 @@ class TestOneFactorizationPerTrial:
         assert not is_redundantly_globally_rigid(complete(5), 3, Rng(5))
         assert len(factorizations) <= 2 * rigidity.TRIALS
 
-    def test_the_greedy_pass_factors_at_most_trials_times(self, factorizations):
-        g = complete(9)
-        result = sparsify_globally_rigid(g, 3, Rng(6))
+    @pytest.mark.parametrize("g", [complete(11), complete(9), g13_52()],
+                             ids=["complete11", "complete9", "G13,52"])
+    def test_sparsify_factors_g_once(self, g, factorizations):
+        # the input check, the reducer and the greedy pass share it
+        result = sparsify_globally_rigid(g, 3, Rng(7))
         assert result.log["minimization_removed"] > 0
-        assert 1 <= len([f for f in factorizations if f != g]) <= rigidity.TRIALS
-
-    def test_sparsifying_k11_takes_at_most_ten_factorizations(self, factorizations):
-        result = sparsify_globally_rigid(complete(11), 3, Rng(7))
-        assert result.graph.m <= minimally_globally_rigid_edge_bound(11, 3)
-        assert len(factorizations) <= 10
+        assert result.graph.m <= minimally_globally_rigid_edge_bound(g.n, 3)
+        assert factorizations == [g]
 
 
 class TestDegenerateRealizations:
@@ -281,22 +315,6 @@ class TestDegenerateRealizations:
         assert is_redundantly_globally_rigid(complete(7), 3, DegenerateRng(5, [(1, 0)]))
         assert len(factorizations) == 2
 
-    def test_greedy_pass_resamples_a_collapsed_realization(self, factorizations):
-        g = complete(7)
-        # the pass draws trial t's realization from rng.child(1).child(3).child(1 + t)
-        result = sparsify_globally_rigid(g, 3, DegenerateRng(7, [(1, 3, 1)]))
-        assert result.log["retries"] == 0
-        assert len([f for f in factorizations if f != g]) == 2
-        assert is_minimally_globally_rigid(result.graph, 3, Rng(70))
-
-    def test_greedy_pass_without_a_rigid_realization_retries_the_attempt(self):
-        g = complete(7)
-        bad = [(1, 3, 1 + t) for t in range(3)]
-        result = sparsify_globally_rigid(g, 3, DegenerateRng(7, bad))
-        assert result.log["retries"] == 1
-        assert result.graph.m <= minimally_globally_rigid_edge_bound(g.n, 3)
-        assert is_minimally_globally_rigid(result.graph, 3, Rng(70))
-
     def test_stress_basis_rejects_a_degenerate_realization(self):
         g = complete(5)
         real = sample_realization(g, 3, DegenerateRng(6, [(0,)]).child(0))
@@ -309,19 +327,60 @@ class TestDegenerateRealizations:
         with pytest.raises(NonGenericRealizationError, match="independent of the basis"):
             stress_basis(g, 3, real, rigid_basis(g, 3, Rng(9))[:-1])
 
-    def test_sparsify_retries_after_a_degenerate_attempt(self):
+    def test_sparsify_retries_after_a_degenerate_attempt(self, factorizations):
         g = complete(7)
-        # attempt 0 draws its stress realization from rng.child(1).child(1)
-        result = sparsify_globally_rigid(g, 3, DegenerateRng(7, [(1, 1)]))
+        # trial 0 draws its realization from rng.child(1).child(0)
+        result = sparsify_globally_rigid(g, 3, DegenerateRng(7, [(1, 0)]))
         assert result.log["retries"] == 1
+        assert factorizations == [g, g]
         assert result.graph.m <= minimally_globally_rigid_edge_bound(g.n, 3)
         assert is_minimally_globally_rigid(result.graph, 3, Rng(70))
 
-    def test_sparsify_gives_up_with_a_documented_error(self):
-        bad = [(1 + attempt, 1) for attempt in range(3)]
-        with pytest.raises(RuntimeError, match="after 3 randomized attempts") as info:
+    def test_sparsify_skips_a_trial_whose_reducer_fails(self, factorizations, monkeypatch):
+        g = complete(7)
+        calls = []
+        real_reduce = global_rigidity.subset_rank_reduce
+
+        def failing_first(mats, r, rng):
+            calls.append(r)
+            if len(calls) == 1:
+                raise RankNotAchievableError("no combination reached the rank")
+            return real_reduce(mats, r, rng)
+
+        monkeypatch.setattr(global_rigidity, "subset_rank_reduce", failing_first)
+        result = sparsify_globally_rigid(g, 3, Rng(7))
+        assert result.log["retries"] == 1
+        assert calls == [3, 3] and factorizations == [g, g]
+        assert is_minimally_globally_rigid(result.graph, 3, Rng(70))
+
+    def test_sparsify_skips_a_cut_vertex_trial(self, monkeypatch):
+        # at d = 1 the greedy pass gives up on a kept graph with a cut vertex
+        g = complete(6)
+        expect = sparsify_globally_rigid(g, 1, Rng(8))
+        calls = []
+        real_connected = global_rigidity.is_k_connected
+        monkeypatch.setattr(global_rigidity, "is_k_connected",
+                            lambda h, k: bool(calls.append(h)) or (len(calls) > 1
+                                                                  and real_connected(h, k)))
+        result = sparsify_globally_rigid(g, 1, Rng(8))
+        assert expect.log["retries"] == 0 and result.log["retries"] == 1
+        assert calls[0] == calls[1]  # the same kept graph, one trial later
+        assert result.graph == expect.graph
+        assert is_minimally_globally_rigid(result.graph, 1, Rng(80))
+
+    def test_greedy_pass_rejects_a_cut_vertex(self):
+        # two triangles sharing vertex 2: globally rigid on no realization in 1D
+        g = Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))
+        real = sample_realization(g, 1, Rng(9))
+        assert _greedy_pass(g, real, [], (), Rng(10)) is None
+
+    def test_sparsify_gives_up_with_a_documented_error(self, factorizations):
+        # every trial places all vertices at one point; a wrong "no" is the
+        # documented direction of the sparsifier
+        bad = [(1 + t, 0) for t in range(3)]
+        with pytest.raises(NotGloballyRigidError, match="not globally rigid"):
             sparsify_globally_rigid(complete(7), 3, DegenerateRng(7, bad))
-        assert isinstance(info.value.__cause__, NonGenericRealizationError)
+        assert len(factorizations) == rigidity.TRIALS
 
     def test_reducer_retries_a_degenerate_combination(self):
         # equal coefficients cancel I and -I; one fresh draw recovers rank 2
