@@ -10,9 +10,9 @@ that extracts a minimally globally rigid spanning subgraph. At a realization
 p the stresses of G - e are the stresses of G that vanish on e, so the
 edge-deletion questions (minimal and redundant global rigidity) read every
 G - e off one factorization of R(G,p)^T per trial. The sparsifier runs
-whole off one such factorization: the reducer's first combination is the
-stress test of G, its result proves the kept graph at the same p, and the
-greedy pass reads every deletion off that stress space.
+whole off one such factorization: a random stress of G at p is the stress
+test of G, and both of its greedy passes read every deletion off that
+stress space.
 """
 
 from __future__ import annotations
@@ -355,7 +355,9 @@ def subset_rank_reduce(mats, r: int, rng: Rng | None = None
     drops indices whose removal still admits a random combination of rank
     >= r. Because achievable rank is monotone in the index set, the
     surviving set is minimal, and a degree argument bounds minimal sets by
-    r, so |I| <= r up to the usual negligible randomized error.
+    r, so |I| <= r up to the usual negligible randomized error. With at most
+    r matrices nothing is dropped: all indices come back, minimal or not
+    (``[I, diag(1, 0)]`` at r = 2 returns ``(0, 1)``).
 
     Returns:
         (indices, coeffs): the surviving indices and field coefficients
@@ -409,7 +411,7 @@ class SparsifyResult:
     """Output of the globally rigid sparsifier.
 
     ``graph`` is the final minimally globally rigid spanning subgraph;
-    ``extra_edges`` are the non-basis edges selected by the rank reducer
+    ``extra_edges`` are the non-basis edges kept by the first greedy pass,
     before the minimization pass. The log records per-stage counts;
     ``log["retries"]`` counts the trials skipped before the certifying one.
     """
@@ -426,36 +428,36 @@ def minimally_globally_rigid_edge_bound(n: int, d: int) -> int:
     return (d + 1) * n - (d + 2) * (d + 1) // 2
 
 
-def _greedy_pass(g: Graph, real: Realization, stresses, gone, rng: Rng) -> Graph | None:
-    """Drop the edges of H = G minus the edge indices in ``gone`` in
-    canonical order while global rigidity persists, all at ``real``.
+def _greedy_pass(g: Graph, real: Realization, stresses, gone, order, rng: Rng):
+    """Drop the edge indices in ``order`` from H = G minus the edge indices
+    in ``gone`` while H stays globally rigid at ``real``; return the drops.
 
-    H is globally rigid at ``real`` and ``stresses`` span its stresses
-    there, each zero on ``gone``. Each candidate e of the current graph H'
-    gets one draw: the stresses of H' - e are those of H' that vanish on e
-    (``_without``), and an accepted deletion keeps them as the new stress
-    space. The pass draws no realization and factors nothing.
+    H is globally rigid at ``real`` and ``stresses``, each zero on ``gone``,
+    span its stresses there. Each candidate j gets one draw on the stresses
+    of the current graph that vanish on j (``_without``), which an accepted
+    deletion keeps. The pass draws no realization and factors nothing.
 
     At d = 1 each candidate is tested by 2-connectivity instead: that check
     is linear time, where a draw costs an n x n rank. Returns None when H
     is not 2-connected, which a certificate at a generic ``real`` rules out.
     """
-    gone = set(gone)
+    dropped = []
     if real.d == 1:
         h = Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in gone))
         if not is_k_connected(h, 2):
             return None
-        for e in h.edges:
-            candidate = h.delete_edge(e)
+        for j in order:
+            candidate = h.delete_edge(g.edges[j])
             if is_k_connected(candidate, 2):
                 h = candidate
-        return h
-    for j in range(g.m):  # every stress is zero on gone, so _without skips it
+                dropped.append(j)
+        return dropped
+    for j in order:
         rest = _without(stresses, j)
-        if rest and _certifies(g, real, rest, rng.child(j), gone | {j}):
+        if rest and _certifies(g, real, rest, rng.child(j), {*gone, *dropped, j}):
             stresses = rest
-            gone.add(j)
-    return Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in gone))
+            dropped.append(j)
+    return dropped
 
 
 def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> SparsifyResult:
@@ -463,23 +465,21 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> Sparsif
 
     Each trial of ``_stress_spaces`` factors R(G,p)^T once. Its pivots are
     a maximal independent edge set E0, its kernel vectors the fundamental
-    stresses of the other edges. The reducer (``subset_rank_reduce``)
-    shrinks their stress matrices to at most n - d - 1 generators whose
-    random combination keeps rank n - d - 1; its first combination, of all
-    of them, is the stress test of G, and a trial where it fails did not
-    certify G. The kept graph H = E0 plus the surviving edges has exactly
-    the span of the surviving stresses as its stresses at p (each is 1 on
-    its own edge and 0 on the other non-basis edges), so the reducer's
-    verified combination proves H globally rigid at p. The greedy pass
-    (``_greedy_pass``) then drops edges in canonical order while global
-    rigidity persists, at the same p. Global rigidity is monotone under
-    edge addition, so one pass yields a minimally globally rigid result,
-    with at most (d+1)|V| - C(d+2, 2) edges by construction.
+    stresses of the other (free) edges, a basis of the stresses of G at p.
+    One random combination of them is the stress test of G; a trial where
+    it fails did not certify G. Two greedy passes (``_greedy_pass``) then
+    run on these stress vectors at the same p. The first drops free edges
+    in column order (a drop removes just that edge's stress, the only one
+    nonzero there); the free edges it keeps are ``extra_edges``. With at
+    most n - d - 1 fundamental stresses G already meets the edge bound, and
+    the first pass keeps them all. The second drops edges in canonical
+    order. Global rigidity is monotone under edge addition, so the result
+    is minimally globally rigid, with at most (d+1)|V| - C(d+2, 2) edges.
 
-    For d >= 2 the pass gives each candidate one draw, and every accepted
-    deletion is proved by an exact stress of rank n - d - 1; a wrong
-    rejection only keeps an extra edge. For d = 1 it tests each candidate
-    by 2-connectivity, and a trial whose H is not 2-connected is skipped.
+    For d >= 2 each candidate gets one draw, and every accepted deletion is
+    proved by an exact stress of rank n - d - 1; a wrong rejection only
+    keeps an extra edge. For d = 1 the passes test each candidate by
+    2-connectivity, and a trial whose G is not 2-connected is skipped.
 
     Raises:
         GraphError: when d < 1 or G has fewer than d + 2 vertices.
@@ -494,25 +494,24 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> Sparsif
     for t, real, pivots, stresses, sub in _stress_spaces(g, d, rng):
         if not stresses:
             break  # stress-free at the rigid rank: G is not globally rigid
-        free = list(stresses)
-        mats = [stress_matrix(g, Stress(edges=g.edges, values=w)) for w in stresses.values()]
-        try:
-            idx, _ = subset_rank_reduce(mats, g.n - d - 1, sub.child(1))
-        except RankNotAchievableError:
+        if not _certifies(g, real, stresses.values(), sub.child(1)):
             continue
-        chosen = [free[i] for i in idx]
-        gone = set(free) - set(chosen)
-        pruned = _greedy_pass(g, real, [stresses[f] for f in chosen], gone, sub.child(2))
-        if pruned is None:
+        free = list(stresses) if len(stresses) > g.n - d - 1 else []
+        first = _greedy_pass(g, real, stresses.values(), (), free, sub.child(2))
+        if first is None:
             continue
+        chosen = [f for f in stresses if f not in first]
+        live = [j for j in range(g.m) if j not in first]
+        second = _greedy_pass(g, real, [stresses[f] for f in chosen], first, live, sub.child(3))
+        pruned = Graph(g.n, tuple(g.edges[j] for j in live if j not in second))
         bound = minimally_globally_rigid_edge_bound(g.n, d)
         if pruned.m > bound:
             raise AssertionError("internal error: sparsifier exceeded the edge bound")
         log = {
             "basis_size": len(pivots),
-            "generators_before": len(mats),
-            "generators_after": len(idx),
-            "minimization_removed": g.m - len(gone) - pruned.m,
+            "generators_before": len(stresses),
+            "generators_after": len(chosen),
+            "minimization_removed": len(second),
             "edge_bound": bound,
             "retries": t,
         }

@@ -155,8 +155,8 @@ class TestSparsify:
         assert code == 4 and "not globally rigid" in err
 
     def test_collapsed_realizations_exit_4(self, capsys, tmp_path, monkeypatch):
-        # trial t draws its realization from rng.child(1 + t).child(0) and its
-        # reducer coefficients from rng.child(1 + t).child(1); with every
+        # trial t draws its realization from rng.child(1 + t).child(0) and the
+        # coefficients of its stress test from rng.child(1 + t).child(1); with every
         # realization collapsed no trial certifies the input, and the
         # documented "no" must come out as exit 4, not a traceback
         bad = [(1 + t, k) for t in range(3) for k in (0, 1)]

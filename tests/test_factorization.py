@@ -177,7 +177,8 @@ class TestAgainstEdgeByEdge:
             for _, real, _, stresses, sub in _stress_spaces(g, d, rng.child(3)):
                 if stresses and _certifies(g, real, stresses.values(), sub.child(1)):
                     break
-            pruned = _greedy_pass(g, real, stresses.values(), (), sub.child(2))
+            dropped = _greedy_pass(g, real, stresses.values(), (), range(g.m), sub.child(2))
+            pruned = Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in dropped))
             assert pruned == greedy_pass_per_edge(g, d, rng.child(3))
             assert is_minimally_globally_rigid(pruned, d, rng.child(4), method="stress")
             assert minimally_globally_rigid_per_edge(pruned, d, rng.child(4), method="stress")
@@ -267,14 +268,32 @@ class TestOneFactorizationPerTrial:
         assert not is_redundantly_globally_rigid(complete(5), 3, Rng(5))
         assert len(factorizations) <= 2 * rigidity.TRIALS
 
-    @pytest.mark.parametrize("g", [complete(11), complete(9), g13_52()],
-                             ids=["complete11", "complete9", "G13,52"])
-    def test_sparsify_factors_g_once(self, g, factorizations):
-        # the input check, the reducer and the greedy pass share it
-        result = sparsify_globally_rigid(g, 3, Rng(7))
+    @pytest.mark.parametrize("g, d", [
+        pytest.param(complete(11), 3, id="complete11"),
+        pytest.param(complete(9), 3, id="complete9"),
+        pytest.param(g13_52(), 3, id="G13,52"),
+        pytest.param(complete(8), 1, id="complete8-1d"),
+        pytest.param(complete(9), 2, id="complete9-2d"),
+    ])
+    def test_sparsify_factors_g_once(self, g, d, factorizations, monkeypatch):
+        # the stress test of G and both greedy passes share it, and no
+        # stress matrix pencil is combined on the way
+        def pencil(*args, **kwargs):
+            raise AssertionError("the sparsifier combined a matrix pencil")
+
+        monkeypatch.setattr(global_rigidity, "subset_rank_reduce", pencil)
+        monkeypatch.setattr(global_rigidity, "random_combination", pencil)
+        result = sparsify_globally_rigid(g, d, Rng(7))
         assert result.log["minimization_removed"] > 0
-        assert result.graph.m <= minimally_globally_rigid_edge_bound(g.n, 3)
+        assert result.graph.m <= minimally_globally_rigid_edge_bound(g.n, d)
         assert factorizations == [g]
+
+    def test_sparsify_keeps_stresses_within_the_bound(self):
+        # two fundamental stresses, at most n - d - 1 = 2: the first pass
+        # keeps both, as the edge bound already holds for G
+        result = sparsify_globally_rigid(complete(5).delete_edge((0, 1)), 2, Rng(1729))
+        assert result.extra_edges == ((2, 4), (3, 4))
+        assert result.log["generators_before"] == result.log["generators_after"] == 2
 
 
 class TestDegenerateRealizations:
@@ -336,21 +355,21 @@ class TestDegenerateRealizations:
         assert result.graph.m <= minimally_globally_rigid_edge_bound(g.n, 3)
         assert is_minimally_globally_rigid(result.graph, 3, Rng(70))
 
-    def test_sparsify_skips_a_trial_whose_reducer_fails(self, factorizations, monkeypatch):
+    def test_sparsify_skips_a_failed_stress_test(self, factorizations, monkeypatch):
+        # the first draw of trial 0, on every fundamental stress, is the
+        # stress test of G; its failure skips the trial
         g = complete(7)
         calls = []
-        real_reduce = global_rigidity.subset_rank_reduce
+        real_certifies = global_rigidity._certifies
 
-        def failing_first(mats, r, rng):
-            calls.append(r)
-            if len(calls) == 1:
-                raise RankNotAchievableError("no combination reached the rank")
-            return real_reduce(mats, r, rng)
+        def failing_first(h, real, stresses, rng, gone=frozenset()):
+            calls.append(set(gone))
+            return len(calls) > 1 and real_certifies(h, real, stresses, rng, gone)
 
-        monkeypatch.setattr(global_rigidity, "subset_rank_reduce", failing_first)
+        monkeypatch.setattr(global_rigidity, "_certifies", failing_first)
         result = sparsify_globally_rigid(g, 3, Rng(7))
         assert result.log["retries"] == 1
-        assert calls == [3, 3] and factorizations == [g, g]
+        assert calls[:2] == [set(), set()] and factorizations == [g, g]
         assert is_minimally_globally_rigid(result.graph, 3, Rng(70))
 
     def test_sparsify_skips_a_cut_vertex_trial(self, monkeypatch):
@@ -372,7 +391,7 @@ class TestDegenerateRealizations:
         # two triangles sharing vertex 2: globally rigid on no realization in 1D
         g = Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))
         real = sample_realization(g, 1, Rng(9))
-        assert _greedy_pass(g, real, [], (), Rng(10)) is None
+        assert _greedy_pass(g, real, [], (), range(g.m), Rng(10)) is None
 
     def test_sparsify_gives_up_with_a_documented_error(self, factorizations):
         # every trial places all vertices at one point; a wrong "no" is the
