@@ -20,8 +20,8 @@ from .graph import GraphError, ParseError, generate, min_mixed_cut, parse_edge_l
 from .rigidity import DEFAULT_SEED, _rigid_at_rank, matroid_report
 from .global_rigidity import (
     NotGloballyRigidError,
-    is_globally_rigid,
-    is_minimally_globally_rigid,
+    _edge_deletions,
+    _route,
     minimally_globally_rigid_edge_bound,
     sparsify_globally_rigid,
 )
@@ -79,9 +79,8 @@ def cmd_analyze(args) -> int:
     d = args.dim
     rng = Rng(args.seed)
     report_m = matroid_report(g, d, rng.child(0))
-    cert = is_globally_rigid(g, d, rng.child(1), method=args.method)
-    minimal = is_minimally_globally_rigid(g, d, rng.child(2), method=args.method) \
-        if cert.globally_rigid else False
+    how = _route(g, d, args.method)
+    globally_rigid, minimal = _edge_deletions(g, d, rng.child(1), args.method, minimal=True)
     bound = minimally_globally_rigid_edge_bound(g.n, d) if g.n >= d + 2 else None
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -99,8 +98,8 @@ def cmd_analyze(args) -> int:
             "bridge_count": len(report_m.bridges),
             "matroid_components": len(report_m.components),
             "matroid_connected": len(report_m.components) == 1 and g.m >= 1,
-            "globally_rigid": cert.globally_rigid,
-            "globally_rigid_method": cert.method,
+            "globally_rigid": globally_rigid,
+            "globally_rigid_method": how,
             "minimally_globally_rigid": minimal,
             "min_degree": g.min_degree() if g.n else None,
             "min_mixed_cut_cost": min_mixed_cut(g).cost if g.n >= 2 else None,
@@ -114,7 +113,7 @@ def cmd_analyze(args) -> int:
         },
     }
     print(f"analyze: n={g.n} m={g.m} dim={d} "
-          f"globally_rigid={cert.globally_rigid} ({cert.method})", file=sys.stderr)
+          f"globally_rigid={globally_rigid} ({how})", file=sys.stderr)
     _emit(report, started)
     return EXIT_OK
 

@@ -6,13 +6,14 @@ realization has a stress matrix of rank n - d - 1. This module implements
 that certificate over Z_p, the deterministic combinatorial characterizations
 for d <= 2 (2-connectivity, and 3-connectivity plus redundant rigidity),
 a randomized subset-rank reducer for matrix pencils, and the sparsifier
-that extracts a minimally globally rigid spanning subgraph. At a realization
-p the stresses of G - e are the stresses of G that vanish on e, so the
-edge-deletion questions (minimal and redundant global rigidity) read every
-G - e off one factorization of R(G,p)^T per trial. The sparsifier runs
-whole off one such factorization: a random stress of G at p is the stress
-test of G, and both of its greedy passes read every deletion off that
-stress space.
+that extracts a minimally globally rigid spanning subgraph. One loop,
+``_proofs``, finds the trials that prove G globally rigid: it factors
+R(G,p)^T once per trial and draws one random stress of G at p. The stress
+test, the edge-deletion questions (minimal and redundant global rigidity)
+and the sparsifier all run off those trials. At p the stresses of G - e are
+the stresses of G that vanish on e, so the deletion questions read every
+G - e off the factorization of G, and both greedy passes of the sparsifier
+read every deletion off that stress space.
 """
 
 from __future__ import annotations
@@ -121,7 +122,13 @@ def stress_matrix(g: Graph, stress: Stress) -> FieldMatrix:
 
 @dataclass(frozen=True)
 class GlobalRigidityCertificate:
-    """Verdict plus the path and seed that produced it."""
+    """Verdict plus the path and seed that produced it.
+
+    ``note`` says why, where a route has more to say than its verdict: on
+    the stress route the trial whose stress matrix reached rank n - d - 1,
+    or that none did in ``TRIALS`` trials; "not 3-connected" when the 2D
+    route stops at connectivity; empty otherwise.
+    """
 
     globally_rigid: bool
     method: str
@@ -131,24 +138,6 @@ class GlobalRigidityCertificate:
 
     def __bool__(self) -> bool:
         return self.globally_rigid
-
-
-def _stress_spaces(g: Graph, d: int, rng: Rng):
-    """The stress space W of G at each trial realization of rigid rank.
-
-    Trial t samples p from ``rng.child(1 + t).child(0)`` and factors
-    R(G,p)^T once (``_factor``); trials short of the rigid rank are skipped.
-    Yields ``(t, real, pivots, stresses, sub)``: the factorization's pivot
-    columns, its map from each free column to that column's fundamental
-    stress (together a basis of W), and ``sub = rng.child(1 + t)`` for the
-    trial's further draws.
-    """
-    for t in range(TRIALS):
-        sub = rng.child(1 + t)
-        real = sample_realization(g, d, sub.child(0))
-        pivots, stresses = _factor(g, real, g.edges)
-        if len(pivots) == rigid_rank_target(g.n, d):
-            yield t, real, pivots, stresses, sub
 
 
 def _without(stresses, j: int):
@@ -181,26 +170,30 @@ def _certifies(g: Graph, real: Realization, stresses, rng: Rng, gone=frozenset()
     return rank(stress_matrix(g, Stress(edges=g.edges, values=values))) == g.n - real.d - 1
 
 
-def _stress_test(g: Graph, d: int, rng: Rng) -> tuple[bool, str]:
-    """Test a random stress of a generic realization for a stress matrix of
-    rank n - d - 1.
+def _proofs(g: Graph, d: int, rng: Rng):
+    """The trials that prove G globally rigid, in order.
 
-    Rank and stresses come from one factorization of R(G,p)^T per trial
-    (``_stress_spaces``). A trial short of the rigid rank resamples; when no
-    trial reaches it, the answer is "not rigid". True is backed by an exact
-    stress matrix of the target rank; False may be wrong with negligible
-    probability."""
-    target = g.n - d - 1
-    rigid = False
-    for t, real, _, stresses, sub in _stress_spaces(g, d, rng):
+    Trial t samples p from ``rng.child(1 + t).child(0)`` and factors
+    R(G,p)^T once (``_factor``); trials short of the rigid rank are skipped,
+    and a stress-free trial at the rigid rank ends the search (G is then not
+    globally rigid). A trial proves G when one random combination of its
+    stresses, drawn on ``rng.child(1 + t).child(1)``, has a stress matrix of
+    rank n - d - 1 (``_certifies``). Yields ``(t, real, pivots, stresses,
+    sub)`` for each such trial: the factorization's pivot columns, its map
+    from each free column to that column's fundamental stress (together a
+    basis of the stresses of G at p), and ``sub = rng.child(1 + t)`` for the
+    trial's further draws.
+    """
+    for t in range(TRIALS):
+        sub = rng.child(1 + t)
+        real = sample_realization(g, d, sub.child(0))
+        pivots, stresses = _factor(g, real, g.edges)
+        if len(pivots) != rigid_rank_target(g.n, d):
+            continue
         if not stresses:
-            return False, "stress-free (minimally rigid)"
+            return
         if _certifies(g, real, stresses.values(), sub.child(1)):
-            return True, f"stress matrix reached rank {target} in trial {t}"
-        rigid = True
-    if not rigid:
-        return False, "not rigid"
-    return False, f"no stress matrix of rank {target} in {TRIALS} trials"
+            yield t, real, pivots, stresses, sub
 
 
 def _route(g: Graph, d: int, method: str) -> str:
@@ -228,8 +221,10 @@ def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     d = 1 the combinatorial path is 2-connectivity, for d = 2 it is
     3-connectivity plus redundant rigidity; ``method="auto"`` prefers those
     and falls back to the randomized stress-matrix test for d >= 3. The
-    stress test has one-sided error: a True verdict is backed by an exact
-    witness, a False verdict is wrong with negligible probability.
+    stress test takes the first trial of ``_proofs`` that proves G; a trial
+    short of the rigid rank resamples, and a stress-free one ends the test.
+    It has one-sided error: a True verdict is backed by an exact witness, a
+    False verdict is wrong with negligible probability.
     """
     how = _route(g, d, method)
     rng = _rng(rng)
@@ -245,39 +240,39 @@ def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
         if not is_k_connected(g, 3):
             return cert(False, "not 3-connected")
         return cert(is_redundantly_rigid(g, 2, rng.child(0)))
-    return cert(*_stress_test(g, d, rng))
+    target = g.n - d - 1
+    for t, *_ in _proofs(g, d, rng):
+        return cert(True, f"stress matrix reached rank {target} in trial {t}")
+    return cert(False, f"no stress matrix of rank {target} in {TRIALS} trials")
 
 
-def _edge_deletions(g: Graph, d: int, rng: Rng | None, method: str, minimal: bool) -> bool:
-    """Minimal (``minimal``) or redundant global rigidity: G and every
-    G - e tested on the route of ``is_globally_rigid``.
+def _edge_deletions(g: Graph, d: int, rng: Rng | None, method: str,
+                    minimal: bool) -> tuple[bool, bool]:
+    """Global rigidity of G, and minimal (``minimal``) or redundant global
+    rigidity: G and every G - e tested on the route of ``is_globally_rigid``.
 
     Off the stress route each graph gets its own test. On it, G and every
     G - e read off the same <= TRIALS factorizations of R(G,p)^T, one per
-    trial of ``_stress_spaces``: at p the stresses of G - e are the
-    stresses of G that vanish on e (``_without``). Once a trial has proved
-    G, each open edge gets one draw there: a proof of G - e settles "not
-    minimal", and a G - e that is stress-free at the rigid rank is not
-    globally rigid, which settles "not redundant". The other edges stay
-    open for the next trial.
+    trial of ``_proofs``, so that G is globally rigid exactly when some
+    trial proves it, as in ``is_globally_rigid`` with the same ``rng``. At p
+    the stresses of G - e are the stresses of G that vanish on e
+    (``_without``). In each trial that proves G, each open edge gets one
+    draw: a proof of G - e settles "not minimal", and a G - e that is
+    stress-free at the rigid rank is not globally rigid, which settles "not
+    redundant". The other edges stay open for the next proof.
     """
     rng = _rng(rng)
     if _route(g, d, method) != "stress":
         if not is_globally_rigid(g, d, rng.child(0), method=method):
-            return False
+            return False, False
         verdicts = (is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
                     for i, e in enumerate(g.edges))
-        return not any(verdicts) if minimal else all(verdicts)
+        return True, (not any(verdicts) if minimal else all(verdicts))
     proved = False
     open_edges = list(range(g.m))
-    for _, real, _, stresses, sub in _stress_spaces(g, d, rng):
-        if not stresses:
-            return False  # stress-free at the rigid rank: G is not globally rigid
+    for _, real, _, stresses, sub in _proofs(g, d, rng):
+        proved = True
         stresses = stresses.values()
-        if not proved:
-            proved = _certifies(g, real, stresses, sub.child(1))
-            if not proved:
-                continue
         still_open = []
         for j in open_edges:
             rest = _without(stresses, j)
@@ -285,16 +280,16 @@ def _edge_deletions(g: Graph, d: int, rng: Rng | None, method: str, minimal: boo
                 still_open.append(j)
             elif not rest:
                 if not minimal:
-                    return False
+                    return True, False
             elif _certifies(g, real, rest, sub.child(2 + j), {j}):
                 if minimal:
-                    return False
+                    return True, False
             else:
                 still_open.append(j)
         open_edges = still_open
         if not open_edges:
             break
-    return proved and (minimal or not open_edges)
+    return proved, proved and (minimal or not open_edges)
 
 
 def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
@@ -310,7 +305,7 @@ def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     answer can only be a wrong "yes". Other routes test each G - e on its
     own.
     """
-    return _edge_deletions(g, d, rng, method, minimal=True)
+    return _edge_deletions(g, d, rng, method, minimal=True)[1]
 
 
 def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
@@ -325,7 +320,7 @@ def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     of G - e whose matrix has rank n - d - 1, so a wrong answer can only be
     a wrong "no". Other routes test each G - e on its own.
     """
-    return _edge_deletions(g, d, rng, method, minimal=False)
+    return _edge_deletions(g, d, rng, method, minimal=False)[1]
 
 
 def is_globally_k_d_rigid(g: Graph, k: int, d: int, rng: Rng | None = None) -> bool:
@@ -463,16 +458,16 @@ def _greedy_pass(g: Graph, real: Realization, stresses, gone, order, rng: Rng):
 def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> SparsifyResult:
     """Extract a minimally globally rigid spanning subgraph.
 
-    Each trial of ``_stress_spaces`` factors R(G,p)^T once. Its pivots are
-    a maximal independent edge set E0, its kernel vectors the fundamental
-    stresses of the other (free) edges, a basis of the stresses of G at p.
-    One random combination of them is the stress test of G; a trial where
-    it fails did not certify G. Two greedy passes (``_greedy_pass``) then
-    run on these stress vectors at the same p. The first drops free edges
-    in column order (a drop removes just that edge's stress, the only one
-    nonzero there); the free edges it keeps are ``extra_edges``. With at
-    most n - d - 1 fundamental stresses G already meets the edge bound, and
-    the first pass keeps them all. The second drops edges in canonical
+    Each trial of ``_proofs`` factors R(G,p)^T once and proves G globally
+    rigid with one random combination of the stresses read off it. Its
+    pivots are a maximal independent edge set E0, its kernel vectors the
+    fundamental stresses of the other (free) edges, a basis of the stresses
+    of G at p. Two greedy passes (``_greedy_pass``) then run on these
+    stress vectors at the same p. The first drops free edges in column
+    order (a drop removes just that edge's stress, the only one nonzero
+    there); the free edges it keeps are ``extra_edges``. With at most
+    n - d - 1 fundamental stresses G already meets the edge bound, and the
+    first pass keeps them all. The second drops edges in canonical
     order. Global rigidity is monotone under edge addition, so the result
     is minimally globally rigid, with at most (d+1)|V| - C(d+2, 2) edges.
 
@@ -483,19 +478,15 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> Sparsif
 
     Raises:
         GraphError: when d < 1 or G has fewer than d + 2 vertices.
-        NotGloballyRigidError: when no trial certifies G. At every d this
-        "no" may be wrong, with negligible probability.
+        NotGloballyRigidError: when no trial proves G globally rigid. At
+        every d this "no" may be wrong, with negligible probability.
     """
     if d < 1:
         raise GraphError("dimension must be >= 1")
     if g.n < d + 2:
         raise GraphError("sparsifier needs at least d + 2 vertices")
     rng = _rng(rng)
-    for t, real, pivots, stresses, sub in _stress_spaces(g, d, rng):
-        if not stresses:
-            break  # stress-free at the rigid rank: G is not globally rigid
-        if not _certifies(g, real, stresses.values(), sub.child(1)):
-            continue
+    for t, real, pivots, stresses, sub in _proofs(g, d, rng):
         free = list(stresses) if len(stresses) > g.n - d - 1 else []
         first = _greedy_pass(g, real, stresses.values(), (), free, sub.child(2))
         if first is None:

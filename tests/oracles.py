@@ -2,10 +2,10 @@
 
 Everything here is deliberately dumb: rational arithmetic, Gauss-Jordan
 elimination, exhaustive enumeration, definition-level checks, and the
-library's earlier implementations of the rigidity matroid, the
-edge-deletion predicates and the sparsifier. Beyond sampling realizations
-and building their rows, the brute-force oracles share no code with the
-paths they verify; the earlier implementations reuse the library's
+library's earlier implementations of the rigidity matroid, the stress
+test, the edge-deletion predicates and the sparsifier. Beyond sampling
+realizations and building their rows, the brute-force oracles share no code
+with the paths they verify; the earlier implementations reuse the library's
 primitives and differ from it in how they combine them.
 """
 
@@ -23,7 +23,6 @@ from rigidkit.global_rigidity import (
     SparsifyResult,
     Stress,
     _certifies,
-    _stress_spaces,
     _without,
     is_globally_rigid,
     minimally_globally_rigid_edge_bound,
@@ -403,6 +402,42 @@ def greedy_pass_per_edge(h: Graph, d: int, rng: Rng) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# The stress test before one loop found the trials that prove G for every
+# caller: the stress space of each trial of rigid rank, and the first trial
+# whose random stress proves G, as ``_stress_test`` found it.
+
+
+def _stress_spaces(g: Graph, d: int, rng: Rng):
+    """The stress space W of G at each trial realization of rigid rank.
+
+    Trial t samples p from ``rng.child(1 + t).child(0)`` and factors
+    R(G,p)^T once (``_factor``); trials short of the rigid rank are skipped.
+    Yields ``(t, real, pivots, stresses, sub)``: the factorization's pivot
+    columns, its map from each free column to that column's fundamental
+    stress (together a basis of W), and ``sub = rng.child(1 + t)`` for the
+    trial's further draws.
+    """
+    for t in range(TRIALS):
+        sub = rng.child(1 + t)
+        real = sample_realization(g, d, sub.child(0))
+        pivots, stresses = _factor(g, real, g.edges)
+        if len(pivots) == rigid_rank_target(g.n, d):
+            yield t, real, pivots, stresses, sub
+
+
+def first_proof_by_stress_spaces(g: Graph, d: int, rng: Rng):
+    """The first trial of ``_stress_spaces`` whose one draw on
+    ``sub.child(1)`` proves G globally rigid, or None when none does or a
+    trial is stress-free first."""
+    for t, real, pivots, stresses, sub in _stress_spaces(g, d, rng):
+        if not stresses:
+            return None
+        if _certifies(g, real, stresses.values(), sub.child(1)):
+            return t, real, pivots, stresses, sub
+    return None
+
+
+# ---------------------------------------------------------------------------
 # The sparsifier before it ran off one stress space per trial: an opening
 # global rigidity test, then attempts that each draw and factor their own
 # realization, and a greedy pass that draws and factors the kept graph again.
@@ -420,12 +455,11 @@ def greedy_pass_own_realization(h: Graph, d: int, rng: Rng) -> Graph:
             if is_k_connected(candidate, 2):
                 h = candidate
         return h
-    for _, real, _, stresses, sub in _stress_spaces(h, d, rng):
-        stresses = list(stresses.values())
-        if stresses and _certifies(h, real, stresses, sub.child(1)):
-            break
-    else:
+    proof = first_proof_by_stress_spaces(h, d, rng)
+    if proof is None:
         raise NonGenericRealizationError("no trial proved the reduced subgraph globally rigid")
+    _, real, _, stresses, sub = proof
+    stresses = list(stresses.values())
     gone = set()
     for j in range(h.m):
         rest = _without(stresses, j)

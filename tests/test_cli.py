@@ -2,8 +2,11 @@ import json
 import subprocess
 import sys
 
-from rigidkit import Graph, complete, cycle, complete_bipartite, icosahedron_braced, k4e_chain, parse_edge_list
-from rigidkit import cli
+import pytest
+
+from rigidkit import (Graph, complete, cycle, complete_bipartite, icosahedron_braced, k4e_chain,
+                      parse_edge_list, wheel)
+from rigidkit import cli, global_rigidity
 from rigidkit.cli import main
 
 from degenerate import DegenerateRng
@@ -117,6 +120,27 @@ class TestAnalyze:
         assert r["generic_rank"] == 7
         assert r["rigid"] is True
         assert r["globally_rigid"] is True
+
+    @pytest.mark.parametrize("g", [icosahedron_braced(), complete(8)])
+    def test_global_verdicts_share_one_factorization(self, capsys, tmp_path, factorizations, g):
+        # globally_rigid and minimally_globally_rigid come from the same trials
+        path = write_graph(tmp_path, g)
+        code, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "3")
+        assert code == 0 and json.loads(out)["results"]["globally_rigid"] is True
+        assert factorizations == [g]
+
+    def test_global_verdicts_test_the_input_once_in_2d(self, capsys, tmp_path, monkeypatch):
+        g = wheel(5)
+        tested = []
+        real_connected = global_rigidity.is_k_connected
+        monkeypatch.setattr(global_rigidity, "is_k_connected",
+                            lambda h, k: bool(tested.append(h)) or real_connected(h, k))
+        path = write_graph(tmp_path, g)
+        code, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "2")
+        r = json.loads(out)["results"]
+        assert code == 0 and r["globally_rigid"] is True
+        assert r["globally_rigid_method"] == "combinatorial-2d"
+        assert tested.count(g) == 1
 
     def test_bad_dim_exits_3(self, capsys, tmp_path):
         path = write_graph(tmp_path, complete(4))

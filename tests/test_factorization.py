@@ -41,15 +41,16 @@ from rigidkit.corpus import random_graph_with_edges
 from rigidkit.field import PRIME, FieldMatrix, Rng
 from rigidkit.global_rigidity import (
     _certifies,
+    _edge_deletions,
     _greedy_pass,
-    _stress_spaces,
-    _stress_test,
+    _proofs,
     _without,
 )
 
 from degenerate import DegenerateRng
 from oracles import (
     bridges_by_rank_drop,
+    first_proof_by_stress_spaces,
     fundamental_circuit_by_probes,
     greedy_pass_per_edge,
     matroid_components_by_probes,
@@ -174,14 +175,35 @@ class TestAgainstEdgeByEdge:
         assert is_redundantly_globally_rigid(g, d, rng.child(1), method="stress") == \
             redundantly_globally_rigid_per_edge(g, d, rng.child(1), method="stress")
         if is_globally_rigid(g, d, rng.child(2), method="stress"):
-            for _, real, _, stresses, sub in _stress_spaces(g, d, rng.child(3)):
-                if stresses and _certifies(g, real, stresses.values(), sub.child(1)):
-                    break
+            _, real, _, stresses, sub = next(_proofs(g, d, rng.child(3)))
             dropped = _greedy_pass(g, real, stresses.values(), (), range(g.m), sub.child(2))
             pruned = Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in dropped))
             assert pruned == greedy_pass_per_edge(g, d, rng.child(3))
             assert is_minimally_globally_rigid(pruned, d, rng.child(4), method="stress")
             assert minimally_globally_rigid_per_edge(pruned, d, rng.child(4), method="stress")
+
+    @pytest.mark.parametrize("d, method", [
+        (1, "auto"), (1, "stress"), (1, "combinatorial"),
+        (2, "auto"), (2, "stress"), (2, "combinatorial"),
+        (3, "auto"), (3, "stress"),
+    ])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_one_proof_loop_matches_the_separate_tests(self, d, method, data):
+        # G's verdict comes from the trials the family verdict runs on, and
+        # those are the trials the stress test found before
+        g = data.draw(dense_graphs(d))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        rigid = bool(is_globally_rigid(g, d, rng, method=method))
+        assert _edge_deletions(g, d, rng, method, minimal=True) == \
+            (rigid, is_minimally_globally_rigid(g, d, rng, method=method))
+        assert _edge_deletions(g, d, rng, method, minimal=False) == \
+            (rigid, is_redundantly_globally_rigid(g, d, rng, method=method))
+        got = next(_proofs(g, d, rng), None)
+        expect = first_proof_by_stress_spaces(g, d, rng)
+        assert (got is None) == (expect is None)
+        if got is not None:
+            assert got[:4] == expect[:4] and got[4].seed == expect[4].seed
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @given(data=st.data())
@@ -315,15 +337,14 @@ class TestDegenerateRealizations:
         assert fundamental_circuit(g, 2, basis, extra, DegenerateRng(2, [(0,)])) == g.edges
 
     def test_stress_test_resamples_after_a_short_trial(self):
-        g = complete(6)
-        ok, note = _stress_test(g, 3, DegenerateRng(5, [(1, 0)]))
-        assert ok and "trial 1" in note
+        cert = is_globally_rigid(complete(6), 3, DegenerateRng(5, [(1, 0)]))
+        assert cert and "trial 1" in cert.note
 
-    def test_stress_test_without_a_rigid_trial_says_not_rigid(self):
+    def test_stress_test_without_a_rigid_trial_says_not_rigid(self, factorizations):
         # a wrong "no" is the documented direction of the stress test
         rng = DegenerateRng(5, [(1, 0), (2, 0), (3, 0)])
-        assert _stress_test(complete(6), 3, rng) == (False, "not rigid")
         assert not is_globally_rigid(complete(6), 3, rng, method="stress")
+        assert len(factorizations) == rigidity.TRIALS
 
     def test_minimality_skips_a_collapsed_shared_trial(self, factorizations):
         # trial 0 of the shared factorization puts every vertex at one point
