@@ -494,23 +494,48 @@ def local_connectivity(g: Graph, u: int, v: int, limit: int | None = None) -> in
     return _split_network(g, vertex_cap=1).max_flow(2 * u + 1, 2 * v, limit=limit)
 
 
+def _separator_pairs(g: Graph):
+    """Nonadjacent vertex pairs such that every minimum vertex separator of
+    a non-complete g separates one of them (Esfahanian-Hakimi 1984).
+
+    Let v be the vertex of least (degree, label). The pairs are v with each
+    vertex not adjacent to it, then each nonadjacent pair of v's neighbours:
+    at most (n - 1 - deg v) + C(deg v, 2) of them. Let S be a minimum
+    separator. If v lies outside S, v is separated from a vertex of another
+    component of G - S, which is not adjacent to v. If v lies in S, v has a
+    neighbour in every component of G - S, since otherwise S - v would
+    separate too; two of them, in different components, are nonadjacent and
+    separated by S.
+    """
+    v = min(range(g.n), key=lambda w: (len(g.adjacency[w]), w))
+    for w in range(g.n):
+        if w != v and not g.has_edge(v, w):
+            yield v, w
+    for a, b in combinations(g.adjacency[v], 2):
+        if not g.has_edge(a, b):
+            yield a, b
+
+
 def vertex_connectivity(g: Graph) -> int:
-    """Standard vertex connectivity; complete graphs give n - 1."""
+    """Standard vertex connectivity; complete graphs give n - 1.
+
+    A non-complete graph has a minimum separator S, and kappa(G) = |S| is
+    the least kappa(u, v) over nonadjacent pairs; ``_separator_pairs``
+    holds a pair that S separates, so the minimum over its O(n + delta^2)
+    pairs is kappa(G), found with capped flows on one network.
+    """
     if g.n < 2:
         raise GraphError("vertex connectivity needs n >= 2")
     if g.is_complete():
         return g.n - 1
     net = _split_network(g, vertex_cap=1)
     best = g.n - 2
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            k = net.max_flow(2 * u + 1, 2 * v, limit=best + 1)
-            if k < best:
-                best = k
-                if best == 0:
-                    return 0
+    for u, v in _separator_pairs(g):
+        k = net.max_flow(2 * u + 1, 2 * v, limit=best + 1)
+        if k < best:
+            best = k
+            if best == 0:
+                return 0
     return best
 
 
@@ -557,7 +582,12 @@ def articulation_points(g: Graph) -> set[int]:
 
 def is_k_connected(g: Graph, k: int) -> bool:
     """Vertex connectivity at least k; cheap paths for k <= 2, capped flows
-    above."""
+    above.
+
+    For k >= 3 the flows run only over ``_separator_pairs``, at most
+    (n - 1 - delta) + C(delta, 2) of them: if g has a separator of fewer
+    than k vertices, a minimum one separates one of those pairs, whose flow
+    then stays below k (Esfahanian-Hakimi 1984)."""
     if k < 1:
         return True
     if g.n < k + 1:
@@ -571,13 +601,8 @@ def is_k_connected(g: Graph, k: int) -> bool:
     if g.min_degree() < k:
         return False
     net = _split_network(g, vertex_cap=1)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            if net.max_flow(2 * u + 1, 2 * v, limit=k) < k:
-                return False
-    return True
+    return all(net.max_flow(2 * u + 1, 2 * v, limit=k) >= k
+               for u, v in _separator_pairs(g))
 
 
 @dataclass(frozen=True)
@@ -607,16 +632,25 @@ class MixedCut:
 def min_mixed_cut(g: Graph) -> MixedCut:
     """A minimum-cost mixed cut of g.
 
-    Computed as the minimum over vertex pairs s, t of the s-t cut in one
+    Computed as the minimum over vertex pairs s < t of the s-t cut in one
     vertex-split network (internal vertices cost 2, edges cost 1), decoded
     back into (S, F). The graph is mixed k-connected iff the returned cost
     is >= k. On complete graphs this isolates a cheapest vertex.
+
+    Pairs run in lexicographic order and the cut of the first pair that
+    reaches the minimum is returned. Sources stop at the bound: a cut of
+    cost c deletes at most floor(c/2) vertices, so the least vertex outside
+    S is at most floor(c/2) and is separated from some later vertex. The
+    first minimum pair therefore has s <= floor(c/2) <= floor(best/2) for
+    the best cost found so far, and sources above that are skipped.
     """
     if g.n < 2:
         raise GraphError("mixed cut needs n >= 2")
     net = _split_network(g, vertex_cap=2)
     best: tuple[int, set, set] | None = None
     for s in range(g.n):
+        if best is not None and s > best[0] // 2:
+            break
         for t in range(s + 1, g.n):
             limit = None if best is None else best[0]
             f = net.max_flow(2 * s + 1, 2 * t, limit=limit)
@@ -636,8 +670,6 @@ def min_mixed_cut(g: Graph) -> MixedCut:
             best = (f, cut_s, cut_f)
             if f == 0:
                 break
-        if best is not None and best[0] == 0:
-            break
     if best is None:
         raise AssertionError("internal error: no vertex pair was separated")
     cost, cut_s, cut_f = best

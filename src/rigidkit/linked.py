@@ -69,7 +69,7 @@ def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> P
                            globally_linked=YES, reason=REASON_EDGE)
 
     if is_matroid_connected(g, 2, rng.child(0)):
-        kappa = local_connectivity(g, u, v)
+        kappa = local_connectivity(g, u, v, limit=3)
         verdict = YES if kappa >= 3 else NO
         return PairVerdict(pair=pair, linked={2: is_linked(g, u, v, 2, rng.child(1))},
                            globally_linked=verdict, reason=REASON_KAPPA)
@@ -81,7 +81,7 @@ def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> P
     cgraph, labels = g.add_edge(u, v).edge_subgraph(circuit)
     pos = {w: i for i, w in enumerate(labels)}
     cminus = cgraph.delete_edge(pos[u], pos[v])
-    if local_connectivity(cminus, pos[u], pos[v]) >= 3 and \
+    if local_connectivity(cminus, pos[u], pos[v], limit=3) >= 3 and \
             is_matroid_connected(cminus, 2, rng.child(3)):
         return PairVerdict(pair=pair, linked={3: True},
                            globally_linked=YES, reason=REASON_CIRCUIT,
@@ -92,7 +92,7 @@ def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> P
 
 def globally_linked_1d(g: Graph, u: int, v: int) -> bool:
     """Exact one-dimensional criterion: an edge, or two disjoint paths."""
-    return g.has_edge(u, v) or local_connectivity(g, u, v) >= 2
+    return g.has_edge(u, v) or local_connectivity(g, u, v, limit=2) >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,12 @@ from rigidkit.global_rigidity import (
     stress_matrix,
     subset_rank_reduce,
 )
-from rigidkit.graph import is_k_connected
+from rigidkit.graph import (
+    MixedCut,
+    _split_network,
+    articulation_points,
+    is_k_connected,
+)
 from rigidkit.rigidity import (
     TRIALS,
     _edge_row,
@@ -506,3 +511,96 @@ def sparsify_three_realizations(g: Graph, d: int, rng: Rng,
         }
         return SparsifyResult(extra_edges=chosen, graph=pruned, log=log, seed=rng.seed)
     raise RuntimeError(f"sparsification failed after {max_attempts} randomized attempts")
+
+
+# ---------------------------------------------------------------------------
+# The cut layer before it examined only the pairs that can certify the answer:
+# one capped flow per vertex pair (per nonadjacent pair for connectivity) on
+# the query's one vertex-split network.
+
+def vertex_connectivity_all_pairs(g: Graph) -> int:
+    """Standard vertex connectivity; complete graphs give n - 1."""
+    if g.n < 2:
+        raise GraphError("vertex connectivity needs n >= 2")
+    if g.is_complete():
+        return g.n - 1
+    net = _split_network(g, vertex_cap=1)
+    best = g.n - 2
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                continue
+            k = net.max_flow(2 * u + 1, 2 * v, limit=best + 1)
+            if k < best:
+                best = k
+                if best == 0:
+                    return 0
+    return best
+
+
+def is_k_connected_all_pairs(g: Graph, k: int) -> bool:
+    """Vertex connectivity at least k; cheap paths for k <= 2, capped flows
+    above."""
+    if k < 1:
+        return True
+    if g.n < k + 1:
+        return False
+    if not g.is_connected():
+        return False
+    if k == 1:
+        return True
+    if k == 2:
+        return not articulation_points(g)
+    if g.min_degree() < k:
+        return False
+    net = _split_network(g, vertex_cap=1)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                continue
+            if net.max_flow(2 * u + 1, 2 * v, limit=k) < k:
+                return False
+    return True
+
+
+def min_mixed_cut_all_pairs(g: Graph) -> MixedCut:
+    """A minimum-cost mixed cut of g.
+
+    Computed as the minimum over vertex pairs s, t of the s-t cut in one
+    vertex-split network (internal vertices cost 2, edges cost 1), decoded
+    back into (S, F). The graph is mixed k-connected iff the returned cost
+    is >= k. On complete graphs this isolates a cheapest vertex.
+    """
+    if g.n < 2:
+        raise GraphError("mixed cut needs n >= 2")
+    net = _split_network(g, vertex_cap=2)
+    best: tuple[int, set, set] | None = None
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            limit = None if best is None else best[0]
+            f = net.max_flow(2 * s + 1, 2 * t, limit=limit)
+            if limit is not None and f >= limit:
+                continue
+            reach = net.reachable(2 * s + 1)
+            cut_s = {w for w in range(g.n)
+                     if 2 * w in reach and 2 * w + 1 not in reach}
+            cut_f = set()
+            for a, b in g.edges:
+                if (2 * a + 1 in reach and 2 * b not in reach) or \
+                   (2 * b + 1 in reach and 2 * a not in reach):
+                    if a not in cut_s and b not in cut_s:
+                        cut_f.add((a, b))
+            if 2 * len(cut_s) + len(cut_f) != f:
+                raise AssertionError("internal error: decoded cut cost differs from the flow")
+            best = (f, cut_s, cut_f)
+            if f == 0:
+                break
+        if best is not None and best[0] == 0:
+            break
+    if best is None:
+        raise AssertionError("internal error: no vertex pair was separated")
+    cost, cut_s, cut_f = best
+    cut = MixedCut(tuple(sorted(cut_s)), tuple(sorted(cut_f)), cost)
+    if not cut.disconnects(g):
+        raise AssertionError("internal error: decoded cut does not disconnect")
+    return cut

@@ -1,7 +1,8 @@
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import networkx as nx
 
@@ -29,9 +30,16 @@ from rigidkit import (
     wheel,
 )
 from rigidkit import graph as graph_module
-from rigidkit.corpus import random_graph
+from rigidkit.corpus import random_graph, random_graph_with_edges
 from rigidkit.field import Rng
-from oracles import local_connectivity_brute, min_mixed_cut_brute, vertex_connectivity_brute
+from oracles import (
+    is_k_connected_all_pairs,
+    local_connectivity_brute,
+    min_mixed_cut_all_pairs,
+    min_mixed_cut_brute,
+    vertex_connectivity_all_pairs,
+    vertex_connectivity_brute,
+)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -384,6 +392,112 @@ class TestOneNetworkPerCall:
         monkeypatch.setattr(graph_module, "_split_network", counting)
         query(icosahedron())
         assert len(built) == 1
+
+
+@st.composite
+def cut_query_graphs(draw):
+    """Graphs on 2 to 16 vertices: G(n, p) at any density, complete, or
+    complete less one edge, beside up to four isolated vertices or a second
+    G(n, p) component."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(("random", "complete", "complete-less-edge")))
+    if shape == "random":
+        g = random_graph(n, draw(st.floats(0, 1)), Rng(draw(st.integers(0, 2**32))))
+    else:
+        g = complete(n)
+        if shape == "complete-less-edge" and g.m:
+            g = g.delete_edge(draw(st.sampled_from(g.edges)))
+    beside = draw(st.sampled_from(("none", "isolated", "component")))
+    if beside == "isolated":
+        g = g.disjoint_union(Graph(draw(st.integers(0, min(4, 16 - n)))))
+    elif beside == "component":
+        k = draw(st.integers(1, 16 - n))
+        g = g.disjoint_union(random_graph(k, draw(st.floats(0, 1)),
+                                          Rng(draw(st.integers(0, 2**32)))))
+    if g.n < 2:
+        g = g.disjoint_union(Graph(2 - g.n))
+    return g
+
+
+class TestAgainstAllPairs:
+    """The cut queries examine only the pairs that can certify their answer;
+    they must agree with the loops over every pair that they replaced."""
+
+    @settings(max_examples=150)
+    @given(cut_query_graphs())
+    def test_min_mixed_cut_returns_the_same_cut(self, g):
+        ours, old = min_mixed_cut(g), min_mixed_cut_all_pairs(g)
+        assert (ours.vertices, ours.edges, ours.cost) == (old.vertices, old.edges, old.cost)
+
+    @settings(max_examples=150)
+    @given(cut_query_graphs())
+    def test_vertex_connectivity(self, g):
+        ours = vertex_connectivity(g)
+        assert ours == vertex_connectivity_all_pairs(g)
+        assert ours == nx.node_connectivity(to_nx(g))
+
+    @settings(max_examples=150)
+    @given(cut_query_graphs())
+    def test_is_k_connected(self, g):
+        for k in range(1, 7):
+            assert is_k_connected(g, k) == is_k_connected_all_pairs(g, k), k
+
+
+def cliques_on_a_cut_vertex(size: int, joins: int) -> Graph:
+    """Two K_size (on 1..size and size+1..2*size), each joined to vertex 0
+    by ``joins`` edges: vertex 0 is the only minimum separator."""
+    edges = []
+    for base in (1, size + 1):
+        edges += [(0, base + i) for i in range(joins)]
+        edges += [(base + a, base + b) for a, b in combinations(range(size), 2)]
+    return Graph(2 * size + 1, tuple(edges))
+
+
+class TestSeparatorPairs:
+    """The pair sets the cut queries run their flows over."""
+
+    @pytest.mark.parametrize("size, joins", [(7, 3), (5, 2)])
+    def test_least_degree_vertex_in_the_only_minimum_separator(self, size, joins):
+        # Vertex 0 has the least (degree, label): (6, 0) with K7s, (4, 0)
+        # with K5s. Only a pair of its neighbours in different cliques is
+        # separated by {0}; the pairs through 0 alone would read ``joins``.
+        g = cliques_on_a_cut_vertex(size, joins)
+        assert vertex_connectivity(g) == 1 == nx.node_connectivity(to_nx(g))
+
+    def test_k_connectivity_decided_by_the_neighbour_pairs(self):
+        g = cliques_on_a_cut_vertex(7, 3)
+        assert g.min_degree() >= 3 and g.is_connected()
+        assert not is_k_connected(g, 3)
+
+    def test_min_mixed_cut_runs_the_source_at_the_bound(self):
+        # Two K6s glued along {0, 1}: sources 0 and 1 reach cost 5 at best,
+        # and source 2 = floor(4 / 2) finds the cut {0, 1} of cost 4.
+        edges = set(combinations((0, 1, 2, 3, 4, 5), 2)) | set(combinations((0, 1, 6, 7, 8, 9), 2))
+        cut = min_mixed_cut(Graph(10, tuple(edges)))
+        assert (cut.vertices, cut.edges, cut.cost) == ((0, 1), (), 4)
+
+    @pytest.fixture
+    def flows(self, monkeypatch):
+        calls = []
+        flow = graph_module._FlowNet.max_flow
+
+        def counting(net, s, t, limit=None):
+            calls.append((s, t))
+            return flow(net, s, t, limit)
+
+        monkeypatch.setattr(graph_module._FlowNet, "max_flow", counting)
+        return calls
+
+    def test_min_mixed_cut_runs_floor_half_cost_plus_one_sources(self, flows):
+        g = random_graph_with_edges(60, 300, Rng(60300))
+        cost = min_mixed_cut(g).cost
+        assert 0 < len(flows) <= (cost // 2 + 1) * (g.n - 1)
+
+    def test_is_k_connected_runs_the_esfahanian_hakimi_pairs(self, flows):
+        g = icosahedron()
+        delta = g.min_degree()
+        assert is_k_connected(g, 5)
+        assert 0 < len(flows) <= (g.n - 1 - delta) + comb(delta, 2)
 
 
 class TestFindCycle:
