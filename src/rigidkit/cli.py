@@ -13,11 +13,12 @@ import json
 import sys
 import time
 from hashlib import sha256
+from itertools import tee
 
 from . import __version__
 from .field import PRIME, Rng
 from .graph import GraphError, ParseError, generate, min_mixed_cut, parse_edge_list
-from .rigidity import DEFAULT_SEED, _rigid_at_rank, matroid_report
+from .rigidity import DEFAULT_SEED, _report, _rigid_at_rank, _trials
 from .global_rigidity import (
     NotGloballyRigidError,
     _edge_deletions,
@@ -77,10 +78,13 @@ def cmd_analyze(args) -> int:
     started = time.monotonic()
     g = _load_graph(args.infile)
     d = args.dim
-    rng = Rng(args.seed)
-    report_m = matroid_report(g, d, rng.child(0))
+    rng = Rng(args.seed).child(1)
+    # the matroid report and the global verdicts read the same trials, so
+    # trial t is factored once however far each of them reads
+    matroid_trials, proof_trials = tee(_trials(g, d, rng))
+    report_m = _report(g, d, matroid_trials)
     how = _route(g, d, args.method)
-    globally_rigid, minimal = _edge_deletions(g, d, rng.child(1), args.method, minimal=True)
+    globally_rigid, minimal = _edge_deletions(g, d, rng, args.method, True, proof_trials)
     bound = minimally_globally_rigid_edge_bound(g.n, d) if g.n >= d + 2 else None
     report = {
         "schema_version": SCHEMA_VERSION,

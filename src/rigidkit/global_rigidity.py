@@ -6,14 +6,15 @@ realization has a stress matrix of rank n - d - 1. This module implements
 that certificate over Z_p, the deterministic combinatorial characterizations
 for d <= 2 (2-connectivity, and 3-connectivity plus redundant rigidity),
 a randomized subset-rank reducer for matrix pencils, and the sparsifier
-that extracts a minimally globally rigid spanning subgraph. One loop,
-``_proofs``, finds the trials that prove G globally rigid: it factors
-R(G,p)^T once per trial and draws one random stress of G at p. The stress
-test, the edge-deletion questions (minimal and redundant global rigidity)
-and the sparsifier all run off those trials. At p the stresses of G - e are
-the stresses of G that vanish on e, so the deletion questions read every
-G - e off the factorization of G, and both greedy passes of the sparsifier
-read every deletion off that stress space.
+that extracts a minimally globally rigid spanning subgraph. The trials of
+``rigidity._trials`` (one realization p and one factorization of R(G,p)^T
+each) are filtered by ``_proofs`` down to those that prove G globally
+rigid, with one random stress of G at p. The stress test, the edge-deletion
+questions (minimal and redundant global rigidity) and the sparsifier all
+run off those trials. At p the stresses of G - e are the stresses of G that
+vanish on e, so the deletion questions read every G - e off the
+factorization of G, and both greedy passes of the sparsifier read every
+deletion off that stress space.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .rigidity import (
     _check_stress,
     _factor,
     _rng,
+    _trials,
     is_redundantly_rigid,
     rigid_rank_target,
-    sample_realization,
 )
 
 
@@ -170,24 +171,20 @@ def _certifies(g: Graph, real: Realization, stresses, rng: Rng, gone=frozenset()
     return rank(stress_matrix(g, Stress(edges=g.edges, values=values))) == g.n - real.d - 1
 
 
-def _proofs(g: Graph, d: int, rng: Rng):
-    """The trials that prove G globally rigid, in order.
+def _proofs(g: Graph, d: int, trials):
+    """The trials of ``trials`` (``rigidity._trials`` of G) that prove G
+    globally rigid, in order.
 
-    Trial t samples p from ``rng.child(1 + t).child(0)`` and factors
-    R(G,p)^T once (``_factor``); trials short of the rigid rank are skipped,
-    and a stress-free trial at the rigid rank ends the search (G is then not
-    globally rigid). A trial proves G when one random combination of its
-    stresses, drawn on ``rng.child(1 + t).child(1)``, has a stress matrix of
-    rank n - d - 1 (``_certifies``). Yields ``(t, real, pivots, stresses,
-    sub)`` for each such trial: the factorization's pivot columns, its map
-    from each free column to that column's fundamental stress (together a
-    basis of the stresses of G at p), and ``sub = rng.child(1 + t)`` for the
-    trial's further draws.
+    Trials short of the rigid rank are skipped, and a stress-free trial at
+    the rigid rank ends the search (G is then not globally rigid). A trial
+    proves G when one random combination of its stresses, drawn on
+    ``sub.child(1)``, has a stress matrix of rank n - d - 1 (``_certifies``).
+    Yields each such trial as ``(t, real, pivots, stresses, sub)``: the
+    factorization's pivot columns, its map from each free column to that
+    column's fundamental stress (together a basis of the stresses of G at
+    p), and ``sub`` for the trial's further draws, from ``sub.child(2)`` on.
     """
-    for t in range(TRIALS):
-        sub = rng.child(1 + t)
-        real = sample_realization(g, d, sub.child(0))
-        pivots, stresses = _factor(g, real, g.edges)
+    for t, real, pivots, stresses, sub in trials:
         if len(pivots) != rigid_rank_target(g.n, d):
             continue
         if not stresses:
@@ -241,27 +238,27 @@ def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
             return cert(False, "not 3-connected")
         return cert(is_redundantly_rigid(g, 2, rng.child(0)))
     target = g.n - d - 1
-    for t, *_ in _proofs(g, d, rng):
+    for t, *_ in _proofs(g, d, _trials(g, d, rng)):
         return cert(True, f"stress matrix reached rank {target} in trial {t}")
     return cert(False, f"no stress matrix of rank {target} in {TRIALS} trials")
 
 
-def _edge_deletions(g: Graph, d: int, rng: Rng | None, method: str,
-                    minimal: bool) -> tuple[bool, bool]:
+def _edge_deletions(g: Graph, d: int, rng: Rng, method: str, minimal: bool,
+                    trials) -> tuple[bool, bool]:
     """Global rigidity of G, and minimal (``minimal``) or redundant global
     rigidity: G and every G - e tested on the route of ``is_globally_rigid``.
 
-    Off the stress route each graph gets its own test. On it, G and every
-    G - e read off the same <= TRIALS factorizations of R(G,p)^T, one per
-    trial of ``_proofs``, so that G is globally rigid exactly when some
-    trial proves it, as in ``is_globally_rigid`` with the same ``rng``. At p
-    the stresses of G - e are the stresses of G that vanish on e
-    (``_without``). In each trial that proves G, each open edge gets one
-    draw: a proof of G - e settles "not minimal", and a G - e that is
-    stress-free at the rigid rank is not globally rigid, which settles "not
-    redundant". The other edges stay open for the next proof.
+    Off the stress route each graph gets its own test, drawn from ``rng``.
+    On it, G and every G - e read off ``trials`` (``rigidity._trials`` of G,
+    at most TRIALS factorizations of R(G,p)^T), through ``_proofs``, so that
+    G is globally rigid exactly when some trial proves it, as in
+    ``is_globally_rigid`` with the rng of those trials. At p the stresses of
+    G - e are the stresses of G that vanish on e (``_without``). In each
+    trial that proves G, each open edge gets one draw: a proof of G - e
+    settles "not minimal", and a G - e that is stress-free at the rigid rank
+    is not globally rigid, which settles "not redundant". The other edges
+    stay open for the next proof.
     """
-    rng = _rng(rng)
     if _route(g, d, method) != "stress":
         if not is_globally_rigid(g, d, rng.child(0), method=method):
             return False, False
@@ -270,7 +267,7 @@ def _edge_deletions(g: Graph, d: int, rng: Rng | None, method: str,
         return True, (not any(verdicts) if minimal else all(verdicts))
     proved = False
     open_edges = list(range(g.m))
-    for _, real, _, stresses, sub in _proofs(g, d, rng):
+    for _, real, _, stresses, sub in _proofs(g, d, trials):
         proved = True
         stresses = stresses.values()
         still_open = []
@@ -305,7 +302,8 @@ def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     answer can only be a wrong "yes". Other routes test each G - e on its
     own.
     """
-    return _edge_deletions(g, d, rng, method, minimal=True)[1]
+    rng = _rng(rng)
+    return _edge_deletions(g, d, rng, method, True, _trials(g, d, rng))[1]
 
 
 def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
@@ -320,7 +318,8 @@ def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     of G - e whose matrix has rank n - d - 1, so a wrong answer can only be
     a wrong "no". Other routes test each G - e on its own.
     """
-    return _edge_deletions(g, d, rng, method, minimal=False)[1]
+    rng = _rng(rng)
+    return _edge_deletions(g, d, rng, method, False, _trials(g, d, rng))[1]
 
 
 def is_globally_k_d_rigid(g: Graph, k: int, d: int, rng: Rng | None = None) -> bool:
@@ -486,7 +485,7 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> Sparsif
     if g.n < d + 2:
         raise GraphError("sparsifier needs at least d + 2 vertices")
     rng = _rng(rng)
-    for t, real, pivots, stresses, sub in _proofs(g, d, rng):
+    for t, real, pivots, stresses, sub in _proofs(g, d, _trials(g, d, rng)):
         free = list(stresses) if len(stresses) > g.n - d - 1 else []
         first = _greedy_pass(g, real, stresses.values(), (), free, sub.child(2))
         if first is None:

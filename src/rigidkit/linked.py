@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .field import Rng
 from .graph import Graph, GraphError, local_connectivity
-from .rigidity import _rng, _span, bridges, is_matroid_connected
+from .rigidity import _always, _connects, _matroid, _rng, _trials, bridges, is_matroid_connected
 
 YES = "yes"
 NO = "no"
@@ -42,13 +42,15 @@ class PairVerdict:
 
 def is_linked(g: Graph, u: int, v: int, d: int, rng: Rng | None = None) -> bool:
     """True when adding uv does not raise the generic rank (edges count):
-    one ``rigidity._span`` elimination per trial. At a trial of generic
-    rank "not linked" is exact; only "linked" can be wrong."""
+    one elimination per trial, the pair column riding along
+    (``rigidity._matroid``). At a trial of generic rank "not linked" is
+    exact; only "linked" can be wrong."""
     if u == v:
         raise GraphError("linkedness needs u != v")
     if g.has_edge(u, v):
         return True
-    return (min(u, v), max(u, v)) in _span(g, d, _rng(rng), [(u, v)])[1]
+    pairs = [(min(u, v), max(u, v))]
+    return bool(_matroid(g, d, _trials(g, d, _rng(rng), pairs), _always, pairs)[3])
 
 
 def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> PairVerdict:
@@ -68,13 +70,15 @@ def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> P
         return PairVerdict(pair=pair, linked={2: True, 3: True},
                            globally_linked=YES, reason=REASON_EDGE)
 
-    if is_matroid_connected(g, 2, rng.child(0)):
+    # one elimination per trial gives the components and the pair's linkedness
+    _, _, comps, circuits = _matroid(g, 2, _trials(g, 2, rng.child(0), [pair]), _connects, [pair])
+    if len(comps) == 1:
         kappa = local_connectivity(g, u, v, limit=3)
         verdict = YES if kappa >= 3 else NO
-        return PairVerdict(pair=pair, linked={2: is_linked(g, u, v, 2, rng.child(1))},
+        return PairVerdict(pair=pair, linked={2: pair in circuits},
                            globally_linked=verdict, reason=REASON_KAPPA)
 
-    circuit = _span(g, 3, rng.child(2), [pair])[1].get(pair)
+    circuit = _matroid(g, 3, _trials(g, 3, rng.child(2), [pair]), _always, [pair])[3].get(pair)
     if circuit is None:
         return PairVerdict(pair=pair, linked={3: False},
                            globally_linked=UNKNOWN, reason=REASON_OPEN)
@@ -174,7 +178,9 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
         sub = rng.child(1 + gi)
         if kind == "linked-gl":
             pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-            circuits = _span(g, dim + 1, sub.child(0), set(pairs) - g.edge_set)[1]
+            extra = [p for p in pairs if p not in g.edge_set]
+            circuits = _matroid(g, dim + 1, _trials(g, dim + 1, sub.child(0), extra),
+                                _always, extra)[3]
             for pi, (u, v) in enumerate(pairs):
                 if not (g.has_edge(u, v) or (u, v) in circuits):
                     continue

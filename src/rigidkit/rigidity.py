@@ -8,15 +8,15 @@ reaches the known upper bound settles the answer. With p = 2**61 - 1 the
 per-trial failure probability is bounded by (total degree)/p, which is
 negligible at the scales this package targets.
 
-Every elimination is forward elimination (``field._echelon``) of R(G,p)^T.
-``_span`` reads rank, linked pairs and the circuits they close off one per
-trial; ``_matroid`` reads basis, bridges and components off one
-factorization per trial (``_factor``), whose free columns give each
-non-basis edge's fundamental stress and circuit. At a realization of
-generic rank each support lies inside the matching generic circuit, so
-supports can only come out too small: a bridge may be reported wrongly, a
-component split or a circuit member missed, never the reverse; and a pair
-may be reported linked wrongly, never unlinked.
+Every elimination is forward elimination (``field._echelon``) of R(G,p)^T,
+and ``_trials`` is the one loop that draws p and factors it (``_factor``).
+Its free columns give each non-basis edge's fundamental stress and circuit,
+and pair columns riding along give each linked pair's circuit; ``_matroid``
+reads rank, basis, bridges, components and linked pairs off those trials.
+At a realization of generic rank each support lies inside the matching
+generic circuit, so supports can only come out too small: a bridge may be
+reported wrongly, a component split or a circuit member missed, never the
+reverse; and a pair may be reported linked wrongly, never unlinked.
 """
 
 from __future__ import annotations
@@ -92,51 +92,9 @@ def rigid_rank_target(n: int, d: int) -> int:
     return d * n - (d + 1) * d // 2
 
 
-def _span(g: Graph, d: int, rng: Rng, pairs=()) -> tuple[int, dict]:
-    """Rank of G and the vertex pairs of ``pairs`` (non-edges) linked in G,
-    each with its circuit in G + pair, from one elimination per trial.
-
-    A trial eliminates R(G + pairs, p)^T pivoting on G's columns only, the
-    pair columns riding along; the pivots give the rank at p. A pair is
-    linked at p when its column is zero below the pivots, and only then is
-    its fundamental stress read (``field._kernel``) and checked exactly; its
-    support is the circuit. Trials short of the best rank are dropped, and
-    the first at the rank bound ends the loop. A pair is linked when every
-    kept trial finds it so, its circuit the union of their supports. At a
-    trial of generic rank "not linked" is exact; only "linked" can be wrong.
-
-    Returns ``(rank, circuits)``, ``circuits`` mapping each linked pair to
-    the sorted edges of its circuit, the pair included.
-    """
-    pairs = Graph(g.n, pairs).edges
-    edges, m = g.edges + pairs, g.m
-    upper = rank_upper_bound(g.n, m, d)
-    trials = []
-    for t in range(TRIALS):
-        real = sample_realization(g, d, rng.child(t))
-        rows = [list(col) for col in zip(*_rows_for(g, real, edges))]
-        pivots = _echelon(rows, m)
-        r = len(pivots)
-        cols = pivots + [j for j in range(m, len(edges)) if not any(row[j] for row in rows[r:])]
-        found = {}
-        if len(cols) > r:
-            sub = [[row[c] for c in cols] for row in rows[:r]]
-            sub_edges = [edges[c] for c in cols]
-            for f, w in _kernel(sub, list(range(r)), len(cols)).items():
-                _check_stress(real, sub_edges, w)
-                found[sub_edges[f]] = {e for e, x in zip(sub_edges, w) if x}
-        trials.append((r, found))
-        if r >= upper:
-            break
-    best = max(r for r, _ in trials)
-    kept = [found for r, found in trials if r == best]
-    return best, {p: tuple(sorted(set().union(*(found[p] for found in kept))))
-                  for p in pairs if all(p in found for found in kept)}
-
-
 def generic_rank(g: Graph, d: int, rng: Rng | None = None) -> int:
     """r_d(G), the rank of the d-dimensional rigidity matroid."""
-    return _span(g, d, _rng(rng))[0]
+    return len(_matroid(g, d, _trials(g, d, _rng(rng)), _always)[0])
 
 
 def _rigid_at_rank(n: int, d: int, r: int) -> bool:
@@ -154,7 +112,7 @@ def is_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
 def is_redundantly_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
     """Rigid, and still rigid after deleting any single edge: rank and
     bridges from the same trials, those of ``bridges``."""
-    basis, brs, _ = _matroid(g, d, _rng(rng), _covers)
+    basis, brs, _, _ = _matroid(g, d, _trials(g, d, _rng(rng)), _covers)
     return _rigid_at_rank(g.n, d, len(basis)) and not brs
 
 
@@ -173,7 +131,7 @@ def is_independent(g: Graph, d: int, rng: Rng | None = None) -> bool:
 def is_circuit(g: Graph, d: int, rng: Rng | None = None) -> bool:
     """A minimal dependent edge set: rank |E| - 1 and no rank-dropping edge,
     both read off the trials of ``bridges``."""
-    basis, brs, _ = _matroid(g, d, _rng(rng), _covers)
+    basis, brs, _, _ = _matroid(g, d, _trials(g, d, _rng(rng)), _covers)
     return g.m > 0 and len(basis) == g.m - 1 and not brs
 
 
@@ -196,8 +154,10 @@ def _check_stress(real: Realization, edges, values) -> None:
         raise ArithmeticError("internal error: stress check failed")
 
 
-def _factor(g: Graph, real: Realization, edges) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Factor R(G,p)^T once, with one column per edge of ``edges`` in order.
+def _factor(g: Graph, real: Realization, edges, extra=()
+            ) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Factor R(G,p)^T once, with one column per edge of ``edges`` in order
+    and then one per vertex pair of ``extra``, which are never pivots.
 
     Forward elimination (``field._echelon``) gives the pivots, and
     ``field._kernel`` reads the stresses off the reduced pivot rows.
@@ -207,15 +167,33 @@ def _factor(g: Graph, real: Realization, edges) -> tuple[list[int], dict[int, tu
     free column f to the kernel vector with 1 at f, 0 at the other free
     columns and minus f's reduced column on the pivots. That vector is the
     fundamental stress of f, and its support is f's fundamental circuit with
-    respect to the pivots. Every stress is checked exactly before return.
+    respect to the pivots. An ``extra`` column gets its stress only when it
+    is zero below the pivots, that is when its pair is linked at ``real``.
+    Every stress is checked exactly before return.
     """
-    cols = len(edges)
-    rows = [list(col) for col in zip(*_rows_for(g, real, edges))]
-    pivots = _echelon(rows, cols)
-    stresses = _kernel(rows, pivots, cols)
+    m, cols = len(edges), [*edges, *extra]
+    rows = [list(col) for col in zip(*_rows_for(g, real, cols))]
+    pivots = _echelon(rows, m)
+    below = rows[len(pivots):]
+    stresses = {f: w for f, w in _kernel(rows, pivots, len(cols)).items()
+                if f < m or not any(row[f] for row in below)}
     for w in stresses.values():
-        _check_stress(real, edges, w)
+        _check_stress(real, cols, w)
     return pivots, stresses
+
+
+def _trials(g: Graph, d: int, rng: Rng, extra=()):
+    """The trials every randomized query of G reads, in order.
+
+    Trial t takes ``sub = rng.child(t)``, draws p from ``sub.child(0)`` and
+    factors R(G,p)^T once, with the pair columns ``extra`` riding along
+    (``_factor``). Yields ``(t, real, pivots, stresses, sub)``; consumers take
+    any further draws of the trial from ``sub.child(k)`` with k >= 1.
+    """
+    for t in range(TRIALS):
+        sub = rng.child(t)
+        real = sample_realization(g, d, sub.child(0))
+        yield (t, real, *_factor(g, real, g.edges, extra), sub)
 
 
 class _UnionFind:
@@ -247,34 +225,45 @@ def _classes(m: int, supports) -> list[list[int]]:
     return list(groups.values())
 
 
-def _matroid(g: Graph, d: int, rng: Rng, settled):
-    """Basis, bridges and components of the rigidity matroid, all read off
-    one factorization of R(G,p)^T per trial (see ``_factor``).
+def _matroid(g: Graph, d: int, trials, settled, pairs=()):
+    """Basis, bridges and components of the rigidity matroid, and the vertex
+    pairs of ``pairs`` (non-edges) linked in G, each with its circuit in
+    G + pair, all read off ``trials`` (``_trials`` of G with ``pairs`` as its
+    ``extra`` columns).
 
     A trial stops the loop when it reaches the a priori rank bound and
     ``settled(m, supports)`` holds for its stress supports. Trials whose
     rank falls short of the best one are discarded; the rest pool their
     supports. At a realization of generic rank each support lies inside a
     generic circuit, so pooling can only move bridges and components
-    toward the generic answer.
+    toward the generic answer. A pair is linked when every kept trial finds
+    it so, its circuit the union of their supports: at a trial of generic
+    rank "not linked" is exact, and only "linked" can be wrong.
+
+    Returns ``(basis, bridges, components, circuits)``, ``circuits`` mapping
+    each linked pair to the sorted edges of its circuit, the pair included.
     """
     if g.m == 0:
-        return (), (), ()
-    upper = rank_upper_bound(g.n, g.m, d)
-    trials = []
-    for t in range(TRIALS):
-        pivots, stresses = _factor(g, sample_realization(g, d, rng.child(t)), g.edges)
-        trials.append((pivots, [[j for j, x in enumerate(w) if x] for w in stresses.values()]))
-        if len(pivots) >= upper and settled(g.m, trials[-1][1]):
+        return (), (), (), {}
+    m, upper = g.m, rank_upper_bound(g.n, g.m, d)
+    seen = []
+    for _, _, pivots, stresses, _ in trials:
+        supports = {f: [j for j, x in enumerate(w) if x] for f, w in stresses.items()}
+        seen.append((pivots, supports))
+        if len(pivots) >= upper and settled(m, [s for f, s in supports.items() if f < m]):
             break
-    best = max(len(pivots) for pivots, _ in trials)
-    trials = [tr for tr in trials if len(tr[0]) == best]
-    supports = [supp for _, sups in trials for supp in sups]
-    covered = {j for supp in supports for j in supp}
-    basis = tuple(g.edges[j] for j in trials[0][0])
+    best = max(len(pivots) for pivots, _ in seen)
+    kept = [trial for trial in seen if len(trial[0]) == best]
+    own = [s for _, supports in kept for f, s in supports.items() if f < m]
+    covered = {j for supp in own for j in supp}
+    edges = g.edges + tuple(pairs)
+    basis = tuple(g.edges[j] for j in kept[0][0])
     bridges_ = tuple(e for j, e in enumerate(g.edges) if j not in covered)
-    components = tuple(tuple(g.edges[j] for j in c) for c in _classes(g.m, supports))
-    return basis, bridges_, components
+    components = tuple(tuple(g.edges[j] for j in c) for c in _classes(m, own))
+    circuits = {pair: tuple(sorted({edges[j] for _, supports in kept for j in supports[f]}))
+                for f, pair in enumerate(pairs, m)
+                if all(f in supports for _, supports in kept)}
+    return basis, bridges_, components, circuits
 
 
 def _always(m, supports) -> bool:
@@ -290,18 +279,12 @@ def _connects(m, supports) -> bool:
 
 
 def bridges(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, int], ...]:
-    """Edges whose deletion drops the generic rank.
-
-    Read off one factorization of R(G,p)^T per trial: an edge is a
-    non-bridge exactly when some stress is nonzero on it. Trials whose rank
-    falls short of the best are discarded, and the loop stops early once a
-    trial at the rank bound has every edge in some stress support. At a
-    realization of generic rank each stress support lies inside a generic
-    circuit, so the detected non-bridges can only be a subset of the
-    generic ones: an edge may be reported as a bridge wrongly, never the
-    other way round.
+    """Edges whose deletion drops the generic rank: those on which no stress
+    of a kept trial of ``_matroid`` is nonzero. The loop stops early once a
+    trial at the rank bound has every edge in some stress support. An edge
+    may be reported as a bridge wrongly, never the other way round.
     """
-    return _matroid(g, d, _rng(rng), _covers)[1]
+    return _matroid(g, d, _trials(g, d, _rng(rng)), _covers)[1]
 
 
 def rigid_basis(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, int], ...]:
@@ -311,14 +294,14 @@ def rigid_basis(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, in
     best rank. For a rigid graph this is a minimally rigid spanning subgraph.
     The returned set is always independent; only its size can fall short.
     """
-    return _matroid(g, d, _rng(rng), _always)[0]
+    return _matroid(g, d, _trials(g, d, _rng(rng)), _always)[0]
 
 
 def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
                         ) -> tuple[tuple[int, int], ...]:
     """The unique circuit inside basis + e.
 
-    One ``_span`` call on the graph of the basis with e as its pair: the
+    One ``_matroid`` call on the graph of the basis with e as its pair: the
     basis must come out independent, and e linked to it. The circuit is the
     union of the supports of e's fundamental stress over the trials of full
     rank, each inside the generic circuit, so a member may be missed, never
@@ -338,8 +321,9 @@ def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
         raise GraphError(f"edge {e} not in graph")
     if not basis_set <= g.edge_set:
         raise GraphError("basis contains edges outside the graph")
-    rank, circuits = _span(Graph(g.n, basis), d, _rng(rng), [e])
-    if rank < len(basis):
+    h = Graph(g.n, basis)
+    found, _, _, circuits = _matroid(h, d, _trials(h, d, _rng(rng), [e]), _always, [e])
+    if len(found) < len(basis):
         raise GraphError("the given edge set is not independent")
     if e not in circuits:
         raise GraphError("edge is independent of the basis; not spanned, so no circuit")
@@ -350,15 +334,13 @@ def matroid_components(g: Graph, d: int, rng: Rng | None = None
                        ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Connected components of the rigidity matroid, as edge sets.
 
-    Union-find over the stress supports of one factorization of R(G,p)^T
-    per trial. Each support is a fundamental circuit, and the fundamental
-    circuits of one basis already connect each component. Trials of less
-    than the best rank are discarded, and the loop stops early once a trial
-    at the rank bound connects every edge. Each support lies inside a
-    generic circuit, so a component may be split wrongly, never merged
-    wrongly. Bridges come out as singletons.
+    Union-find over the stress supports of the kept trials of ``_matroid``.
+    Each support is a fundamental circuit, and the fundamental circuits of
+    one basis already connect each component. The loop stops early once a
+    trial at the rank bound connects every edge. A component may be split
+    wrongly, never merged wrongly. Bridges come out as singletons.
     """
-    return _matroid(g, d, _rng(rng), _connects)[2]
+    return _matroid(g, d, _trials(g, d, _rng(rng)), _connects)[2]
 
 
 def is_matroid_connected(g: Graph, d: int, rng: Rng | None = None) -> bool:
@@ -390,7 +372,12 @@ def matroid_report(g: Graph, d: int, rng: Rng | None = None) -> MatroidReport:
     """Rank, basis, bridges and components from the same trials, so the three
     agree: every bridge is a singleton component, and every trial they were
     read from has the rank of the basis."""
-    basis, brs, comps = _matroid(g, d, _rng(rng), _connects)
+    return _report(g, d, _trials(g, d, _rng(rng)))
+
+
+def _report(g: Graph, d: int, trials) -> MatroidReport:
+    """``matroid_report`` read off ``trials`` of G."""
+    basis, brs, comps, _ = _matroid(g, d, trials, _connects)
     r = len(basis)
     if r > rank_upper_bound(g.n, g.m, d):
         raise AssertionError("internal error: rank exceeds its a priori bound")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from rigidkit import field, global_rigidity, rigidity
+from rigidkit import field, rigidity
 from rigidkit.corpus import nonisomorphic_graphs
 from rigidkit.field import Rng
 
@@ -43,14 +43,14 @@ def eliminations(monkeypatch):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """The graph of every factorization of R(G,p)^T the global rigidity
-    layer runs in the test."""
+    """The graph of every factorization of R(G,p)^T that the trials of the
+    rigidity and global rigidity layers run in the test."""
     graphs = []
-    real_factor = global_rigidity._factor
+    real_factor = rigidity._factor
 
-    def counting(g, real, edges):
+    def counting(g, real, edges, extra=()):
         graphs.append(g)
-        return real_factor(g, real, edges)
+        return real_factor(g, real, edges, extra)
 
-    monkeypatch.setattr(global_rigidity, "_factor", counting)
+    monkeypatch.setattr(rigidity, "_factor", counting)
     return graphs

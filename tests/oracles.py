@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from rigidkit import Graph, GraphError
-from rigidkit.field import PRIME, FieldMatrix, Rng, _echelon, nullspace_basis
+from rigidkit.field import PRIME, FieldMatrix, Rng, _echelon, _kernel, nullspace_basis
 from rigidkit.global_rigidity import (
     NonGenericRealizationError,
     NotGloballyRigidError,
@@ -37,6 +37,7 @@ from rigidkit.graph import (
 )
 from rigidkit.rigidity import (
     TRIALS,
+    _check_stress,
     _edge_row,
     _factor,
     _rows_for,
@@ -374,6 +375,55 @@ def stress_basis_per_edge(g: Graph, d: int, real, basis) -> list[Stress]:
 
 
 # ---------------------------------------------------------------------------
+# Rank and linked pairs as the library found them before they rode along the
+# one trial source of the whole matroid: its own loop of eliminations that
+# pivot on G's columns only and read the kernel of the pivots and the linked
+# pair columns alone.
+
+
+def span_with_pair_columns(g: Graph, d: int, rng: Rng, pairs=()) -> tuple[int, dict]:
+    """Rank of G and the vertex pairs of ``pairs`` (non-edges) linked in G,
+    each with its circuit in G + pair, from one elimination per trial.
+
+    A trial eliminates R(G + pairs, p)^T pivoting on G's columns only, the
+    pair columns riding along; the pivots give the rank at p. A pair is
+    linked at p when its column is zero below the pivots, and only then is
+    its fundamental stress read (``field._kernel``) and checked exactly; its
+    support is the circuit. Trials short of the best rank are dropped, and
+    the first at the rank bound ends the loop. A pair is linked when every
+    kept trial finds it so, its circuit the union of their supports. At a
+    trial of generic rank "not linked" is exact; only "linked" can be wrong.
+
+    Returns ``(rank, circuits)``, ``circuits`` mapping each linked pair to
+    the sorted edges of its circuit, the pair included.
+    """
+    pairs = Graph(g.n, pairs).edges
+    edges, m = g.edges + pairs, g.m
+    upper = rank_upper_bound(g.n, m, d)
+    trials = []
+    for t in range(TRIALS):
+        real = sample_realization(g, d, rng.child(t))
+        rows = [list(col) for col in zip(*_rows_for(g, real, edges))]
+        pivots = _echelon(rows, m)
+        r = len(pivots)
+        cols = pivots + [j for j in range(m, len(edges)) if not any(row[j] for row in rows[r:])]
+        found = {}
+        if len(cols) > r:
+            sub = [[row[c] for c in cols] for row in rows[:r]]
+            sub_edges = [edges[c] for c in cols]
+            for f, w in _kernel(sub, list(range(r)), len(cols)).items():
+                _check_stress(real, sub_edges, w)
+                found[sub_edges[f]] = {e for e, x in zip(sub_edges, w) if x}
+        trials.append((r, found))
+        if r >= upper:
+            break
+    best = max(r for r, _ in trials)
+    kept = [found for r, found in trials if r == best]
+    return best, {p: tuple(sorted(set().union(*(found[p] for found in kept))))
+                  for p in pairs if all(p in found for found in kept)}
+
+
+# ---------------------------------------------------------------------------
 # Reference implementations the library used before it read every G - e off
 # one stress space per realization: one full global rigidity test per
 # deleted edge, each on its own realizations.
@@ -415,15 +465,15 @@ def greedy_pass_per_edge(h: Graph, d: int, rng: Rng) -> Graph:
 def _stress_spaces(g: Graph, d: int, rng: Rng):
     """The stress space W of G at each trial realization of rigid rank.
 
-    Trial t samples p from ``rng.child(1 + t).child(0)`` and factors
+    Trial t samples p from ``rng.child(t).child(0)`` and factors
     R(G,p)^T once (``_factor``); trials short of the rigid rank are skipped.
     Yields ``(t, real, pivots, stresses, sub)``: the factorization's pivot
     columns, its map from each free column to that column's fundamental
-    stress (together a basis of W), and ``sub = rng.child(1 + t)`` for the
+    stress (together a basis of W), and ``sub = rng.child(t)`` for the
     trial's further draws.
     """
     for t in range(TRIALS):
-        sub = rng.child(1 + t)
+        sub = rng.child(t)
         real = sample_realization(g, d, sub.child(0))
         pivots, stresses = _factor(g, real, g.edges)
         if len(pivots) == rigid_rank_target(g.n, d):

@@ -109,17 +109,20 @@ class TestAnalyze:
         _, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "2")
         assert json.loads(out)["bounds"]["minimally_globally_rigid_edges"] == 6
 
-    def test_rigid_follows_the_reported_rank(self, capsys, tmp_path, monkeypatch):
-        # every realization drawn from the stream rng.child(3) is degenerate;
-        # no part of the report may read its rigidity off that stream
-        monkeypatch.setattr(cli, "Rng", lambda seed: DegenerateRng(seed, [(3, t) for t in range(3)]))
-        path = write_graph(tmp_path, complete(5))
-        code, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "2")
+    def test_rigid_follows_the_reported_rank(self, capsys, tmp_path, monkeypatch, factorizations):
+        # trial 0 of the trials shared by the matroid report and the global
+        # verdicts (rng.child(1).child(0)) is collapsed; every part of the
+        # report must drop it and read trial 1
+        monkeypatch.setattr(cli, "Rng", lambda seed: DegenerateRng(seed, [(1, 0)]))
+        g = complete(5)
+        path = write_graph(tmp_path, g)
+        code, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "3")
         assert code == 0
         r = json.loads(out)["results"]
-        assert r["generic_rank"] == 7
+        assert r["generic_rank"] == 9
         assert r["rigid"] is True
-        assert r["globally_rigid"] is True
+        assert r["globally_rigid"] is True and r["minimally_globally_rigid"] is True
+        assert factorizations == [g, g]
 
     @pytest.mark.parametrize("g", [icosahedron_braced(), complete(8)])
     def test_global_verdicts_share_one_factorization(self, capsys, tmp_path, factorizations, g):
@@ -179,11 +182,11 @@ class TestSparsify:
         assert code == 4 and "not globally rigid" in err
 
     def test_collapsed_realizations_exit_4(self, capsys, tmp_path, monkeypatch):
-        # trial t draws its realization from rng.child(1 + t).child(0) and the
-        # coefficients of its stress test from rng.child(1 + t).child(1); with every
+        # trial t draws its realization from rng.child(t).child(0) and the
+        # coefficients of its stress test from rng.child(t).child(1); with every
         # realization collapsed no trial certifies the input, and the
         # documented "no" must come out as exit 4, not a traceback
-        bad = [(1 + t, k) for t in range(3) for k in (0, 1)]
+        bad = [(t, k) for t in range(3) for k in (0, 1)]
         monkeypatch.setattr(cli, "Rng", lambda seed: DegenerateRng(seed, bad))
         path = write_graph(tmp_path, complete(7))
         code, out, err = run_cli(capsys, "sparsify", "--in", path, "--dim", "3")

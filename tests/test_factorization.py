@@ -46,6 +46,7 @@ from rigidkit.global_rigidity import (
     _proofs,
     _without,
 )
+from rigidkit.rigidity import _trials
 
 from degenerate import DegenerateRng
 from oracles import (
@@ -58,6 +59,7 @@ from oracles import (
     rank_of_rows,
     redundantly_globally_rigid_per_edge,
     rigid_basis_incremental,
+    span_with_pair_columns,
     sparsify_three_realizations,
     stress_basis_per_edge,
 )
@@ -130,6 +132,20 @@ class TestAgainstQueryByQuery:
             for w, e in zip(got, extras):
                 assert set(w.support) == set(fundamental_circuit(g, d, basis, e, rng.child(5)))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_linked_pairs_match_the_span_oracle(self, d, data):
+        # the pair columns ride along the trials that read the whole matroid
+        g = data.draw(small_graphs(d))
+        non_edges = [p for p in combinations(range(g.n), 2) if p not in g.edge_set]
+        pairs = sorted(data.draw(st.lists(st.sampled_from(non_edges), unique=True)
+                                 if non_edges else st.just([])))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        basis, _, _, circuits = rigidity._matroid(
+            g, d, _trials(g, d, rng.child(0), pairs), rigidity._always, pairs)
+        assert (len(basis), circuits) == span_with_pair_columns(g, d, rng.child(1), pairs)
+
     def test_fundamental_circuit_rejects_an_independent_edge(self):
         g = Graph(4, ((0, 1), (1, 2), (2, 3)))
         with pytest.raises(GraphError, match="independent of the basis"):
@@ -175,7 +191,7 @@ class TestAgainstEdgeByEdge:
         assert is_redundantly_globally_rigid(g, d, rng.child(1), method="stress") == \
             redundantly_globally_rigid_per_edge(g, d, rng.child(1), method="stress")
         if is_globally_rigid(g, d, rng.child(2), method="stress"):
-            _, real, _, stresses, sub = next(_proofs(g, d, rng.child(3)))
+            _, real, _, stresses, sub = next(_proofs(g, d, _trials(g, d, rng.child(3))))
             dropped = _greedy_pass(g, real, stresses.values(), (), range(g.m), sub.child(2))
             pruned = Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in dropped))
             assert pruned == greedy_pass_per_edge(g, d, rng.child(3))
@@ -195,11 +211,11 @@ class TestAgainstEdgeByEdge:
         g = data.draw(dense_graphs(d))
         rng = Rng(data.draw(st.integers(0, 2**32)))
         rigid = bool(is_globally_rigid(g, d, rng, method=method))
-        assert _edge_deletions(g, d, rng, method, minimal=True) == \
+        assert _edge_deletions(g, d, rng, method, True, _trials(g, d, rng)) == \
             (rigid, is_minimally_globally_rigid(g, d, rng, method=method))
-        assert _edge_deletions(g, d, rng, method, minimal=False) == \
+        assert _edge_deletions(g, d, rng, method, False, _trials(g, d, rng)) == \
             (rigid, is_redundantly_globally_rigid(g, d, rng, method=method))
-        got = next(_proofs(g, d, rng), None)
+        got = next(_proofs(g, d, _trials(g, d, rng)), None)
         expect = first_proof_by_stress_spaces(g, d, rng)
         assert (got is None) == (expect is None)
         if got is not None:
@@ -319,11 +335,15 @@ class TestOneFactorizationPerTrial:
 
 
 class TestDegenerateRealizations:
+    # bridges, is_linked (tests/test_linked.py) and the stress test drop the
+    # same short trial: trial 0 of the one trial source, whose realization
+    # is drawn on the path (0, 0)
+
     def test_short_rank_trial_is_discarded(self):
         # trial 0 places every vertex at one point: rank 0, and every edge a
         # loop whose singleton support would hide the pendant bridge
         g = Graph(5, complete(4).edges + ((3, 4),))
-        rng = DegenerateRng(11, [(0,)])
+        rng = DegenerateRng(11, [(0, 0)])
         assert bridges(g, 2, rng) == ((3, 4),)
         assert rigid_basis(g, 2, rng) == rigid_basis(g, 2, Rng(11))
         report = matroid_report(g, 2, rng)
@@ -336,23 +356,24 @@ class TestDegenerateRealizations:
         (extra,) = [e for e in g.edges if e not in set(basis)]
         assert fundamental_circuit(g, 2, basis, extra, DegenerateRng(2, [(0,)])) == g.edges
 
-    def test_stress_test_resamples_after_a_short_trial(self):
-        cert = is_globally_rigid(complete(6), 3, DegenerateRng(5, [(1, 0)]))
+    def test_stress_test_resamples_after_a_short_trial(self, factorizations):
+        cert = is_globally_rigid(complete(6), 3, DegenerateRng(5, [(0, 0)]))
         assert cert and "trial 1" in cert.note
+        assert len(factorizations) == 2
 
     def test_stress_test_without_a_rigid_trial_says_not_rigid(self, factorizations):
         # a wrong "no" is the documented direction of the stress test
-        rng = DegenerateRng(5, [(1, 0), (2, 0), (3, 0)])
+        rng = DegenerateRng(5, [(0, 0), (1, 0), (2, 0)])
         assert not is_globally_rigid(complete(6), 3, rng, method="stress")
         assert len(factorizations) == rigidity.TRIALS
 
     def test_minimality_skips_a_collapsed_shared_trial(self, factorizations):
         # trial 0 of the shared factorization puts every vertex at one point
-        assert is_minimally_globally_rigid(icosahedron_braced(), 3, DegenerateRng(5, [(1, 0)]))
+        assert is_minimally_globally_rigid(icosahedron_braced(), 3, DegenerateRng(5, [(0, 0)]))
         assert len(factorizations) == 2
 
     def test_redundancy_skips_a_collapsed_shared_trial(self, factorizations):
-        assert is_redundantly_globally_rigid(complete(7), 3, DegenerateRng(5, [(1, 0)]))
+        assert is_redundantly_globally_rigid(complete(7), 3, DegenerateRng(5, [(0, 0)]))
         assert len(factorizations) == 2
 
     def test_stress_basis_rejects_a_degenerate_realization(self):
@@ -369,8 +390,8 @@ class TestDegenerateRealizations:
 
     def test_sparsify_retries_after_a_degenerate_attempt(self, factorizations):
         g = complete(7)
-        # trial 0 draws its realization from rng.child(1).child(0)
-        result = sparsify_globally_rigid(g, 3, DegenerateRng(7, [(1, 0)]))
+        # trial 0 draws its realization from rng.child(0).child(0)
+        result = sparsify_globally_rigid(g, 3, DegenerateRng(7, [(0, 0)]))
         assert result.log["retries"] == 1
         assert factorizations == [g, g]
         assert result.graph.m <= minimally_globally_rigid_edge_bound(g.n, 3)
@@ -417,7 +438,7 @@ class TestDegenerateRealizations:
     def test_sparsify_gives_up_with_a_documented_error(self, factorizations):
         # every trial places all vertices at one point; a wrong "no" is the
         # documented direction of the sparsifier
-        bad = [(1 + t, 0) for t in range(3)]
+        bad = [(t, 0) for t in range(3)]
         with pytest.raises(NotGloballyRigidError, match="not globally rigid"):
             sparsify_globally_rigid(complete(7), 3, DegenerateRng(7, bad))
         assert len(factorizations) == rigidity.TRIALS

@@ -19,6 +19,7 @@ from rigidkit import (
     local_connectivity,
     two_sum,
     vertex_connectivity,
+    wheel,
     TwoSumSpec,
 )
 from rigidkit import rigidity
@@ -85,6 +86,11 @@ class TestOneEliminationPerTrial:
         assert not is_linked(two_k4_sharing_a_vertex(), 0, 4, 2, Rng(5))
         assert 1 <= len(eliminations) <= rigidity.TRIALS
 
+    def test_globally_linked_2d_reads_components_and_linkedness_at_once(self, eliminations):
+        verdict = is_globally_linked_2d(wheel(5), 1, 3, Rng(3))
+        assert verdict.reason == REASON_KAPPA and verdict.linked == {2: True}
+        assert len(eliminations) == 1
+
     def test_linked_gl_eliminates_at_most_trials_times_per_graph(self, eliminations):
         rep = explore_conjecture("linked-gl", 1,
                                  CorpusSpec(max_n=5, isomorph_reject=True), Rng(1))
@@ -97,7 +103,7 @@ class TestDegenerateFirstTrial:
     # every pair looks linked, and the trial must be dropped for its short rank
     def test_is_linked_drops_the_collapsed_trial(self):
         g = two_k4_sharing_a_vertex()
-        assert not is_linked(g, 0, 4, 2, DegenerateRng(5, [(0,)]))
+        assert not is_linked(g, 0, 4, 2, DegenerateRng(5, [(0, 0)]))
 
     def test_circuit_route_keeps_its_witness(self):
         # K5 minus an edge plus a pendant edge: the pair closes K5, a circuit in d=3
