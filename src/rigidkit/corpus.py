@@ -3,8 +3,10 @@
 Exhaustive corpora come in two flavors. ``all_graphs`` walks every labeled
 graph on n vertices in ascending edge-mask order (the canonical
 adjacency-matrix ordering). ``nonisomorphic_graphs`` yields one canonical
-representative per isomorphism class, built by extending the (n-1)-vertex
-classes one vertex at a time and deduplicating with a canonical form; since
+representative per isomorphism class. It extends the (n-1)-vertex classes
+one vertex at a time and keeps a child only when the new vertex is the one
+the canonical form deletes, up to automorphism (McKay's canonical
+deletion), so only children that can be canonical are searched. Since
 every property this package computes is isomorphism-invariant, the reduced
 corpus gives the same coverage at a fraction of the cost.
 """
@@ -54,27 +56,32 @@ def _refine_colors(n: int, adj: tuple[int, ...]) -> list[int]:
     return colors
 
 
-def canonical_chunks(g: Graph) -> tuple[int, ...]:
-    """Canonical form: the lexicographically least chunk sequence over all
-    color-respecting orderings; chunk j holds vertex j's adjacency bits to
-    the vertices placed before it."""
-    n = g.n
-    if n == 0:
-        return ()
-    adj = graph_to_adj_masks(g)
-    colors = _refine_colors(n, adj)
-    slot_colors = sorted(colors)
+def _search(n: int, adj: tuple[int, ...], colors: list[int]
+            ) -> tuple[list[int], set[int]]:
+    """The canonical-form search: the lexicographically least chunk sequence
+    over all color-respecting orderings, and the set of vertices that its
+    optimal orderings place last.
 
+    Chunk j holds vertex j's adjacency bits to the vertices placed before it.
+    The search visits every optimal ordering: it prunes only prefixes that
+    already exceed the best one. Two optimal orderings give the same graph,
+    so they differ by an automorphism, and the last vertices are one orbit.
+    """
+    slot_colors = sorted(colors)
     best: list[int] | None = None
+    lasts: set[int] = set()
     placed: list[int] = []
     chunks: list[int] = []
     used = [False] * n
 
     def dfs(pos: int) -> None:
-        nonlocal best
+        nonlocal best, lasts
         if pos == n:
             if best is None or chunks < best:
                 best = list(chunks)
+                lasts = {placed[-1]}
+            elif chunks == best:
+                lasts.add(placed[-1])
             return
         grouped: dict[int, list[int]] = {}
         for v in range(n):
@@ -101,7 +108,18 @@ def canonical_chunks(g: Graph) -> tuple[int, ...]:
     dfs(0)
     if best is None:
         raise AssertionError("internal error: the search found no vertex order")
-    return tuple(best)
+    return best, lasts
+
+
+def canonical_chunks(g: Graph) -> tuple[int, ...]:
+    """Canonical form: the lexicographically least chunk sequence over all
+    color-respecting orderings; chunk j holds vertex j's adjacency bits to
+    the vertices placed before it."""
+    n = g.n
+    if n == 0:
+        return ()
+    adj = graph_to_adj_masks(g)
+    return tuple(_search(n, adj, _refine_colors(n, adj))[0])
 
 
 def canonical_key(g: Graph) -> tuple:
@@ -119,22 +137,45 @@ def _chunks_to_graph(n: int, chunks: tuple[int, ...]) -> Graph:
 
 @lru_cache(maxsize=None)
 def nonisomorphic_graphs(n: int, connected: bool = False) -> tuple[Graph, ...]:
-    """All graphs on n vertices up to isomorphism, canonically labeled."""
+    """All graphs on n vertices up to isomorphism, canonically labeled,
+    ordered by edge count and then edge list.
+
+    Generated by canonical deletion (B. D. McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998). Each child is a canonical
+    (n-1)-vertex parent plus a new vertex x joined to the parent vertices of
+    a mask. It is accepted only when x lies in the orbit of the vertex that
+    the canonical order places last, that is when x is last in some optimal
+    ordering of ``_search``. Deleting the canonical last vertex of a class
+    gives one parent class, so every class is accepted from exactly one
+    parent; masks of that parent that give isomorphic children are merged by
+    their canonical form. Two necessary conditions skip the search: x must
+    have maximum degree, read off the mask's popcount and the parent's
+    degrees, and x must have the largest refined color, because the last
+    slot takes the largest color (``_refine_colors`` ranks by degree first).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         reps = (Graph(1),)
     else:
-        seen = {}
-        for parent in nonisomorphic_graphs(n - 1):
-            base = parent.edges
-            for mask in range(1 << (n - 1)):
-                extra = tuple((i, n - 1) for i in range(n - 1) if mask >> i & 1)
-                child = Graph(n, base + extra)
-                chunks = canonical_chunks(child)
-                if chunks not in seen:
-                    seen[chunks] = _chunks_to_graph(n, chunks)
-        reps = tuple(sorted(seen.values(), key=lambda g: (g.m, g.edges)))
+        x = n - 1
+        parent_of: dict[tuple[int, ...], int] = {}
+        for pi, parent in enumerate(nonisomorphic_graphs(x)):
+            padj = graph_to_adj_masks(parent)
+            pdeg = [bin(a).count("1") for a in padj]
+            for mask in range(1 << x):
+                deg = bin(mask).count("1")
+                if any(pdeg[v] + (mask >> v & 1) > deg for v in range(x)):
+                    continue
+                adj = (*(a | (mask >> v & 1) << x for v, a in enumerate(padj)), mask)
+                colors = _refine_colors(n, adj)
+                if colors[x] != max(colors):
+                    continue
+                chunks, lasts = _search(n, adj, colors)
+                if x in lasts and parent_of.setdefault(tuple(chunks), pi) != pi:
+                    raise AssertionError("internal error: a class came from two parents")
+        reps = tuple(sorted((_chunks_to_graph(n, c) for c in parent_of),
+                            key=lambda g: (g.m, g.edges)))
     if connected:
         reps = tuple(g for g in reps if g.is_connected())
     return reps

@@ -164,14 +164,19 @@ def _echelon(rows: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def _kernel(rows: list[list[int]], pivots: list[int], cols: int) -> dict[int, tuple]:
-    """Kernel of an ``_echelon`` result, one vector per free column.
+def _kernel(rows: list[list[int]], pivots: list[int], cols: int, free=None
+            ) -> dict[int, tuple]:
+    """Kernel of an ``_echelon`` result, one vector per free column, or per
+    column of ``free`` when given (each must be free).
 
     Reduces the pivot rows upward in place to the reduced echelon form, then
     maps each free column f to the vector with 1 at f, 0 at the other free
     columns and minus f's reduced column on the pivots.
     """
-    if len(pivots) == cols:
+    if free is None:
+        pivot_set = set(pivots)
+        free = [f for f in range(cols) if f not in pivot_set]
+    if not free:
         return {}
     for i in range(len(pivots) - 1, 0, -1):
         c, prow = pivots[i], rows[i]
@@ -179,16 +184,13 @@ def _kernel(rows: list[list[int]], pivots: list[int], cols: int) -> dict[int, tu
             f = rows[k][c]
             if f:
                 rows[k] = [(a - f * b) % PRIME for a, b in zip(rows[k], prow)]
-    pivot_set = set(pivots)
     kernel = {}
-    for free in range(cols):
-        if free in pivot_set:
-            continue
+    for j in free:
         v = [0] * cols
-        v[free] = 1
+        v[j] = 1
         for i, c in enumerate(pivots):
-            v[c] = -rows[i][free] % PRIME
-        kernel[free] = tuple(v)
+            v[c] = -rows[i][j] % PRIME
+        kernel[j] = tuple(v)
     return kernel
 
 

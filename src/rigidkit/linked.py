@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .field import Rng
 from .graph import Graph, GraphError, local_connectivity
-from .rigidity import _always, _connects, _matroid, _rng, _trials, bridges, is_matroid_connected
+from .rigidity import _connects, _matroid, _rng, _trials, bridges, is_matroid_connected
 
 YES = "yes"
 NO = "no"
@@ -50,7 +50,8 @@ def is_linked(g: Graph, u: int, v: int, d: int, rng: Rng | None = None) -> bool:
     if g.has_edge(u, v):
         return True
     pairs = [(min(u, v), max(u, v))]
-    return bool(_matroid(g, d, _trials(g, d, _rng(rng), pairs), _always, pairs)[3])
+    trials = _trials(g, d, _rng(rng), pairs, edge_stresses=False)
+    return bool(_matroid(g, d, trials, None, pairs)[3])
 
 
 def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> PairVerdict:
@@ -78,7 +79,8 @@ def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> P
         return PairVerdict(pair=pair, linked={2: pair in circuits},
                            globally_linked=verdict, reason=REASON_KAPPA)
 
-    circuit = _matroid(g, 3, _trials(g, 3, rng.child(2), [pair]), _always, [pair])[3].get(pair)
+    trials = _trials(g, 3, rng.child(2), [pair], edge_stresses=False)
+    circuit = _matroid(g, 3, trials, None, [pair])[3].get(pair)
     if circuit is None:
         return PairVerdict(pair=pair, linked={3: False},
                            globally_linked=UNKNOWN, reason=REASON_OPEN)
@@ -179,8 +181,8 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
         if kind == "linked-gl":
             pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
             extra = [p for p in pairs if p not in g.edge_set]
-            circuits = _matroid(g, dim + 1, _trials(g, dim + 1, sub.child(0), extra),
-                                _always, extra)[3]
+            trials = _trials(g, dim + 1, sub.child(0), extra, edge_stresses=False)
+            circuits = _matroid(g, dim + 1, trials, None, extra)[3]
             for pi, (u, v) in enumerate(pairs):
                 if not (g.has_edge(u, v) or (u, v) in circuits):
                     continue

@@ -13,6 +13,7 @@ and ``_trials`` is the one loop that draws p and factors it (``_factor``).
 Its free columns give each non-basis edge's fundamental stress and circuit,
 and pair columns riding along give each linked pair's circuit; ``_matroid``
 reads rank, basis, bridges, components and linked pairs off those trials.
+Queries that read only linked pairs skip the edge stresses.
 At a realization of generic rank each support lies inside the matching
 generic circuit, so supports can only come out too small: a bridge may be
 reported wrongly, a component split or a circuit member missed, never the
@@ -154,7 +155,7 @@ def _check_stress(real: Realization, edges, values) -> None:
         raise ArithmeticError("internal error: stress check failed")
 
 
-def _factor(g: Graph, real: Realization, edges, extra=()
+def _factor(g: Graph, real: Realization, edges, extra=(), edge_stresses=True
             ) -> tuple[list[int], dict[int, tuple[int, ...]]]:
     """Factor R(G,p)^T once, with one column per edge of ``edges`` in order
     and then one per vertex pair of ``extra``, which are never pivots.
@@ -169,31 +170,35 @@ def _factor(g: Graph, real: Realization, edges, extra=()
     fundamental stress of f, and its support is f's fundamental circuit with
     respect to the pivots. An ``extra`` column gets its stress only when it
     is zero below the pivots, that is when its pair is linked at ``real``.
-    Every stress is checked exactly before return.
+    With ``edge_stresses`` false only those pair stresses are read. Every
+    stress is checked exactly before return.
     """
     m, cols = len(edges), [*edges, *extra]
     rows = [list(col) for col in zip(*_rows_for(g, real, cols))]
     pivots = _echelon(rows, m)
-    below = rows[len(pivots):]
-    stresses = {f: w for f, w in _kernel(rows, pivots, len(cols)).items()
-                if f < m or not any(row[f] for row in below)}
+    r = len(pivots)
+    wanted = sorted(set(range(m)) - set(pivots)) if edge_stresses else []
+    wanted += [f for f in range(m, len(cols)) if not any(row[f] for row in rows[r:])]
+    stresses = _kernel(rows, pivots, len(cols), wanted)
     for w in stresses.values():
         _check_stress(real, cols, w)
     return pivots, stresses
 
 
-def _trials(g: Graph, d: int, rng: Rng, extra=()):
+def _trials(g: Graph, d: int, rng: Rng, extra=(), edge_stresses=True):
     """The trials every randomized query of G reads, in order.
 
     Trial t takes ``sub = rng.child(t)``, draws p from ``sub.child(0)`` and
     factors R(G,p)^T once, with the pair columns ``extra`` riding along
     (``_factor``). Yields ``(t, real, pivots, stresses, sub)``; consumers take
-    any further draws of the trial from ``sub.child(k)`` with k >= 1.
+    any further draws of the trial from ``sub.child(k)`` with k >= 1. With
+    ``edge_stresses`` false the trials carry the linked pairs' stresses
+    alone, for ``_matroid`` with ``settled=None``.
     """
     for t in range(TRIALS):
         sub = rng.child(t)
         real = sample_realization(g, d, sub.child(0))
-        yield (t, real, *_factor(g, real, g.edges, extra), sub)
+        yield (t, real, *_factor(g, real, g.edges, extra, edge_stresses), sub)
 
 
 class _UnionFind:
@@ -240,29 +245,39 @@ def _matroid(g: Graph, d: int, trials, settled, pairs=()):
     it so, its circuit the union of their supports: at a trial of generic
     rank "not linked" is exact, and only "linked" can be wrong.
 
+    ``settled=None`` reads trials that carry the pair stresses alone
+    (``_trials`` with ``edge_stresses`` false): the loop stops at the rank
+    bound, and bridges and components come back as None. Otherwise every
+    trial must carry the stress of each free edge column.
+
     Returns ``(basis, bridges, components, circuits)``, ``circuits`` mapping
     each linked pair to the sorted edges of its circuit, the pair included.
     """
     if g.m == 0:
-        return (), (), (), {}
+        return ((), None, None, {}) if settled is None else ((), (), (), {})
     m, upper = g.m, rank_upper_bound(g.n, g.m, d)
     seen = []
     for _, _, pivots, stresses, _ in trials:
         supports = {f: [j for j, x in enumerate(w) if x] for f, w in stresses.items()}
+        if settled is not None and sum(f < m for f in supports) != m - len(pivots):
+            raise AssertionError("internal error: a trial lacks edge stresses")
         seen.append((pivots, supports))
-        if len(pivots) >= upper and settled(m, [s for f, s in supports.items() if f < m]):
+        if len(pivots) >= upper and (
+                settled is None or settled(m, [s for f, s in supports.items() if f < m])):
             break
     best = max(len(pivots) for pivots, _ in seen)
     kept = [trial for trial in seen if len(trial[0]) == best]
-    own = [s for _, supports in kept for f, s in supports.items() if f < m]
-    covered = {j for supp in own for j in supp}
     edges = g.edges + tuple(pairs)
     basis = tuple(g.edges[j] for j in kept[0][0])
-    bridges_ = tuple(e for j, e in enumerate(g.edges) if j not in covered)
-    components = tuple(tuple(g.edges[j] for j in c) for c in _classes(m, own))
     circuits = {pair: tuple(sorted({edges[j] for _, supports in kept for j in supports[f]}))
                 for f, pair in enumerate(pairs, m)
                 if all(f in supports for _, supports in kept)}
+    if settled is None:
+        return basis, None, None, circuits
+    own = [s for _, supports in kept for f, s in supports.items() if f < m]
+    covered = {j for supp in own for j in supp}
+    bridges_ = tuple(e for j, e in enumerate(g.edges) if j not in covered)
+    components = tuple(tuple(g.edges[j] for j in c) for c in _classes(m, own))
     return basis, bridges_, components, circuits
 
 

@@ -48,9 +48,9 @@ def factorizations(monkeypatch):
     graphs = []
     real_factor = rigidity._factor
 
-    def counting(g, real, edges, extra=()):
+    def counting(g, real, edges, *args):
         graphs.append(g)
-        return real_factor(g, real, edges, extra)
+        return real_factor(g, real, edges, *args)
 
     monkeypatch.setattr(rigidity, "_factor", counting)
     return graphs

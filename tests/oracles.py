@@ -3,7 +3,8 @@
 Everything here is deliberately dumb: rational arithmetic, Gauss-Jordan
 elimination, exhaustive enumeration, definition-level checks, and the
 library's earlier implementations of the rigidity matroid, the stress
-test, the edge-deletion predicates and the sparsifier. Beyond sampling
+test, the edge-deletion predicates, the sparsifier and the isomorphism-class
+generator. Beyond sampling
 realizations and building their rows, the brute-force oracles share no code
 with the paths they verify; the earlier implementations reuse the library's
 primitives and differ from it in how they combine them.
@@ -15,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from rigidkit import Graph, GraphError
+from rigidkit.corpus import _chunks_to_graph, canonical_chunks
 from rigidkit.field import PRIME, FieldMatrix, Rng, _echelon, _kernel, nullspace_basis
 from rigidkit.global_rigidity import (
     NonGenericRealizationError,
@@ -654,3 +656,26 @@ def min_mixed_cut_all_pairs(g: Graph) -> MixedCut:
     if not cut.disconnects(g):
         raise AssertionError("internal error: decoded cut does not disconnect")
     return cut
+
+
+# ---------------------------------------------------------------------------
+# The isomorphism-class generator the corpus layer used before canonical
+# deletion: canonicalise every one-vertex extension of every parent class
+# and deduplicate afterwards.
+
+
+def nonisomorphic_graphs_by_seen_dict(n: int) -> tuple[Graph, ...]:
+    """All graphs on n vertices up to isomorphism, canonically labeled and
+    ordered by edge count and then edge list: one ``canonical_chunks`` call
+    per child of every (n-1)-vertex class, deduplicated in one dict."""
+    if n == 1:
+        return (Graph(1),)
+    seen = {}
+    for parent in nonisomorphic_graphs_by_seen_dict(n - 1):
+        base = parent.edges
+        for mask in range(1 << (n - 1)):
+            extra = tuple((i, n - 1) for i in range(n - 1) if mask >> i & 1)
+            chunks = canonical_chunks(Graph(n, base + extra))
+            if chunks not in seen:
+                seen[chunks] = _chunks_to_graph(n, chunks)
+    return tuple(sorted(seen.values(), key=lambda g: (g.m, g.edges)))

@@ -1,14 +1,19 @@
 from itertools import permutations
 
-from rigidkit import Graph
+from rigidkit import Graph, corpus
 from rigidkit.corpus import (
+    _refine_colors,
+    _search,
     all_graphs,
     canonical_key,
+    graph_to_adj_masks,
     nonisomorphic_graphs,
     random_graph,
     random_graph_with_edges,
 )
 from rigidkit.field import Rng
+
+from oracles import nonisomorphic_graphs_by_seen_dict
 
 # numbers of graphs / connected graphs on n unlabeled vertices
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -74,3 +79,62 @@ def test_random_graph_with_edges_counts():
     for i in range(10):
         g = random_graph_with_edges(9, 14, rng.child(i))
         assert (g.n, g.m) == (9, 14)
+
+
+def test_canonical_deletion_matches_the_seen_dict_generator():
+    # same canonical graphs in the same order: explore seeds each graph's
+    # draws by its position in the corpus
+    for n in range(1, 8):
+        assert nonisomorphic_graphs(n) == nonisomorphic_graphs_by_seen_dict(n)
+
+
+def _brute_optimal_orderings(g: Graph):
+    """Every color-respecting ordering whose chunk sequence is least, with
+    that sequence, by trying all permutations."""
+    adj = graph_to_adj_masks(g)
+    colors = _refine_colors(g.n, adj)
+    slots = sorted(colors)
+    found = {}
+    for order in permutations(range(g.n)):
+        if [colors[v] for v in order] != slots:
+            continue
+        chunks = [sum(1 << i for i in range(j) if adj[v] >> order[i] & 1)
+                  for j, v in enumerate(order)]
+        found.setdefault(tuple(chunks), []).append(order)
+    best = min(found)
+    return list(best), found[best]
+
+
+def _brute_automorphisms(g: Graph):
+    edges = g.edge_set
+    return [p for p in permutations(range(g.n))
+            if all(tuple(sorted((p[a], p[b]))) in edges for a, b in g.edges)]
+
+
+def test_last_vertices_of_the_search_are_the_canonical_orbit():
+    rng = Rng(12)
+    for i in range(60):
+        n = 1 + i % 6
+        g = random_graph(n, (i % 5 + 1) / 6, rng.child(i))
+        adj = graph_to_adj_masks(g)
+        chunks, lasts = _search(n, adj, _refine_colors(n, adj))
+        best, orders = _brute_optimal_orderings(g)
+        last = orders[0][-1]
+        assert chunks == best
+        assert lasts == {order[-1] for order in orders}
+        assert lasts == {p[last] for p in _brute_automorphisms(g)}
+
+
+def test_building_the_corpus_to_six_vertices_takes_few_searches(monkeypatch):
+    # the seen-dict generator ran one search per child: 1306 up to n = 6
+    calls = []
+    real_search = corpus._search
+
+    def counting(*args):
+        calls.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(corpus, "_search", counting)
+    nonisomorphic_graphs.cache_clear()
+    assert len(nonisomorphic_graphs(6)) == 156
+    assert len(calls) <= 375

@@ -146,6 +146,24 @@ class TestAgainstQueryByQuery:
             g, d, _trials(g, d, rng.child(0), pairs), rigidity._always, pairs)
         assert (len(basis), circuits) == span_with_pair_columns(g, d, rng.child(1), pairs)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @given(data=st.data())
+    def test_pair_stresses_alone_are_the_same_stresses(self, d, data):
+        # the trials of is_linked and the linked-gl sweep skip the edge stresses
+        g = data.draw(small_graphs(d))
+        non_edges = [p for p in combinations(range(g.n), 2) if p not in g.edge_set]
+        pairs = sorted(data.draw(st.lists(st.sampled_from(non_edges), unique=True)
+                                 if non_edges else st.just([])))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        alone_trials = _trials(g, d, rng, pairs, edge_stresses=False)
+        for full, alone in zip(_trials(g, d, rng, pairs), alone_trials):
+            assert alone[2] == full[2]
+            assert alone[3] == {f: w for f, w in full[3].items() if f >= g.m}
+        basis, _, _, circuits = rigidity._matroid(
+            g, d, _trials(g, d, rng, pairs), rigidity._always, pairs)
+        alone_trials = _trials(g, d, rng, pairs, edge_stresses=False)
+        assert rigidity._matroid(g, d, alone_trials, None, pairs) == (basis, None, None, circuits)
+
     def test_fundamental_circuit_rejects_an_independent_edge(self):
         g = Graph(4, ((0, 1), (1, 2), (2, 3)))
         with pytest.raises(GraphError, match="independent of the basis"):
@@ -249,6 +267,11 @@ class TestExactWitness:
         w[0] = (w[0] + 1) % PRIME
         with pytest.raises(ArithmeticError, match="stress check failed"):
             _certifies(g, real, [tuple(w)], Rng(13))
+
+    def test_components_refuse_trials_without_edge_stresses(self):
+        g = complete(4)
+        with pytest.raises(AssertionError, match="lacks edge stresses"):
+            rigidity._matroid(g, 2, _trials(g, 2, Rng(1), edge_stresses=False), rigidity._connects)
 
     def test_a_stress_left_nonzero_on_a_deleted_edge_raises(self):
         # a stress of G that is nonzero on e is no stress of G - e
