@@ -127,7 +127,11 @@ def mixed_k_connected_subgraph(g: Graph, k: int) -> tuple[Graph, ExtractionTrace
     stripped up front: isolating such a vertex costs less than k, so none
     can survive in any mixed k-connected subgraph and removing them loses
     nothing. The density premise is then required of the stripped core.
-    The output is re-verified: its minimum mixed cut costs at least k.
+
+    The output is verified: the loop returns only after ``min_mixed_cut``
+    of the very graph it returns costs at least k, and the cut it computes
+    there is exact. So callers do not run the cut again; ``rigidkit
+    extract`` reports ``verified`` on the strength of this check.
     """
     requested = k
     if k < 1:

@@ -14,12 +14,16 @@ questions (minimal and redundant global rigidity) and the sparsifier all
 run off those trials. At p the stresses of G - e are the stresses of G that
 vanish on e, so the deletion questions read every G - e off the
 factorization of G, and both greedy passes of the sparsifier read every
-deletion off that stress space.
+deletion off that stress space. At d = 2 the deletion questions read the
+same trials through matroid duality instead: G - e stays redundantly rigid
+unless its column of the stress basis is parallel to another.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .field import PRIME, FieldMatrix, Rng, rank, random_combination
@@ -248,18 +252,25 @@ def _edge_deletions(g: Graph, d: int, rng: Rng, method: str, minimal: bool,
     """Global rigidity of G, and minimal (``minimal``) or redundant global
     rigidity: G and every G - e tested on the route of ``is_globally_rigid``.
 
-    Off the stress route each graph gets its own test, drawn from ``rng``.
-    On it, G and every G - e read off ``trials`` (``rigidity._trials`` of G,
-    at most TRIALS factorizations of R(G,p)^T), through ``_proofs``, so that
-    G is globally rigid exactly when some trial proves it, as in
+    On the stress and the combinatorial-2d routes, G and every G - e read
+    off ``trials`` (``rigidity._trials`` of G, at most TRIALS
+    factorizations of R(G,p)^T); on the others each graph gets its own test,
+    drawn from ``rng``.
+
+    On the stress route the trials pass through ``_proofs``, so that G is
+    globally rigid exactly when some trial proves it, as in
     ``is_globally_rigid`` with the rng of those trials. At p the stresses of
     G - e are the stresses of G that vanish on e (``_without``). In each
     trial that proves G, each open edge gets one draw: a proof of G - e
     settles "not minimal", and a G - e that is stress-free at the rigid rank
     is not globally rigid, which settles "not redundant". The other edges
-    stay open for the next proof.
+    stay open for the next proof. The combinatorial-2d route is
+    ``_cocircuit_deletions``.
     """
-    if _route(g, d, method) != "stress":
+    how = _route(g, d, method)
+    if how == "combinatorial-2d":
+        return _cocircuit_deletions(g, minimal, trials)
+    if how != "stress":
         if not is_globally_rigid(g, d, rng.child(0), method=method):
             return False, False
         verdicts = (is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
@@ -289,6 +300,86 @@ def _edge_deletions(g: Graph, d: int, rng: Rng, method: str, minimal: bool,
     return proved, proved and (minimal or not open_edges)
 
 
+def _directions(stresses) -> list[tuple[int, ...] | None]:
+    """Column j of the stress basis W (the values of ``stresses`` on edge
+    j) scaled to lead with 1, for each edge j; None for a zero column. Two
+    columns are parallel exactly when their directions are equal."""
+    directions = []
+    for column in zip(*stresses):
+        lead = next((x for x in column if x), 0)
+        if lead:
+            inv = pow(lead, -1, PRIME)
+            directions.append(tuple(x * inv % PRIME for x in column))
+        else:
+            directions.append(None)
+    return directions
+
+
+def _cocircuit_deletions(g: Graph, minimal: bool, trials) -> tuple[bool, bool]:
+    """``_edge_deletions`` on the combinatorial-2d route: G and every G - e
+    tested for 3-connectivity and redundant rigidity, the rigidity half of
+    all of them read off the same <= TRIALS factorizations of R(G,p)^T.
+
+    The stress basis W of a trial (one row per fundamental stress) spans
+    the stresses of G at p, and its columns represent the dual of the
+    rigidity matroid at p. G is redundantly rigid exactly when some trial
+    at the rigid rank 2n - 3 has no zero column: such an edge lies on no
+    stress, so its deletion drops the rank. A trial with a zero column
+    proves nothing and the next one is read; a stress-free trial at the
+    rigid rank shows G independent, so every edge is a bridge.
+
+    For G redundantly rigid, G - e - f drops the rank exactly when {e, f}
+    is a cocircuit, that is when columns e and f of W are parallel. So
+    G - e is redundantly rigid iff column e is parallel to no other column;
+    columns are compared by their directions (``_directions``), hashed. At a
+    realization of full rank every generic cocircuit stays one, so a
+    non-parallel column is exact, and a parallel one may be an accident of
+    p: such an edge stays open for the next trial. A wrong "redundant" can
+    therefore only be a "no", a wrong "minimal" only a "yes".
+
+    kappa(G - e) >= kappa(G) - 1, so when G is 4-connected every G - e is
+    3-connected; only when kappa(G) = 3 does each G - e that needs it get
+    its own ``is_k_connected(G - e, 3)``, and G's 4-connectivity is asked
+    only when an edge first needs it. An edge at a vertex of degree 3
+    leaves a vertex of degree 2 in G - e, so for minimality it is settled
+    before any trial is read.
+    """
+    if not is_k_connected(g, 3):
+        return False, False
+    four_connected = cache(lambda: is_k_connected(g, 4))
+
+    @cache
+    def three_connected(j: int) -> bool:
+        return four_connected() or is_k_connected(g.delete_edge(g.edges[j]), 3)
+
+    proved = False
+    open_edges = [j for j, (u, v) in enumerate(g.edges)
+                  if not minimal or min(g.degree(u), g.degree(v)) > 3]
+    for _, _, pivots, stresses, _ in trials:
+        if len(pivots) != rigid_rank_target(g.n, 2):
+            continue
+        if not stresses:
+            break
+        directions = _directions(stresses.values())
+        if None in directions:
+            continue
+        proved = True
+        seen = Counter(directions)
+        still_open = []
+        for j in open_edges:
+            parallel = seen[directions[j]] > 1
+            if minimal and not parallel and three_connected(j):
+                return True, False  # G - e is globally rigid
+            if not minimal and not three_connected(j):
+                return True, False  # G - e is not 3-connected
+            if parallel:
+                still_open.append(j)
+        open_edges = still_open
+        if not open_edges:
+            break
+    return proved, proved and (minimal or not open_edges)
+
+
 def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
                                 method: str = "auto") -> bool:
     """Globally rigid, and no longer so after any single edge deletion.
@@ -299,8 +390,13 @@ def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     are exactly the stresses of G that vanish on e. The first G - e proved
     globally rigid ends the test. A proof needs a random stress whose
     matrix reaches rank n - d - 1, so a G - e can only be missed: a wrong
-    answer can only be a wrong "yes". Other routes test each G - e on its
-    own.
+    answer can only be a wrong "yes". At d = 2 (``method`` "auto" or
+    "combinatorial") the same trials carry the cocircuit test
+    (``_cocircuit_deletions``): G - e is redundantly rigid when column e of
+    the stress basis is parallel to no other column, and globally rigid
+    when it is also 3-connected. A parallel pair at p may be an accident,
+    so here too a wrong answer can only be a wrong "yes". At d = 1 each
+    G - e gets its own 2-connectivity test.
     """
     rng = _rng(rng)
     return _edge_deletions(g, d, rng, method, True, _trials(g, d, rng))[1]
@@ -316,7 +412,13 @@ def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     are exactly the stresses of G that vanish on e. Every G - e must be
     proved globally rigid within those trials, each proof an exact stress
     of G - e whose matrix has rank n - d - 1, so a wrong answer can only be
-    a wrong "no". Other routes test each G - e on its own.
+    a wrong "no". At d = 2 (``method`` "auto" or "combinatorial") the same
+    trials carry the cocircuit test (``_cocircuit_deletions``): every G - e
+    must be 3-connected, and its column of the stress basis must be
+    parallel to no other column in some trial. A column that is not
+    parallel at a realization of full rank is not parallel generically, so
+    here too a wrong answer can only be a wrong "no". At d = 1 each G - e
+    gets its own 2-connectivity test.
     """
     rng = _rng(rng)
     return _edge_deletions(g, d, rng, method, False, _trials(g, d, rng))[1]

@@ -494,9 +494,9 @@ def local_connectivity(g: Graph, u: int, v: int, limit: int | None = None) -> in
     return _split_network(g, vertex_cap=1).max_flow(2 * u + 1, 2 * v, limit=limit)
 
 
-def _separator_pairs(g: Graph):
-    """Nonadjacent vertex pairs such that every minimum vertex separator of
-    a non-complete g separates one of them (Esfahanian-Hakimi 1984).
+def _separator_pairs(g: Graph, adjacent: bool = False):
+    """Vertex pairs such that every minimum vertex separator of a
+    non-complete g separates one of them (Esfahanian-Hakimi 1984).
 
     Let v be the vertex of least (degree, label). The pairs are v with each
     vertex not adjacent to it, then each nonadjacent pair of v's neighbours:
@@ -506,13 +506,17 @@ def _separator_pairs(g: Graph):
     neighbour in every component of G - S, since otherwise S - v would
     separate too; two of them, in different components, are nonadjacent and
     separated by S.
+
+    With ``adjacent`` the adjacent pairs come too, n - 1 + C(deg v, 2) pairs
+    in all: a mixed cut may cut the edge between the two vertices it
+    separates (``min_mixed_cut``).
     """
     v = min(range(g.n), key=lambda w: (len(g.adjacency[w]), w))
     for w in range(g.n):
-        if w != v and not g.has_edge(v, w):
+        if w != v and (adjacent or not g.has_edge(v, w)):
             yield v, w
     for a, b in combinations(g.adjacency[v], 2):
-        if not g.has_edge(a, b):
+        if adjacent or not g.has_edge(a, b):
             yield a, b
 
 
@@ -632,47 +636,60 @@ class MixedCut:
 def min_mixed_cut(g: Graph) -> MixedCut:
     """A minimum-cost mixed cut of g.
 
-    Computed as the minimum over vertex pairs s < t of the s-t cut in one
-    vertex-split network (internal vertices cost 2, edges cost 1), decoded
-    back into (S, F). The graph is mixed k-connected iff the returned cost
-    is >= k. On complete graphs this isolates a cheapest vertex.
+    Every s-t flow of one vertex-split network (internal vertices cost 2,
+    edges cost 1) is the cost of a cheapest mixed cut separating s from t,
+    so the minimum over vertex pairs is the least cost c. The graph is
+    mixed k-connected iff c >= k. On complete graphs the cut isolates a
+    cheapest vertex.
 
-    Pairs run in lexicographic order and the cut of the first pair that
-    reaches the minimum is returned. Sources stop at the bound: a cut of
-    cost c deletes at most floor(c/2) vertices, so the least vertex outside
-    S is at most floor(c/2) and is separated from some later vertex. The
-    first minimum pair therefore has s <= floor(c/2) <= floor(best/2) for
-    the best cost found so far, and sources above that are skipped.
+    The cost is proved on the pairs of ``_separator_pairs`` with adjacent
+    pairs included, at most (n - 1) + C(delta, 2) flows, each capped at the
+    best cost so far, which starts at deg v, the cost of isolating the
+    vertex v of least (degree, label); a complete graph has no cheaper cut
+    and runs none of them. Let (S, F) be a minimum cut. If v
+    lies outside S, v is separated from some vertex t, and the pair (v, t)
+    is run. If v lies in S, v has neighbours in two components of
+    G - S - F: had it neighbours in at most one, moving v into that
+    component (or into one of its own) would leave a cut of cost c - 2. The
+    two neighbours are run as a pair; an edge between them lies in F.
+
+    The returned cut is the one of the lexicographically first pair s < t
+    whose flow is c, decoded back into (S, F) from the vertices the source
+    reaches in the residual network. A second scan finds it: pairs run in
+    lexicographic order with flows capped at c + 1, so a flow of c is a
+    maximum flow, and the scan stops at the first of them. Such a pair has
+    s <= floor(c/2): a cut of cost c deletes at most floor(c/2) vertices,
+    and the least vertex outside S is separated from every vertex in the
+    other components, all of which come later. The vertices the source
+    reaches are the source side of the minimal minimum cut, the same for
+    every maximum flow, so the cut does not depend on the pairs run before.
     """
     if g.n < 2:
         raise GraphError("mixed cut needs n >= 2")
     net = _split_network(g, vertex_cap=2)
-    best: tuple[int, set, set] | None = None
-    for s in range(g.n):
-        if best is not None and s > best[0] // 2:
-            break
-        for t in range(s + 1, g.n):
-            limit = None if best is None else best[0]
-            f = net.max_flow(2 * s + 1, 2 * t, limit=limit)
-            if limit is not None and f >= limit:
-                continue
-            reach = net.reachable(2 * s + 1)
-            cut_s = {w for w in range(g.n)
-                     if 2 * w in reach and 2 * w + 1 not in reach}
-            cut_f = set()
-            for a, b in g.edges:
-                if (2 * a + 1 in reach and 2 * b not in reach) or \
-                   (2 * b + 1 in reach and 2 * a not in reach):
-                    if a not in cut_s and b not in cut_s:
-                        cut_f.add((a, b))
-            if 2 * len(cut_s) + len(cut_f) != f:
-                raise AssertionError("internal error: decoded cut cost differs from the flow")
-            best = (f, cut_s, cut_f)
-            if f == 0:
+    cost = g.min_degree()
+    # no cut of K_n beats isolating a vertex: with |S| = s it still splits
+    # K_(n-s), which costs n - s - 1 edges
+    if not g.is_complete():
+        for s, t in _separator_pairs(g, adjacent=True):
+            if cost == 0:
                 break
-    if best is None:
+            cost = min(cost, net.max_flow(2 * s + 1, 2 * t, limit=cost))
+    # the residual network stays that of the first pair whose flow is cost
+    s = next((s for s in range(cost // 2 + 1) for t in range(s + 1, g.n)
+              if net.max_flow(2 * s + 1, 2 * t, limit=cost + 1) == cost), None)
+    if s is None:
         raise AssertionError("internal error: no vertex pair was separated")
-    cost, cut_s, cut_f = best
+    reach = net.reachable(2 * s + 1)
+    cut_s = {w for w in range(g.n) if 2 * w in reach and 2 * w + 1 not in reach}
+    cut_f = set()
+    for a, b in g.edges:
+        if (2 * a + 1 in reach and 2 * b not in reach) or \
+           (2 * b + 1 in reach and 2 * a not in reach):
+            if a not in cut_s and b not in cut_s:
+                cut_f.add((a, b))
+    if 2 * len(cut_s) + len(cut_f) != cost:
+        raise AssertionError("internal error: decoded cut cost differs from the flow")
     cut = MixedCut(tuple(sorted(cut_s)), tuple(sorted(cut_f)), cost)
     if not cut.disconnects(g):
         raise AssertionError("internal error: decoded cut does not disconnect")

@@ -13,7 +13,8 @@ and ``_trials`` is the one loop that draws p and factors it (``_factor``).
 Its free columns give each non-basis edge's fundamental stress and circuit,
 and pair columns riding along give each linked pair's circuit; ``_matroid``
 reads rank, basis, bridges, components and linked pairs off those trials.
-Queries that read only linked pairs skip the edge stresses.
+Queries that read only the rank, the basis or linked pairs skip the edge
+stresses.
 At a realization of generic rank each support lies inside the matching
 generic circuit, so supports can only come out too small: a bridge may be
 reported wrongly, a component split or a circuit member missed, never the
@@ -94,8 +95,9 @@ def rigid_rank_target(n: int, d: int) -> int:
 
 
 def generic_rank(g: Graph, d: int, rng: Rng | None = None) -> int:
-    """r_d(G), the rank of the d-dimensional rigidity matroid."""
-    return len(_matroid(g, d, _trials(g, d, _rng(rng)), _always)[0])
+    """r_d(G), the rank of the d-dimensional rigidity matroid: the pivot
+    count of the best trial, read without the edge stresses."""
+    return len(_matroid(g, d, _trials(g, d, _rng(rng), edge_stresses=False), None)[0])
 
 
 def _rigid_at_rank(n: int, d: int, r: int) -> bool:
@@ -281,10 +283,6 @@ def _matroid(g: Graph, d: int, trials, settled, pairs=()):
     return basis, bridges_, components, circuits
 
 
-def _always(m, supports) -> bool:
-    return True
-
-
 def _covers(m, supports) -> bool:
     return len({j for supp in supports for j in supp}) == m
 
@@ -306,18 +304,20 @@ def rigid_basis(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, in
     """A maximal independent edge set, grown greedily in canonical edge order.
 
     These are the pivot columns of R(G,p)^T, from the first trial of the
-    best rank. For a rigid graph this is a minimally rigid spanning subgraph.
+    best rank; the trials skip the edge stresses, which the basis does not
+    need. For a rigid graph this is a minimally rigid spanning subgraph.
     The returned set is always independent; only its size can fall short.
     """
-    return _matroid(g, d, _trials(g, d, _rng(rng)), _always)[0]
+    return _matroid(g, d, _trials(g, d, _rng(rng), edge_stresses=False), None)[0]
 
 
 def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
                         ) -> tuple[tuple[int, int], ...]:
     """The unique circuit inside basis + e.
 
-    One ``_matroid`` call on the graph of the basis with e as its pair: the
-    basis must come out independent, and e linked to it. The circuit is the
+    One ``_matroid`` call on the graph of the basis with e as its pair,
+    whose trials carry e's stress alone: the basis must come out
+    independent, and e linked to it. The circuit is the
     union of the supports of e's fundamental stress over the trials of full
     rank, each inside the generic circuit, so a member may be missed, never
     a non-member included.
@@ -337,7 +337,8 @@ def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
     if not basis_set <= g.edge_set:
         raise GraphError("basis contains edges outside the graph")
     h = Graph(g.n, basis)
-    found, _, _, circuits = _matroid(h, d, _trials(h, d, _rng(rng), [e]), _always, [e])
+    trials = _trials(h, d, _rng(rng), [e], edge_stresses=False)
+    found, _, _, circuits = _matroid(h, d, trials, None, [e])
     if len(found) < len(basis):
         raise GraphError("the given edge set is not independent")
     if e not in circuits:

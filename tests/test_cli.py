@@ -6,7 +6,7 @@ import pytest
 
 from rigidkit import (Graph, complete, cycle, complete_bipartite, icosahedron_braced, k4e_chain,
                       parse_edge_list, wheel)
-from rigidkit import cli, global_rigidity
+from rigidkit import cli, extract, global_rigidity
 from rigidkit.cli import main
 
 from degenerate import DegenerateRng
@@ -212,6 +212,26 @@ class TestExtract:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["n"] == 5 and result["verified"] is True
+
+    def test_k_mode_runs_one_cut_without_a_split(self, capsys, tmp_path, monkeypatch):
+        # the extraction returns only after its own cut of the output costs
+        # >= k, and the report does not run that cut again
+        cuts = []
+        real_cut = extract.min_mixed_cut
+
+        def counting(g):
+            cuts.append(g)
+            return real_cut(g)
+
+        monkeypatch.setattr(extract, "min_mixed_cut", counting)
+        monkeypatch.setattr(cli, "min_mixed_cut", counting)
+        path = write_graph(tmp_path, complete(8))
+        code, out, _ = run_cli(capsys, "extract", "--in", path, "--k", "6")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert all("delete_vertex" in step for step in result["steps"])  # no split
+        assert result["verified"] is True
+        assert cuts == [Graph(result["n"], tuple(map(tuple, result["edges"])))]
 
     def test_premise_violation_exits_5(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle(8))

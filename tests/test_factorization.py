@@ -26,6 +26,7 @@ from rigidkit import (
     is_minimally_globally_rigid,
     is_redundantly_globally_rigid,
     is_redundantly_rigid,
+    is_rigid,
     matroid_components,
     matroid_report,
     minimally_globally_rigid_edge_bound,
@@ -35,12 +36,15 @@ from rigidkit import (
     sparsify_globally_rigid,
     stress_basis,
     subset_rank_reduce,
+    vertex_connectivity,
+    wheel,
 )
 from rigidkit import global_rigidity, rigidity
 from rigidkit.corpus import random_graph_with_edges
 from rigidkit.field import PRIME, FieldMatrix, Rng
 from rigidkit.global_rigidity import (
     _certifies,
+    _directions,
     _edge_deletions,
     _greedy_pass,
     _proofs,
@@ -87,6 +91,46 @@ def dense_graphs(draw, d):
     pairs = list(combinations(range(n), 2))
     missing = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)))
     return Graph(n, tuple(e for e in pairs if e not in missing))
+
+
+@st.composite
+def planar_deletion_graphs(draw):
+    """Inputs for the d = 2 deletion families, labels shuffled:
+    ``dense_graphs(2)``; a wheel on 3 to 8 rim vertices plus up to three
+    chords, globally rigid with 2-edge cocircuits in its G - e; two cliques
+    on 4 to 6 vertices sharing three, less up to three edges, where
+    kappa = 3 and some G - e lose 3-connectivity; or two cliques on 4 or 5
+    vertices joined by three disjoint edges and up to one more, often
+    3-connected and rigid with stresses, the three edges bridges."""
+    shape = draw(st.sampled_from(("dense", "wheel", "glued", "bridged")))
+    if shape == "dense":
+        return draw(dense_graphs(2))
+    if shape == "wheel":
+        g = wheel(draw(st.integers(3, 8)))
+        chords = [p for p in combinations(range(g.n), 2) if p not in g.edge_set]
+        edges = set(g.edges)
+        if chords:
+            edges |= set(draw(st.lists(st.sampled_from(chords), max_size=3, unique=True)))
+    elif shape == "glued":
+        a, b = draw(st.integers(4, 6)), draw(st.integers(4, 6))
+        edges = set(combinations(range(a), 2)) | set(combinations((0, 1, 2, *range(a, a + b - 3)), 2))
+        edges -= set(draw(st.lists(st.sampled_from(sorted(edges)), max_size=3)))
+    else:
+        a, b = draw(st.integers(4, 5)), draw(st.integers(4, 5))
+        edges = set(combinations(range(a), 2)) | set(combinations(range(a, a + b), 2))
+        edges |= {(0, a), (1, a + 1), (2, a + 2)}
+        if draw(st.booleans()):
+            edges.add((3, a + 3))
+    n = 1 + max(v for e in edges for v in e)
+    label = draw(st.permutations(range(n)))
+    return Graph(n, tuple({tuple(sorted((label[u], label[v]))) for u, v in edges}))
+
+
+def stop_at_the_rank_bound(m, supports) -> bool:
+    """A ``settled`` test for ``rigidity._matroid`` that holds for every
+    trial, so that the loop stops at the first trial of full rank while
+    reading the stresses of every free edge column."""
+    return True
 
 
 def g13_52() -> Graph:
@@ -143,7 +187,7 @@ class TestAgainstQueryByQuery:
                                  if non_edges else st.just([])))
         rng = Rng(data.draw(st.integers(0, 2**32)))
         basis, _, _, circuits = rigidity._matroid(
-            g, d, _trials(g, d, rng.child(0), pairs), rigidity._always, pairs)
+            g, d, _trials(g, d, rng.child(0), pairs), stop_at_the_rank_bound, pairs)
         assert (len(basis), circuits) == span_with_pair_columns(g, d, rng.child(1), pairs)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -160,7 +204,7 @@ class TestAgainstQueryByQuery:
             assert alone[2] == full[2]
             assert alone[3] == {f: w for f, w in full[3].items() if f >= g.m}
         basis, _, _, circuits = rigidity._matroid(
-            g, d, _trials(g, d, rng, pairs), rigidity._always, pairs)
+            g, d, _trials(g, d, rng, pairs), stop_at_the_rank_bound, pairs)
         alone_trials = _trials(g, d, rng, pairs, edge_stresses=False)
         assert rigidity._matroid(g, d, alone_trials, None, pairs) == (basis, None, None, circuits)
 
@@ -216,6 +260,18 @@ class TestAgainstEdgeByEdge:
             assert is_minimally_globally_rigid(pruned, d, rng.child(4), method="stress")
             assert minimally_globally_rigid_per_edge(pruned, d, rng.child(4), method="stress")
 
+    @pytest.mark.parametrize("method", ["auto", "combinatorial"])
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_planar_deletion_families_match_the_per_edge_oracles(self, method, data):
+        # the cocircuit route against one combinatorial test per G - e
+        g = data.draw(planar_deletion_graphs())
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        assert is_minimally_globally_rigid(g, 2, rng.child(0), method=method) == \
+            minimally_globally_rigid_per_edge(g, 2, rng.child(0), method=method)
+        assert is_redundantly_globally_rigid(g, 2, rng.child(1), method=method) == \
+            redundantly_globally_rigid_per_edge(g, 2, rng.child(1), method=method)
+
     @pytest.mark.parametrize("d, method", [
         (1, "auto"), (1, "stress"), (1, "combinatorial"),
         (2, "auto"), (2, "stress"), (2, "combinatorial"),
@@ -254,6 +310,39 @@ class TestAgainstEdgeByEdge:
         assert got.graph == expect.graph
         assert got.extra_edges == expect.extra_edges
         assert got.log == expect.log
+
+
+class TestCocircuitRoute:
+    """G - e at d = 2 from the columns of one stress basis of G."""
+
+    def test_a_two_edge_cocircuit_in_g_minus_e(self):
+        # the wheel on five rim vertices plus the chord (0, 2) is globally
+        # rigid, and G - (0, 1) is rigid but loses rigidity with one more
+        # edge: {(0, 1), f} is a cocircuit, so columns (0, 1) and f of the
+        # stress basis are parallel
+        g = wheel(5).add_edge(0, 2)
+        h = g.delete_edge(0, 1)
+        assert is_globally_rigid(g, 2, Rng(1))
+        assert is_rigid(h, 2, Rng(2)) and not is_redundantly_rigid(h, 2, Rng(3))
+        assert not is_redundantly_globally_rigid(g, 2, Rng(4))
+        assert not redundantly_globally_rigid_per_edge(g, 2, Rng(4))
+        assert not is_minimally_globally_rigid(g, 2, Rng(5))  # G - (0, 2) is the wheel
+        _, _, _, stresses, _ = next(_trials(g, 2, Rng(6)))
+        directions = _directions(stresses.values())
+        j = g.edges.index((0, 1))
+        assert directions.count(directions[j]) > 1
+
+    def test_kappa_three_and_a_redundantly_rigid_g_minus_e(self):
+        # K4 on {1, 2, 3, 4} and K5 on {0, 1, 2, 5, 6}, joined also by the
+        # edge (0, 3): G - (0, 3) stays redundantly rigid, but {1, 2}
+        # separates it, so only its own 3-connectivity test says "no"
+        edges = set(combinations((1, 2, 3, 4), 2)) | set(combinations((0, 1, 2, 5, 6), 2))
+        g = Graph(7, tuple(edges | {(0, 3)}))
+        h = g.delete_edge(0, 3)
+        assert vertex_connectivity(g) == 3 and is_globally_rigid(g, 2, Rng(1))
+        assert is_redundantly_rigid(h, 2, Rng(2)) and vertex_connectivity(h) == 2
+        assert not is_redundantly_globally_rigid(g, 2, Rng(3))
+        assert not redundantly_globally_rigid_per_edge(g, 2, Rng(3))
 
 
 class TestExactWitness:
@@ -329,6 +418,21 @@ class TestOneFactorizationPerTrial:
         assert not is_redundantly_globally_rigid(complete(5), 3, Rng(5))
         assert len(factorizations) <= 2 * rigidity.TRIALS
 
+    def test_planar_redundancy_shares_its_factorizations(self, factorizations):
+        # one factorization of G answers every G - e; testing each G - e on
+        # its own factors each of them
+        g = complete(6)
+        assert is_redundantly_globally_rigid(g, 2, Rng(5))
+        assert 1 <= len(factorizations) <= rigidity.TRIALS
+        assert all(f == g for f in factorizations)
+
+    def test_planar_minimality_of_a_wheel_takes_one_factorization(self, factorizations):
+        # every edge meets a rim vertex of degree 3, so no G - e is
+        # 3-connected, whatever the parallel columns of the one stress say
+        g = wheel(6)
+        assert is_minimally_globally_rigid(g, 2, Rng(5))
+        assert factorizations == [g]
+
     @pytest.mark.parametrize("g, d", [
         pytest.param(complete(11), 3, id="complete11"),
         pytest.param(complete(9), 3, id="complete9"),
@@ -398,6 +502,23 @@ class TestDegenerateRealizations:
     def test_redundancy_skips_a_collapsed_shared_trial(self, factorizations):
         assert is_redundantly_globally_rigid(complete(7), 3, DegenerateRng(5, [(0, 0)]))
         assert len(factorizations) == 2
+
+    def test_planar_redundancy_skips_a_collapsed_trial(self, factorizations):
+        g = complete(6)
+        assert is_redundantly_globally_rigid(g, 2, DegenerateRng(5, [(0, 0)]))
+        assert factorizations == [g, g]
+
+    def test_planar_redundancy_skips_a_trial_with_a_zero_column(self, factorizations):
+        # period 3 puts vertex 3 on vertex 0 and vertex 4 on vertex 1: trial
+        # 0 reaches the rigid rank 7, but no stress is nonzero on the edges
+        # at vertex 2, so it proves nothing and trial 1 decides
+        g = complete(5)
+        rng = DegenerateRng(5, [(0, 0)], period=3)
+        _, _, pivots, stresses, _ = next(_trials(g, 2, rng))
+        assert len(pivots) == 7 and None in _directions(stresses.values())
+        factorizations.clear()
+        assert is_redundantly_globally_rigid(g, 2, rng)
+        assert factorizations == [g, g]
 
     def test_stress_basis_rejects_a_degenerate_realization(self):
         g = complete(5)

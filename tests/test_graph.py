@@ -419,6 +419,29 @@ def cut_query_graphs(draw):
     return g
 
 
+@st.composite
+def hub_graphs(draw):
+    """A hub vertex joined to three vertices of each of two cliques on 8 or
+    9 vertices, then up to two edges between the cliques and up to three
+    edges deleted anywhere, with the labels shuffled. Before the deletions
+    the hub has the least degree and is the only minimum cut, with the
+    edges between the cliques: its own pairs read one more, and only a pair
+    of its neighbours in different cliques certifies the cost."""
+    sizes = [draw(st.integers(8, 9)) for _ in range(2)]
+    n = 1 + sum(sizes)
+    blocks = [list(range(1, 1 + sizes[0])), list(range(1 + sizes[0], n))]
+    edges = set()
+    for block in blocks:
+        edges |= set(combinations(block, 2))
+        edges |= {(0, w) for w in draw(st.lists(st.sampled_from(block), min_size=3,
+                                                 max_size=3, unique=True))}
+    edges |= set(draw(st.lists(st.tuples(st.sampled_from(blocks[0]), st.sampled_from(blocks[1])),
+                               max_size=2)))
+    edges -= set(draw(st.lists(st.sampled_from(sorted(edges)), max_size=3)))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, tuple({tuple(sorted((label[u], label[v]))) for u, v in edges}))
+
+
 class TestAgainstAllPairs:
     """The cut queries examine only the pairs that can certify their answer;
     they must agree with the loops over every pair that they replaced."""
@@ -426,6 +449,12 @@ class TestAgainstAllPairs:
     @settings(max_examples=150)
     @given(cut_query_graphs())
     def test_min_mixed_cut_returns_the_same_cut(self, g):
+        ours, old = min_mixed_cut(g), min_mixed_cut_all_pairs(g)
+        assert (ours.vertices, ours.edges, ours.cost) == (old.vertices, old.edges, old.cost)
+
+    @settings(max_examples=60)
+    @given(hub_graphs())
+    def test_min_mixed_cut_through_a_cheap_hub(self, g):
         ours, old = min_mixed_cut(g), min_mixed_cut_all_pairs(g)
         assert (ours.vertices, ours.edges, ours.cost) == (old.vertices, old.edges, old.cost)
 
@@ -469,6 +498,14 @@ class TestSeparatorPairs:
         assert g.min_degree() >= 3 and g.is_connected()
         assert not is_k_connected(g, 3)
 
+    def test_min_mixed_cut_cuts_the_least_degree_vertex(self):
+        # Vertex 0, of least (degree, label), is the only minimum cut. Its
+        # own pairs read 3 at best (three joins into a clique), isolating
+        # it costs 6, and a pair of its neighbours in different cliques
+        # finds the cost 2.
+        cut = min_mixed_cut(cliques_on_a_cut_vertex(7, 3))
+        assert (cut.vertices, cut.edges, cut.cost) == ((0,), (), 2)
+
     def test_min_mixed_cut_runs_the_source_at_the_bound(self):
         # Two K6s glued along {0, 1}: sources 0 and 1 reach cost 5 at best,
         # and source 2 = floor(4 / 2) finds the cut {0, 1} of cost 4.
@@ -488,16 +525,52 @@ class TestSeparatorPairs:
         monkeypatch.setattr(graph_module._FlowNet, "max_flow", counting)
         return calls
 
-    def test_min_mixed_cut_runs_floor_half_cost_plus_one_sources(self, flows):
+    def test_min_mixed_cut_runs_the_certifying_pairs_then_the_scan(self, flows):
         g = random_graph_with_edges(60, 300, Rng(60300))
         cost = min_mixed_cut(g).cost
-        assert 0 < len(flows) <= (cost // 2 + 1) * (g.n - 1)
+        ran = list(flows)
+        # the scan: pairs in lexicographic order up to the first whose
+        # flow is the cost
+        net = graph_module._split_network(g, vertex_cap=2)
+        scan = []
+        for s, t in combinations(range(g.n), 2):
+            scan.append((2 * s + 1, 2 * t))
+            if net.max_flow(2 * s + 1, 2 * t) == cost:
+                break
+        assert ran[len(ran) - len(scan):] == scan
+        assert len(ran) - len(scan) <= (g.n - 1) + comb(g.min_degree(), 2)
+        # seed-fixed: 65 certifying flows and 34 in the scan, where the
+        # source-bounded loop over every later vertex ran 174
+        assert (cost, len(ran)) == (4, 99)
 
     def test_is_k_connected_runs_the_esfahanian_hakimi_pairs(self, flows):
         g = icosahedron()
         delta = g.min_degree()
         assert is_k_connected(g, 5)
         assert 0 < len(flows) <= (g.n - 1 - delta) + comb(delta, 2)
+
+
+class TestMixedCutInternalChecks:
+    """The flow layer's internal checks raise real exceptions, so they run
+    under ``python -O`` too."""
+
+    def test_a_wrongly_decoded_cut_raises(self, monkeypatch):
+        # a residual network that reaches only the source's out-node
+        # decodes to the edges at the source, six or more, not the flow 2
+        monkeypatch.setattr(graph_module._FlowNet, "reachable", lambda net, s: {s})
+        with pytest.raises(AssertionError, match="decoded cut cost differs"):
+            min_mixed_cut(cliques_on_a_cut_vertex(7, 3))
+
+    def test_a_scan_without_a_minimum_pair_raises(self, monkeypatch):
+        monkeypatch.setattr(graph_module._FlowNet, "max_flow",
+                            lambda net, s, t, limit=None: limit)
+        with pytest.raises(AssertionError, match="no vertex pair was separated"):
+            min_mixed_cut(cycle(5))
+
+    def test_a_cut_that_does_not_disconnect_raises(self, monkeypatch):
+        monkeypatch.setattr(graph_module.MixedCut, "disconnects", lambda cut, g: False)
+        with pytest.raises(AssertionError, match="does not disconnect"):
+            min_mixed_cut(cycle(5))
 
 
 class TestFindCycle:
