@@ -1,10 +1,15 @@
-"""Exact dense linear algebra over the prime field Z_p with p = 2**61 - 1.
+"""Exact linear algebra over the prime field Z_p with p = 2**61 - 1.
 
 Every rank-style computation in this package runs over this one fixed field.
 The prime is large enough that a random evaluation of any determinant
 polynomial met at desk scale vanishes spuriously with probability well below
 2**-40 (Schwartz-Zippel), and being a Mersenne prime it keeps Python's
 modular arithmetic cheap.
+
+Matrices are stored densely, but elimination (``_echelon``, ``_kernel``)
+touches only the nonzeros of each pivot row. Sparse inputs such as the
+transposed rigidity matrix, whose edge columns carry 2d nonzeros each, so
+cost far less than a full row update per step would.
 """
 
 from __future__ import annotations
@@ -134,9 +139,17 @@ class FieldMatrix:
 
 
 def _echelon(rows: list[list[int]], cols: int) -> list[int]:
-    """Row echelon form in place by forward elimination; returns the pivot
-    columns, so the rank is their number. Row i of the result has a 1 in
-    column pivots[i] and zeros before it and below it."""
+    """Row echelon form in place by forward elimination over the first
+    ``cols`` columns; returns the pivot columns, so the rank is their
+    number. Row i of the result has a 1 in column pivots[i] and zeros before
+    it and below it. Columns past ``cols`` ride along and are never pivots.
+
+    Entries must lie in [0, p). Left of a pivot column c every remaining
+    row is already zero, so the pivot row is normalised from c onward, and
+    each row below it is updated only at c and at the columns right of c
+    where the pivot row is nonzero. Pivots and rows come out as a full
+    Gauss step over every column would leave them.
+    """
     nrows = len(rows)
     pivots = []
     rank = 0
@@ -151,12 +164,17 @@ def _echelon(rows: list[list[int]], cols: int) -> list[int]:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
         inv = pow(prow[c], -1, PRIME)
-        prow = [(x * inv) % PRIME for x in prow]
-        rows[rank] = prow
+        nonzeros = [(k, x * inv % PRIME) for k, x in enumerate(prow[c + 1:], c + 1) if x]
+        prow[c] = 1
+        for k, x in nonzeros:
+            prow[k] = x
         for i in range(rank + 1, nrows):
-            f = rows[i][c]
+            row = rows[i]
+            f = row[c]
             if f:
-                rows[i] = [(a - f * b) % PRIME for a, b in zip(rows[i], prow)]
+                row[c] = 0
+                for k, x in nonzeros:
+                    row[k] = (row[k] - f * x) % PRIME
         pivots.append(c)
         rank += 1
         if rank == nrows:
@@ -171,7 +189,9 @@ def _kernel(rows: list[list[int]], pivots: list[int], cols: int, free=None
 
     Reduces the pivot rows upward in place to the reduced echelon form, then
     maps each free column f to the vector with 1 at f, 0 at the other free
-    columns and minus f's reduced column on the pivots.
+    columns and minus f's reduced column on the pivots. As in ``_echelon``,
+    each upward step touches only the pivot column and the columns right of
+    it where the pivot row is nonzero.
     """
     if free is None:
         pivot_set = set(pivots)
@@ -180,10 +200,13 @@ def _kernel(rows: list[list[int]], pivots: list[int], cols: int, free=None
         return {}
     for i in range(len(pivots) - 1, 0, -1):
         c, prow = pivots[i], rows[i]
-        for k in range(i):
-            f = rows[k][c]
+        nonzeros = [(k, x) for k, x in enumerate(prow[c + 1:], c + 1) if x]
+        for row in rows[:i]:
+            f = row[c]
             if f:
-                rows[k] = [(a - f * b) % PRIME for a, b in zip(rows[k], prow)]
+                row[c] = 0
+                for k, x in nonzeros:
+                    row[k] = (row[k] - f * x) % PRIME
     kernel = {}
     for j in free:
         v = [0] * cols

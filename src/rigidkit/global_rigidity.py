@@ -9,14 +9,17 @@ a randomized subset-rank reducer for matrix pencils, and the sparsifier
 that extracts a minimally globally rigid spanning subgraph. The trials of
 ``rigidity._trials`` (one realization p and one factorization of R(G,p)^T
 each) are filtered by ``_proofs`` down to those that prove G globally
-rigid, with one random stress of G at p. The stress test, the edge-deletion
-questions (minimal and redundant global rigidity) and the sparsifier all
-run off those trials. At p the stresses of G - e are the stresses of G that
-vanish on e, so the deletion questions read every G - e off the
-factorization of G, and both greedy passes of the sparsifier read every
-deletion off that stress space. At d = 2 the deletion questions read the
-same trials through matroid duality instead: G - e stays redundantly rigid
-unless its column of the stress basis is parallel to another.
+rigid, with one random stress of G at p. A stress is tested on the
+(n - d - 1)-square principal block of its stress matrix that the affine
+frame of p leaves (``_certifies``), never on the whole n x n matrix. The
+stress test, the edge-deletion questions (minimal and redundant global
+rigidity) and the sparsifier all run off those trials. At p the stresses of
+G - e are the stresses of G that vanish on e, so the deletion questions read
+every G - e off the factorization of G, and both greedy passes of the
+sparsifier read every deletion off that stress space. At d = 2 the deletion
+questions read the same trials through matroid duality instead: G - e stays
+redundantly rigid unless its column of the stress basis is parallel to
+another.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .field import PRIME, FieldMatrix, Rng, rank, random_combination
+from .field import PRIME, FieldMatrix, Rng, _echelon, rank, random_combination
 from .graph import Graph, GraphError, is_k_connected
 from .rigidity import (
     TRIALS,
+    NonGenericRealizationError,
     Realization,
     _check_stress,
     _factor,
@@ -38,10 +42,6 @@ from .rigidity import (
     is_redundantly_rigid,
     rigid_rank_target,
 )
-
-
-class NonGenericRealizationError(RuntimeError):
-    """The supplied realization behaved degenerately; resample and retry."""
 
 
 class RankNotAchievableError(ValueError):
@@ -112,7 +112,9 @@ def stress_basis(g: Graph, d: int, real: Realization, basis) -> list[Stress]:
 
 def stress_matrix(g: Graph, stress: Stress) -> FieldMatrix:
     """The |V| x |V| symmetric assembly of a stress: -w(uv) off-diagonal on
-    edges, row sums zero."""
+    edges, row sums zero. The stress test does not build it: ``_certifies``
+    assembles only the principal block off the realization's affine frame,
+    which has the same verdict."""
     if stress.edges != g.edges:
         raise GraphError("stress is not aligned with this graph")
     n = g.n
@@ -166,13 +168,42 @@ def _certifies(g: Graph, real: Realization, stresses, rng: Rng, gone=frozenset()
     """Whether a random combination of ``stresses`` (stresses of G at
     ``real``, each zero on the edge indices in ``gone``) has a stress matrix
     of rank n - d - 1. The combination is first checked exactly as a stress
-    of G minus the edges in ``gone``, so a True carries an exact witness."""
+    of G minus the edges in ``gone``, so a True carries an exact witness.
+
+    The n x n stress matrix Omega is never built. Omega is symmetric and
+    Omega [P 1] = 0, where row v of [P 1] is (p(v), 1). The rows of [P 1] at
+    the affine frame S of ``real`` (``Realization.frame``) are independent,
+    so rank Omega <= n - d - 1, with equality exactly when the kernel of
+    Omega is spanned by [P 1]; and no nonzero [P 1] c vanishes on S. So for
+    T = V - S the rows T of Omega are independent exactly when rank Omega =
+    n - d - 1, and for a symmetric matrix, with |T| = n - d - 1, that holds
+    exactly when the principal block Omega_TT is nonsingular. The test
+    assembles Omega_TT from the stress values and asks for full rank.
+
+    Raises:
+        NonGenericRealizationError: when ``real`` has no affine frame.
+    """
     coeffs = [rng.field_element() for _ in stresses]
     values = tuple(sum(c * w[i] for c, w in zip(coeffs, stresses)) % PRIME
                    for i in range(g.m))
     live = [i for i in range(g.m) if i not in gone]
-    _check_stress(real, [g.edges[i] for i in live], [values[i] for i in live])
-    return rank(stress_matrix(g, Stress(edges=g.edges, values=values))) == g.n - real.d - 1
+    edges, values = [g.edges[i] for i in live], [values[i] for i in live]
+    _check_stress(real, edges, values)
+    frame = set(real.frame)
+    rest = [v for v in range(g.n) if v not in frame]
+    at = {v: i for i, v in enumerate(rest)}
+    block = [[0] * len(rest) for _ in rest]
+    for (u, v), w in zip(edges, values):
+        a, b = at.get(u), at.get(v)
+        if a is not None:
+            block[a][a] += w
+        if b is not None:
+            block[b][b] += w
+            if a is not None:
+                block[a][b] -= w
+                block[b][a] -= w
+    block = [[x % PRIME for x in row] for row in block]
+    return len(_echelon(block, len(rest))) == len(rest)
 
 
 def _proofs(g: Graph, d: int, trials):

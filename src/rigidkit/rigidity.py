@@ -8,8 +8,8 @@ reaches the known upper bound settles the answer. With p = 2**61 - 1 the
 per-trial failure probability is bounded by (total degree)/p, which is
 negligible at the scales this package targets.
 
-Every elimination is forward elimination (``field._echelon``) of R(G,p)^T,
-and ``_trials`` is the one loop that draws p and factors it (``_factor``).
+R(G,p)^T is eliminated by forward elimination (``field._echelon``), and
+``_trials`` is the one loop that draws p and factors it (``_factor``).
 Its free columns give each non-basis edge's fundamental stress and circuit,
 and pair columns riding along give each linked pair's circuit; ``_matroid``
 reads rank, basis, bridges, components and linked pairs off those trials.
@@ -24,6 +24,7 @@ reverse; and a pair may be reported linked wrongly, never unlinked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .field import PRIME, FieldMatrix, Rng, _echelon, _kernel
 from .graph import Graph, GraphError
@@ -34,6 +35,10 @@ DEFAULT_SEED = 1729
 
 def _rng(rng: Rng | None) -> Rng:
     return rng if rng is not None else Rng(DEFAULT_SEED)
+
+
+class NonGenericRealizationError(RuntimeError):
+    """The supplied realization behaved degenerately; resample and retry."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,26 @@ class Realization:
         for c in self.coords:
             if len(c) != self.d:
                 raise GraphError("every vertex needs exactly d coordinates")
+
+    @cached_property
+    def frame(self) -> tuple[int, ...]:
+        """The first d + 1 vertices, in vertex order, whose points are
+        affinely independent: the pivot columns of one forward elimination
+        of the (d + 1) x n matrix whose column v is (p(v), 1). Computed once
+        per realization.
+
+        Raises:
+            NonGenericRealizationError: when the points lie on a hyperplane,
+            so that no d + 1 of them are affinely independent. A realization
+            at the rigid rank of a graph on n >= d + 1 vertices always has
+            a frame.
+        """
+        rows = [[c[k] % PRIME for c in self.coords] for k in range(self.d)]
+        rows.append([1] * len(self.coords))
+        pivots = _echelon(rows, len(self.coords))
+        if len(pivots) <= self.d:
+            raise NonGenericRealizationError("the points lie on a hyperplane: no affine frame")
+        return tuple(pivots)
 
 
 def sample_realization(g: Graph, d: int, rng: Rng | None = None) -> Realization:

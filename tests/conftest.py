@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -28,7 +30,9 @@ def rng():
 @pytest.fixture
 def eliminations(monkeypatch):
     """The (rows, cols) shape of every forward elimination run in the test,
-    whether the matroid layer calls it or a field-level rank does."""
+    in every module of the package that binds ``field._echelon``: the
+    matroid layer's factorizations, a realization's affine frame, the stress
+    test's principal block and every field-level rank."""
     calls = []
     real_echelon = field._echelon
 
@@ -36,8 +40,9 @@ def eliminations(monkeypatch):
         calls.append((len(rows), cols))
         return real_echelon(rows, cols)
 
-    monkeypatch.setattr(field, "_echelon", counting)
-    monkeypatch.setattr(rigidity, "_echelon", counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rigidkit" and getattr(module, "_echelon", None) is real_echelon:
+            monkeypatch.setattr(module, "_echelon", counting)
     return calls
 
 

@@ -126,6 +126,65 @@ def kernel_by_rref(rows, cols: int) -> tuple[list[int], dict[int, tuple]]:
     return pivots, kernel
 
 
+# ---------------------------------------------------------------------------
+# The elimination kernel before it touched only the nonzeros: every row
+# update rewrites the whole row, the columns left of the pivot and the zeros
+# of the pivot row included.
+
+
+def echelon_dense(rows: list[list[int]], cols: int) -> list[int]:
+    """``field._echelon`` with a full row update per elimination step."""
+    nrows = len(rows)
+    pivots = []
+    rank = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(rank, nrows):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        inv = pow(prow[c], -1, PRIME)
+        prow = [(x * inv) % PRIME for x in prow]
+        rows[rank] = prow
+        for i in range(rank + 1, nrows):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % PRIME for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        rank += 1
+        if rank == nrows:
+            break
+    return pivots
+
+
+def kernel_dense(rows: list[list[int]], pivots: list[int], cols: int, free=None
+                 ) -> dict[int, tuple]:
+    """``field._kernel`` with a full row update per upward reduction step."""
+    if free is None:
+        pivot_set = set(pivots)
+        free = [f for f in range(cols) if f not in pivot_set]
+    if not free:
+        return {}
+    for i in range(len(pivots) - 1, 0, -1):
+        c, prow = pivots[i], rows[i]
+        for k in range(i):
+            f = rows[k][c]
+            if f:
+                rows[k] = [(a - f * b) % PRIME for a, b in zip(rows[k], prow)]
+    kernel = {}
+    for j in free:
+        v = [0] * cols
+        v[j] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][j] % PRIME
+        kernel[j] = tuple(v)
+    return kernel
+
+
 def local_connectivity_brute(g: Graph, u: int, v: int) -> int:
     """Menger by exhaustive separator search (remove uv first if present)."""
     if g.has_edge(u, v):
@@ -456,6 +515,24 @@ def greedy_pass_per_edge(h: Graph, d: int, rng: Rng) -> Graph:
         if is_globally_rigid(candidate, d, rng.child(i)):
             h = candidate
     return h
+
+
+# ---------------------------------------------------------------------------
+# The stress test before it ranked only a principal block: the rank of the
+# whole n x n stress matrix of the combination.
+
+
+def certifies_full_rank(g: Graph, real, stresses, rng: Rng, gone=frozenset()) -> bool:
+    """``global_rigidity._certifies`` by the rank of the full stress matrix:
+    the same draw, the same exact check, then rank n - d - 1 asked of the
+    n x n matrix."""
+    coeffs = [rng.field_element() for _ in stresses]
+    values = tuple(sum(c * w[i] for c, w in zip(coeffs, stresses)) % PRIME
+                   for i in range(g.m))
+    live = [i for i in range(g.m) if i not in gone]
+    _check_stress(real, [g.edges[i] for i in live], [values[i] for i in live])
+    return rank_of_rows(stress_matrix(g, Stress(edges=g.edges, values=values)).data,
+                        g.n) == g.n - real.d - 1
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,12 @@ from rigidkit.global_rigidity import (
     _proofs,
     _without,
 )
-from rigidkit.rigidity import _trials
+from rigidkit.rigidity import Realization, _trials
 
 from degenerate import DegenerateRng
 from oracles import (
     bridges_by_rank_drop,
+    certifies_full_rank,
     first_proof_by_stress_spaces,
     fundamental_circuit_by_probes,
     greedy_pass_per_edge,
@@ -122,6 +123,20 @@ def planar_deletion_graphs(draw):
         if draw(st.booleans()):
             edges.add((3, a + 3))
     n = 1 + max(v for e in edges for v in e)
+    label = draw(st.permutations(range(n)))
+    return Graph(n, tuple({tuple(sorted((label[u], label[v]))) for u, v in edges}))
+
+
+@st.composite
+def shared_cliques(draw, d):
+    """Two copies of K_{d+2} sharing d vertices (two K4 sharing an edge at
+    d = 2), labels shuffled, less up to one edge outside the shared ones:
+    rigid with one stress per copy, but never globally rigid, since the d
+    shared vertices separate the copies."""
+    n = d + 4
+    edges = set(combinations(range(d + 2), 2)) | set(combinations((*range(d), d + 2, d + 3), 2))
+    edges -= set(draw(st.lists(st.sampled_from(sorted(e for e in edges if e[1] >= d)),
+                               max_size=1)))
     label = draw(st.permutations(range(n)))
     return Graph(n, tuple({tuple(sorted((label[u], label[v]))) for u, v in edges}))
 
@@ -372,6 +387,88 @@ class TestExactWitness:
         assert _certifies(g, real, _without(stresses, j), Rng(13), {j})
         with pytest.raises(ArithmeticError, match="stress check failed"):
             _certifies(g, real, stresses, Rng(13), {j})
+
+
+class TestBlockStressTest:
+    """The stress test ranks the (n - d - 1)-square principal block of the
+    stress matrix off the realization's affine frame; the full n x n rank
+    (``oracles.certifies_full_rank``) gives the same verdict on every draw."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_block_matches_the_full_rank(self, d, data):
+        # vertex k <= d, when drawn, is moved onto the affine span of the
+        # vertices before it, so that the frame skips it
+        g = data.draw(st.one_of(dense_graphs(d), small_graphs(d), shared_cliques(d)))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        coords = [list(c) for c in sample_realization(g, d, rng.child(0)).coords]
+        k = data.draw(st.integers(0, d))
+        if k:
+            mix = rng.child(1)
+            t = [mix.field_element() for _ in range(k - 1)]
+            t.append(1 - sum(t))
+            coords[k] = [sum(a * coords[i][x] for i, a in enumerate(t)) % PRIME
+                         for x in range(d)]
+        real = Realization(d=d, coords=tuple(map(tuple, coords)), seed=rng.seed)
+        assert not k or k not in real.frame
+        _, stresses = rigidity._factor(g, real, g.edges)
+        stresses = list(stresses.values())
+        if not stresses:
+            return
+        assert _certifies(g, real, stresses, rng.child(2)) == \
+            certifies_full_rank(g, real, stresses, rng.child(2))
+        for j in data.draw(st.lists(st.sampled_from(range(g.m)), max_size=3, unique=True)):
+            rest = _without(stresses, j)
+            if rest:
+                assert _certifies(g, real, rest, rng.child(3 + j), {j}) == \
+                    certifies_full_rank(g, real, rest, rng.child(3 + j), {j})
+
+    def test_two_k4_sharing_an_edge_carry_stresses_but_no_proof(self):
+        # rank 9 on 11 edges at d = 2: two stresses, none of rank 3
+        g = Graph(6, tuple(set(combinations(range(4), 2)) | set(combinations((0, 1, 4, 5), 2))))
+        for _, real, pivots, stresses, sub in _trials(g, 2, Rng(3)):
+            assert (len(pivots), len(stresses)) == (9, 2)
+            stresses = list(stresses.values())
+            assert not _certifies(g, real, stresses, sub.child(1))
+            assert not certifies_full_rank(g, real, stresses, sub.child(1))
+
+    @pytest.mark.parametrize("d, coords, frame", [
+        # K5 at d = 2 with vertices 0, 1, 2 on a line
+        (2, ((0, 0), (1, 1), (2, 2), (5, 17), (-3, 8)), (0, 1, 3)),
+        # K6 at d = 3 with vertices 0..3 on the plane z = 0
+        (3, ((1, 2, 0), (7, -4, 0), (3, 9, 0), (-5, 6, 0), (2, 11, 13), (8, -1, 4)),
+         (0, 1, 2, 4)),
+    ])
+    def test_a_frame_skips_affinely_dependent_points(self, d, coords, frame):
+        g = complete(len(coords))
+        real = Realization(d=d, coords=coords, seed=0)
+        assert real.frame == frame
+        pivots, stresses = rigidity._factor(g, real, g.edges)
+        assert len(pivots) == rigidity.rigid_rank_target(g.n, d)
+        stresses = list(stresses.values())
+        for seed in range(3):
+            assert _certifies(g, real, stresses, Rng(seed))
+            assert certifies_full_rank(g, real, stresses, Rng(seed))
+
+    def test_points_on_a_hyperplane_have_no_frame(self):
+        # every point of K6 on the plane z = 5: the stresses pass their
+        # exact check, but no principal block can stand in for the rank
+        coords = ((1, 2, 5), (7, -4, 5), (3, 9, 5), (-5, 6, 5), (2, 11, 5), (8, -1, 5))
+        g = complete(6)
+        real = Realization(d=3, coords=coords, seed=0)
+        pivots, stresses = rigidity._factor(g, real, g.edges)
+        assert len(pivots) < rigidity.rigid_rank_target(g.n, 3)
+        with pytest.raises(NonGenericRealizationError, match="hyperplane"):
+            _certifies(g, real, list(stresses.values()), Rng(1))
+        with pytest.raises(NonGenericRealizationError, match="hyperplane"):
+            real.frame
+
+    def test_the_stress_test_eliminates_a_frame_and_a_block(self, eliminations):
+        # one factorization of R(K6, p)^T (18 x 15), the 4 x 6 frame matrix
+        # and the 2 x 2 block, where the full stress matrix was 6 x 6
+        assert is_globally_rigid(complete(6), 3, Rng(7), method="stress")
+        assert eliminations == [(18, 15), (4, 6), (2, 2)]
 
 
 class TestOneFactorizationPerTrial:

@@ -11,7 +11,7 @@ from rigidkit.field import (
     random_combination,
     rank,
 )
-from oracles import kernel_by_rref, rational_rank
+from oracles import echelon_dense, kernel_by_rref, kernel_dense, rational_rank
 
 
 def test_prime_is_the_mersenne_prime():
@@ -145,6 +145,57 @@ class TestEchelonAndKernel:
         pivots = _echelon(work, cols)
         assert pivots == expect_pivots
         assert _kernel(work, pivots, cols) == expect_kernel
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(cols, width, rows): up to 10 rows over ``cols`` <= 10 columns and up
+    to 3 more, to ``width``, as ``rigidity._factor`` hands the pair columns
+    along past the edge columns. Most entries are zero, some columns are
+    zero throughout, and some rows are combinations of earlier ones, so that
+    free columns, rank deficiency and fill-in occur often."""
+    nrows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    extra = draw(st.integers(0, 3))
+    width = cols + extra
+    zero = set(draw(st.lists(st.integers(0, max(width - 1, 0)), max_size=3))) if width else set()
+    entry = st.one_of(st.just(0), st.just(0), st.just(0),
+                      st.sampled_from([1, 2, PRIME - 1]), st.integers(1, PRIME - 1))
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            rows.append([(s * x + t * y) % PRIME for x, y in zip(a, b)])
+        else:
+            rows.append([0 if k in zero else draw(entry) for k in range(width)])
+    return cols, width, rows
+
+
+class TestSparseAgainstDense:
+    """Forward elimination and upward reduction touch only the nonzeros of
+    each pivot row, and leave the pivots, rows and kernels of a full row
+    update."""
+
+    @settings(max_examples=200)
+    @given(sparse_matrices())
+    @example((5, 5, [[0] * 5] * 3))
+    @example((3, 5, [[1, 0, 2, 0, 3], [2, 0, 4, 0, 6], [0, 0, 1, 1, 0]]))
+    @example((4, 6, [[0, 1, 0, 0, 5, 0], [0, 0, 0, 1, 0, 7], [0, 2, 0, 3, 10, 21]]))
+    @example((0, 2, [[1, 2], [3, 4]]))
+    @example((2, 2, []))
+    def test_same_pivots_rows_and_kernels(self, matrix):
+        cols, width, rows = matrix
+        sparse, dense = [list(r) for r in rows], [list(r) for r in rows]
+        pivots = _echelon(sparse, cols)
+        assert pivots == echelon_dense(dense, cols)
+        assert sparse == dense
+        r = len(pivots)
+        # every free column, then the columns past ``cols`` that are zero
+        # below the pivots, as ``rigidity._factor`` asks for them
+        free = [f for f in range(cols) if f not in pivots]
+        free += [f for f in range(cols, width) if not any(row[f] for row in sparse[r:])]
+        assert _kernel(sparse, pivots, width, free) == kernel_dense(dense, pivots, width, free)
+        assert sparse == dense
 
 
 class TestRandomCombination:
