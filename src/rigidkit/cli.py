@@ -162,7 +162,7 @@ def cmd_extract(args) -> int:
     rng = Rng(args.seed)
     try:
         if args.grs2d:
-            got = globally_rigid_subgraph_2d(g, rng, verify=True, with_trace=True)
+            got = globally_rigid_subgraph_2d(g, rng, verify=True)
             if got is None:
                 print(f"extract: premise violated: |E| = {g.m} < {5 * g.n - 14} "
                       f"= 5|V| - 14 (or |V| = {g.n} < 7)", file=sys.stderr)

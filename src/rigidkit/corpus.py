@@ -136,7 +136,7 @@ def _chunks_to_graph(n: int, chunks: tuple[int, ...]) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def nonisomorphic_graphs(n: int, connected: bool = False) -> tuple[Graph, ...]:
+def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism, canonically labeled,
     ordered by edge count and then edge list.
 
@@ -156,29 +156,25 @@ def nonisomorphic_graphs(n: int, connected: bool = False) -> tuple[Graph, ...]:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        reps = (Graph(1),)
-    else:
-        x = n - 1
-        parent_of: dict[tuple[int, ...], int] = {}
-        for pi, parent in enumerate(nonisomorphic_graphs(x)):
-            padj = graph_to_adj_masks(parent)
-            pdeg = [bin(a).count("1") for a in padj]
-            for mask in range(1 << x):
-                deg = bin(mask).count("1")
-                if any(pdeg[v] + (mask >> v & 1) > deg for v in range(x)):
-                    continue
-                adj = (*(a | (mask >> v & 1) << x for v, a in enumerate(padj)), mask)
-                colors = _refine_colors(n, adj)
-                if colors[x] != max(colors):
-                    continue
-                chunks, lasts = _search(n, adj, colors)
-                if x in lasts and parent_of.setdefault(tuple(chunks), pi) != pi:
-                    raise AssertionError("internal error: a class came from two parents")
-        reps = tuple(sorted((_chunks_to_graph(n, c) for c in parent_of),
-                            key=lambda g: (g.m, g.edges)))
-    if connected:
-        reps = tuple(g for g in reps if g.is_connected())
-    return reps
+        return (Graph(1),)
+    x = n - 1
+    parent_of: dict[tuple[int, ...], int] = {}
+    for pi, parent in enumerate(nonisomorphic_graphs(x)):
+        padj = graph_to_adj_masks(parent)
+        pdeg = [bin(a).count("1") for a in padj]
+        for mask in range(1 << x):
+            deg = bin(mask).count("1")
+            if any(pdeg[v] + (mask >> v & 1) > deg for v in range(x)):
+                continue
+            adj = (*(a | (mask >> v & 1) << x for v, a in enumerate(padj)), mask)
+            colors = _refine_colors(n, adj)
+            if colors[x] != max(colors):
+                continue
+            chunks, lasts = _search(n, adj, colors)
+            if x in lasts and parent_of.setdefault(tuple(chunks), pi) != pi:
+                raise AssertionError("internal error: a class came from two parents")
+    return tuple(sorted((_chunks_to_graph(n, c) for c in parent_of),
+                        key=lambda g: (g.m, g.edges)))
 
 
 def all_graphs(n: int):

@@ -211,9 +211,9 @@ def replay_trace(g: Graph, trace: ExtractionTrace) -> Graph:
     return out
 
 
-def globally_rigid_subgraph_2d(g: Graph, rng: Rng | None = None,
-                               verify: bool = True, with_trace: bool = False):
-    """A redundantly globally rigid planar-dimension subgraph of a dense graph.
+def globally_rigid_subgraph_2d(g: Graph, rng: Rng | None = None, verify: bool = True):
+    """A redundantly globally rigid planar-dimension subgraph of a dense
+    graph, with the trace of its extraction: ``(sub, trace)``.
 
     Guaranteed for |V| >= 7 and |E| >= 5|V| - 14: the mixed 6-connected
     subgraph extracted under that premise is redundantly globally rigid in
@@ -228,9 +228,7 @@ def globally_rigid_subgraph_2d(g: Graph, rng: Rng | None = None,
     if verify and not is_redundantly_globally_rigid(sub, 2, rng.child(0)):
         raise AssertionError(
             "randomized fault: extracted subgraph failed redundant global rigidity")
-    if with_trace:
-        return sub, trace
-    return sub
+    return sub, trace
 
 
 @dataclass(frozen=True)
@@ -289,7 +287,7 @@ def estimate_grn(g: Graph, d_max: int, rng: Rng | None = None) -> GrnEstimate:
         if mader is not None and mader[0].n >= d + 2:
             candidates.append(mader)
         if d == 2:
-            piped = globally_rigid_subgraph_2d(g, sub.child(0), verify=False, with_trace=True)
+            piped = globally_rigid_subgraph_2d(g, sub.child(0), verify=False)
             if piped is not None:
                 candidates.append((piped[0], piped[1].vertices))
         if d == 1:

@@ -16,17 +16,18 @@ stress test, the edge-deletion questions (minimal and redundant global
 rigidity) and the sparsifier all run off those trials. At p the stresses of
 G - e are the stresses of G that vanish on e, so the deletion questions read
 every G - e off the factorization of G, and both greedy passes of the
-sparsifier read every deletion off that stress space. At d = 2 the deletion
-questions read the same trials through matroid duality instead: G - e stays
-redundantly rigid unless its column of the stress basis is parallel to
-another.
+sparsifier read every deletion off that stress space. At d = 2 the test of
+G and the deletion questions read the same trials through matroid duality
+instead: G is redundantly rigid when no column of the stress basis is zero,
+and G - e stays so unless its column is parallel to another. The deletion
+questions on every route run one loop (``_edge_deletions``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 from .field import PRIME, FieldMatrix, Rng, _echelon, rank, random_combination
@@ -39,7 +40,6 @@ from .rigidity import (
     _factor,
     _rng,
     _trials,
-    is_redundantly_rigid,
     rigid_rank_target,
 )
 
@@ -110,21 +110,34 @@ def stress_basis(g: Graph, d: int, real: Realization, basis) -> list[Stress]:
             for i in range(len(extras))]
 
 
+def _stress_block(edges, values, vertices) -> list[list[int]]:
+    """Rows and columns ``vertices`` of the stress matrix of ``values`` on
+    ``edges``, in that order: -w(uv) off the diagonal at each edge uv, and
+    on the diagonal the sum of w over the edges at the vertex, edges to
+    vertices outside the block included. One pass over the edges."""
+    at = {v: i for i, v in enumerate(vertices)}
+    block = [[0] * len(at) for _ in at]
+    for (u, v), w in zip(edges, values):
+        a, b = at.get(u), at.get(v)
+        if a is not None:
+            block[a][a] += w
+        if b is not None:
+            block[b][b] += w
+            if a is not None:
+                block[a][b] -= w
+                block[b][a] -= w
+    return [[x % PRIME for x in row] for row in block]
+
+
 def stress_matrix(g: Graph, stress: Stress) -> FieldMatrix:
     """The |V| x |V| symmetric assembly of a stress: -w(uv) off-diagonal on
-    edges, row sums zero. The stress test does not build it: ``_certifies``
-    assembles only the principal block off the realization's affine frame,
-    which has the same verdict."""
+    edges, row sums zero; the block of every vertex (``_stress_block``).
+    The stress test does not build it: ``_certifies`` assembles only the
+    principal block off the realization's affine frame, which has the same
+    verdict."""
     if stress.edges != g.edges:
         raise GraphError("stress is not aligned with this graph")
-    n = g.n
-    mat = [[0] * n for _ in range(n)]
-    for (u, v), w in zip(g.edges, stress.values):
-        mat[u][v] = (-w) % PRIME
-        mat[v][u] = (-w) % PRIME
-        mat[u][u] = (mat[u][u] + w) % PRIME
-        mat[v][v] = (mat[v][v] + w) % PRIME
-    return FieldMatrix(n, n, mat)
+    return FieldMatrix(g.n, g.n, _stress_block(g.edges, stress.values, range(g.n)))
 
 
 @dataclass(frozen=True)
@@ -178,7 +191,8 @@ def _certifies(g: Graph, real: Realization, stresses, rng: Rng, gone=frozenset()
     T = V - S the rows T of Omega are independent exactly when rank Omega =
     n - d - 1, and for a symmetric matrix, with |T| = n - d - 1, that holds
     exactly when the principal block Omega_TT is nonsingular. The test
-    assembles Omega_TT from the stress values and asks for full rank.
+    assembles Omega_TT from the stress values (``_stress_block``) and
+    asks for full rank.
 
     Raises:
         NonGenericRealizationError: when ``real`` has no affine frame.
@@ -191,19 +205,7 @@ def _certifies(g: Graph, real: Realization, stresses, rng: Rng, gone=frozenset()
     _check_stress(real, edges, values)
     frame = set(real.frame)
     rest = [v for v in range(g.n) if v not in frame]
-    at = {v: i for i, v in enumerate(rest)}
-    block = [[0] * len(rest) for _ in rest]
-    for (u, v), w in zip(edges, values):
-        a, b = at.get(u), at.get(v)
-        if a is not None:
-            block[a][a] += w
-        if b is not None:
-            block[b][b] += w
-            if a is not None:
-                block[a][b] -= w
-                block[b][a] -= w
-    block = [[x % PRIME for x in row] for row in block]
-    return len(_echelon(block, len(rest))) == len(rest)
+    return len(_echelon(_stress_block(edges, values, rest), len(rest))) == len(rest)
 
 
 def _proofs(g: Graph, d: int, trials):
@@ -251,8 +253,11 @@ def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
 
     Graphs on at most d + 1 vertices are globally rigid iff complete. For
     d = 1 the combinatorial path is 2-connectivity, for d = 2 it is
-    3-connectivity plus redundant rigidity; ``method="auto"`` prefers those
-    and falls back to the randomized stress-matrix test for d >= 3. The
+    3-connectivity plus redundant rigidity, the latter proved by the first
+    trial of ``_planar_proofs``; ``method="auto"`` prefers those and falls
+    back to the randomized stress-matrix test for d >= 3. On the stress and
+    the combinatorial-2d routes G reads the trials ``_trials(g, d, rng)``,
+    those the deletion families read with the same ``rng``. The
     stress test takes the first trial of ``_proofs`` that proves G; a trial
     short of the rigid rank resamples, and a stress-free one ends the test.
     It has one-sided error: a True verdict is backed by an exact witness, a
@@ -271,64 +276,25 @@ def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     if how == "combinatorial-2d":
         if not is_k_connected(g, 3):
             return cert(False, "not 3-connected")
-        return cert(is_redundantly_rigid(g, 2, rng.child(0)))
+        return cert(next(_planar_proofs(g, _trials(g, 2, rng)), None) is not None)
     target = g.n - d - 1
     for t, *_ in _proofs(g, d, _trials(g, d, rng)):
         return cert(True, f"stress matrix reached rank {target} in trial {t}")
     return cert(False, f"no stress matrix of rank {target} in {TRIALS} trials")
 
 
-def _edge_deletions(g: Graph, d: int, rng: Rng, method: str, minimal: bool,
-                    trials) -> tuple[bool, bool]:
-    """Global rigidity of G, and minimal (``minimal``) or redundant global
-    rigidity: G and every G - e tested on the route of ``is_globally_rigid``.
-
-    On the stress and the combinatorial-2d routes, G and every G - e read
-    off ``trials`` (``rigidity._trials`` of G, at most TRIALS
-    factorizations of R(G,p)^T); on the others each graph gets its own test,
-    drawn from ``rng``.
-
-    On the stress route the trials pass through ``_proofs``, so that G is
-    globally rigid exactly when some trial proves it, as in
-    ``is_globally_rigid`` with the rng of those trials. At p the stresses of
-    G - e are the stresses of G that vanish on e (``_without``). In each
-    trial that proves G, each open edge gets one draw: a proof of G - e
-    settles "not minimal", and a G - e that is stress-free at the rigid rank
-    is not globally rigid, which settles "not redundant". The other edges
-    stay open for the next proof. The combinatorial-2d route is
-    ``_cocircuit_deletions``.
-    """
-    how = _route(g, d, method)
-    if how == "combinatorial-2d":
-        return _cocircuit_deletions(g, minimal, trials)
-    if how != "stress":
-        if not is_globally_rigid(g, d, rng.child(0), method=method):
-            return False, False
-        verdicts = (is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
-                    for i, e in enumerate(g.edges))
-        return True, (not any(verdicts) if minimal else all(verdicts))
-    proved = False
-    open_edges = list(range(g.m))
-    for _, real, _, stresses, sub in _proofs(g, d, trials):
-        proved = True
-        stresses = stresses.values()
-        still_open = []
-        for j in open_edges:
-            rest = _without(stresses, j)
-            if rest is None:  # j a bridge at p: G - e is not rigid there
-                still_open.append(j)
-            elif not rest:
-                if not minimal:
-                    return True, False
-            elif _certifies(g, real, rest, sub.child(2 + j), {j}):
-                if minimal:
-                    return True, False
-            else:
-                still_open.append(j)
-        open_edges = still_open
-        if not open_edges:
-            break
-    return proved, proved and (minimal or not open_edges)
+def _stress_deletion(g: Graph, real: Realization, stresses, sub: Rng, j: int) -> bool | None:
+    """Whether G - e_j is globally rigid, read off a trial of ``_proofs``
+    (``real``, the ``stresses`` of G there and ``sub``): at p the stresses
+    of G - e are those of G that vanish on e (``_without``). One draw on
+    ``sub.child(2 + j)`` proves G - e; a G - e that is stress-free at the
+    rigid rank is not globally rigid; anything else is open (None)."""
+    rest = _without(stresses, j)
+    if rest is None:  # j a bridge at p: G - e is not rigid there
+        return None
+    if not rest:
+        return False
+    return _certifies(g, real, rest, sub.child(2 + j), {j}) or None
 
 
 def _directions(stresses) -> list[tuple[int, ...] | None]:
@@ -346,65 +312,116 @@ def _directions(stresses) -> list[tuple[int, ...] | None]:
     return directions
 
 
-def _cocircuit_deletions(g: Graph, minimal: bool, trials) -> tuple[bool, bool]:
-    """``_edge_deletions`` on the combinatorial-2d route: G and every G - e
-    tested for 3-connectivity and redundant rigidity, the rigidity half of
-    all of them read off the same <= TRIALS factorizations of R(G,p)^T.
+def _planar_proofs(g: Graph, trials):
+    """The trials of ``trials`` (``rigidity._trials`` of G at d = 2) that
+    prove G redundantly rigid, in order, each as the directions of the
+    columns of its stress basis W (``_directions``); with 3-connectivity,
+    which the callers check, that proves G globally rigid.
 
-    The stress basis W of a trial (one row per fundamental stress) spans
-    the stresses of G at p, and its columns represent the dual of the
-    rigidity matroid at p. G is redundantly rigid exactly when some trial
-    at the rigid rank 2n - 3 has no zero column: such an edge lies on no
-    stress, so its deletion drops the rank. A trial with a zero column
-    proves nothing and the next one is read; a stress-free trial at the
-    rigid rank shows G independent, so every edge is a bridge.
+    W (one row per fundamental stress) spans the stresses of G at p, and
+    its columns represent the dual of the rigidity matroid at p. A trial at
+    the rigid rank 2n - 3 whose W has no zero column proves G redundantly
+    rigid: an edge on no stress is one whose deletion drops the rank. A
+    trial with a zero column proves nothing and the next one is read; a
+    stress-free trial at the rigid rank shows G independent, so every edge
+    is a bridge, and ends the search.
+    """
+    for _, _, pivots, stresses, _ in trials:
+        if len(pivots) != rigid_rank_target(g.n, 2):
+            continue
+        if not stresses:
+            return
+        directions = _directions(stresses.values())
+        if None not in directions:
+            yield directions
+
+
+def _planar_deletions(g: Graph, minimal: bool, trials):
+    """The proofs of ``_planar_proofs``, each as its test of G - e_j for
+    ``_edge_deletions``: True when G - e_j is 3-connected and redundantly
+    rigid, False when it is not 3-connected, None when that trial leaves
+    it open. Nothing when G is not 3-connected.
 
     For G redundantly rigid, G - e - f drops the rank exactly when {e, f}
     is a cocircuit, that is when columns e and f of W are parallel. So
     G - e is redundantly rigid iff column e is parallel to no other column;
-    columns are compared by their directions (``_directions``), hashed. At a
-    realization of full rank every generic cocircuit stays one, so a
-    non-parallel column is exact, and a parallel one may be an accident of
-    p: such an edge stays open for the next trial. A wrong "redundant" can
-    therefore only be a "no", a wrong "minimal" only a "yes".
+    columns are compared by their directions, hashed. At a realization of
+    full rank every generic cocircuit stays one, so a non-parallel column
+    is exact, and a parallel one may be an accident of p: such an edge
+    stays open for the next proof.
 
-    kappa(G - e) >= kappa(G) - 1, so when G is 4-connected every G - e is
-    3-connected; only when kappa(G) = 3 does each G - e that needs it get
-    its own ``is_k_connected(G - e, 3)``, and G's 4-connectivity is asked
-    only when an edge first needs it. An edge at a vertex of degree 3
-    leaves a vertex of degree 2 in G - e, so for minimality it is settled
-    before any trial is read.
+    An edge at a vertex of degree 3 leaves a vertex of degree 2 in G - e.
+    Otherwise kappa(G - e) >= kappa(G) - 1, so when G is 4-connected every
+    G - e is 3-connected; only when kappa(G) = 3 does a G - e that needs it
+    get its own ``is_k_connected(G - e, 3)``, and G's 4-connectivity is
+    asked only when an edge first needs it. Redundancy (``minimal`` false)
+    asks 3-connectivity first, minimality only for a column that is not
+    parallel to another.
     """
     if not is_k_connected(g, 3):
-        return False, False
+        return
     four_connected = cache(lambda: is_k_connected(g, 4))
 
     @cache
     def three_connected(j: int) -> bool:
         return four_connected() or is_k_connected(g.delete_edge(g.edges[j]), 3)
 
-    proved = False
-    open_edges = [j for j, (u, v) in enumerate(g.edges)
-                  if not minimal or min(g.degree(u), g.degree(v)) > 3]
-    for _, _, pivots, stresses, _ in trials:
-        if len(pivots) != rigid_rank_target(g.n, 2):
-            continue
-        if not stresses:
-            break
-        directions = _directions(stresses.values())
-        if None in directions:
-            continue
-        proved = True
+    def deleted(j: int) -> bool | None:
+        u, v = g.edges[j]
+        if min(g.degree(u), g.degree(v)) <= 3 or not (minimal or three_connected(j)):
+            return False
+        return None if seen[directions[j]] > 1 else three_connected(j)
+
+    for directions in _planar_proofs(g, trials):
         seen = Counter(directions)
+        yield deleted
+
+
+def _edge_deletions(g: Graph, d: int, rng: Rng, method: str, minimal: bool,
+                    trials) -> tuple[bool, bool]:
+    """Global rigidity of G, and minimal (``minimal``) or redundant global
+    rigidity: G and every G - e tested on the route of ``is_globally_rigid``.
+
+    One loop on every route. Each proof of G comes with a test that says,
+    for edge j, whether G - e_j is globally rigid: True settles "not
+    minimal", False settles "not redundant", and None leaves j open for the
+    next proof. G is globally rigid exactly when some proof comes, as in
+    ``is_globally_rigid`` with the same ``rng``. The proofs and their tests:
+
+    - stress route: the trials of ``_proofs`` of ``trials`` (``_trials`` of
+      G, at most TRIALS factorizations of R(G,p)^T), each edge tested by
+      ``_stress_deletion``;
+    - combinatorial-2d route: the same trials, filtered by
+      ``_planar_proofs``, each edge tested by ``_planar_deletions``;
+    - complete-small and combinatorial-1d routes: one proof, G's own test
+      on ``rng.child(0)``, and G - e_j's own test on ``rng.child(1 + j)``.
+
+    A test says True or False only where that is exact, so an edge left
+    open can only make a wrong "minimal" a "yes" and a wrong "redundant" a
+    "no".
+    """
+    how = _route(g, d, method)
+    if how == "stress":
+        tests = (partial(_stress_deletion, g, real, list(stresses.values()), sub)
+                 for _, real, _, stresses, sub in _proofs(g, d, trials))
+    elif how == "combinatorial-2d":
+        tests = _planar_deletions(g, minimal, trials)
+    elif is_globally_rigid(g, d, rng.child(0), method=method):
+        tests = [lambda j: bool(is_globally_rigid(g.delete_edge(g.edges[j]), d, rng.child(1 + j),
+                                                  method=method))]
+    else:
+        tests = []
+    proved = False
+    open_edges = list(range(g.m))
+    for deleted in tests:
+        proved = True
         still_open = []
         for j in open_edges:
-            parallel = seen[directions[j]] > 1
-            if minimal and not parallel and three_connected(j):
-                return True, False  # G - e is globally rigid
-            if not minimal and not three_connected(j):
-                return True, False  # G - e is not 3-connected
-            if parallel:
+            verdict = deleted(j)
+            if verdict is None:
                 still_open.append(j)
+            elif verdict == minimal:  # a G - e that settles the family
+                return True, False
         open_edges = still_open
         if not open_edges:
             break
@@ -423,7 +440,7 @@ def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     matrix reaches rank n - d - 1, so a G - e can only be missed: a wrong
     answer can only be a wrong "yes". At d = 2 (``method`` "auto" or
     "combinatorial") the same trials carry the cocircuit test
-    (``_cocircuit_deletions``): G - e is redundantly rigid when column e of
+    (``_planar_deletions``): G - e is redundantly rigid when column e of
     the stress basis is parallel to no other column, and globally rigid
     when it is also 3-connected. A parallel pair at p may be an accident,
     so here too a wrong answer can only be a wrong "yes". At d = 1 each
@@ -444,7 +461,7 @@ def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     proved globally rigid within those trials, each proof an exact stress
     of G - e whose matrix has rank n - d - 1, so a wrong answer can only be
     a wrong "no". At d = 2 (``method`` "auto" or "combinatorial") the same
-    trials carry the cocircuit test (``_cocircuit_deletions``): every G - e
+    trials carry the cocircuit test (``_planar_deletions``): every G - e
     must be 3-connected, and its column of the stress basis must be
     parallel to no other column in some trial. A column that is not
     parallel at a realization of full rank is not parallel generically, so

@@ -520,27 +520,31 @@ def _separator_pairs(g: Graph, adjacent: bool = False):
             yield a, b
 
 
+def _least_flow(net: _FlowNet, pairs, best: int) -> int:
+    """The least s_out-t_in flow of ``net`` over the pairs (s, t), or
+    ``best`` when none is smaller: each flow is capped at the best so far,
+    and the scan stops once it reaches 0."""
+    for s, t in pairs:
+        if best == 0:
+            break
+        best = min(best, net.max_flow(2 * s + 1, 2 * t, limit=best))
+    return best
+
+
 def vertex_connectivity(g: Graph) -> int:
     """Standard vertex connectivity; complete graphs give n - 1.
 
     A non-complete graph has a minimum separator S, and kappa(G) = |S| is
     the least kappa(u, v) over nonadjacent pairs; ``_separator_pairs``
     holds a pair that S separates, so the minimum over its O(n + delta^2)
-    pairs is kappa(G), found with capped flows on one network.
+    pairs is kappa(G) <= n - 2, found with capped flows on one network
+    (``_least_flow``, from the bound n - 1).
     """
     if g.n < 2:
         raise GraphError("vertex connectivity needs n >= 2")
     if g.is_complete():
         return g.n - 1
-    net = _split_network(g, vertex_cap=1)
-    best = g.n - 2
-    for u, v in _separator_pairs(g):
-        k = net.max_flow(2 * u + 1, 2 * v, limit=best + 1)
-        if k < best:
-            best = k
-            if best == 0:
-                return 0
-    return best
+    return _least_flow(_split_network(g, vertex_cap=1), _separator_pairs(g), g.n - 1)
 
 
 def articulation_points(g: Graph) -> set[int]:
@@ -643,10 +647,10 @@ def min_mixed_cut(g: Graph) -> MixedCut:
     cheapest vertex.
 
     The cost is proved on the pairs of ``_separator_pairs`` with adjacent
-    pairs included, at most (n - 1) + C(delta, 2) flows, each capped at the
-    best cost so far, which starts at deg v, the cost of isolating the
-    vertex v of least (degree, label); a complete graph has no cheaper cut
-    and runs none of them. Let (S, F) be a minimum cut. If v
+    pairs included, at most (n - 1) + C(delta, 2) flows (``_least_flow``),
+    each capped at the best cost so far, which starts at deg v, the cost of
+    isolating the vertex v of least (degree, label); a complete graph has
+    no cheaper cut and runs none of them. Let (S, F) be a minimum cut. If v
     lies outside S, v is separated from some vertex t, and the pair (v, t)
     is run. If v lies in S, v has neighbours in two components of
     G - S - F: had it neighbours in at most one, moving v into that
@@ -671,10 +675,7 @@ def min_mixed_cut(g: Graph) -> MixedCut:
     # no cut of K_n beats isolating a vertex: with |S| = s it still splits
     # K_(n-s), which costs n - s - 1 edges
     if not g.is_complete():
-        for s, t in _separator_pairs(g, adjacent=True):
-            if cost == 0:
-                break
-            cost = min(cost, net.max_flow(2 * s + 1, 2 * t, limit=cost))
+        cost = _least_flow(net, _separator_pairs(g, adjacent=True), cost)
     # the residual network stays that of the first pair whose flow is cost
     s = next((s for s in range(cost // 2 + 1) for t in range(s + 1, g.n)
               if net.max_flow(2 * s + 1, 2 * t, limit=cost + 1) == cost), None)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from .field import Rng
 from .graph import Graph, GraphError, local_connectivity
-from .rigidity import _connects, _matroid, _rng, _trials, bridges, is_matroid_connected
+from .rigidity import (_connects, _matroid, _rng, _splitting_edges, _trials, bridges,
+                       is_matroid_connected)
 
 YES = "yes"
 NO = "no"
@@ -40,16 +41,23 @@ class PairVerdict:
     witness: tuple[tuple[int, int], ...] | None = None
 
 
+def _pair(g: Graph, u: int, v: int) -> tuple[int, int]:
+    """The vertex pair {u, v} of g, smaller label first."""
+    if u == v:
+        raise GraphError("pair needs u != v")
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise GraphError(f"vertex out of range for n={g.n}")
+    return (u, v) if u < v else (v, u)
+
+
 def is_linked(g: Graph, u: int, v: int, d: int, rng: Rng | None = None) -> bool:
     """True when adding uv does not raise the generic rank (edges count):
     one elimination per trial, the pair column riding along
     (``rigidity._matroid``). At a trial of generic rank "not linked" is
     exact; only "linked" can be wrong."""
-    if u == v:
-        raise GraphError("linkedness needs u != v")
+    pairs = [_pair(g, u, v)]
     if g.has_edge(u, v):
         return True
-    pairs = [(min(u, v), max(u, v))]
     trials = _trials(g, d, _rng(rng), pairs, edge_stresses=False)
     return bool(_matroid(g, d, trials, None, pairs)[3])
 
@@ -63,10 +71,8 @@ def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> P
     "yes" provided kappa(u, v; C - uv) >= 3 and C - uv is matroid-connected
     in dimension 2. Anything else stays "unknown".
     """
-    if u == v:
-        raise GraphError("pair needs u != v")
+    pair = _pair(g, u, v)
     rng = _rng(rng)
-    pair = (u, v) if u < v else (v, u)
     if g.has_edge(u, v):
         return PairVerdict(pair=pair, linked={2: True, 3: True},
                            globally_linked=YES, reason=REASON_EDGE)
@@ -84,9 +90,8 @@ def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> P
     if circuit is None:
         return PairVerdict(pair=pair, linked={3: False},
                            globally_linked=UNKNOWN, reason=REASON_OPEN)
-    cgraph, labels = g.add_edge(u, v).edge_subgraph(circuit)
+    cminus, labels = g.edge_subgraph(e for e in circuit if e != pair)
     pos = {w: i for i, w in enumerate(labels)}
-    cminus = cgraph.delete_edge(pos[u], pos[v])
     if local_connectivity(cminus, pos[u], pos[v], limit=3) >= 3 and \
             is_matroid_connected(cminus, 2, rng.child(3)):
         return PairVerdict(pair=pair, linked={3: True},
@@ -214,9 +219,7 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
             if g.m < 2 or not is_matroid_connected(g, dim + 1, sub.child(0)):
                 continue
             cases += 1
-            edge_rng = sub.child(1)
-            failing = [list(e) for i, e in enumerate(g.edges)
-                       if not is_matroid_connected(g.delete_edge(e), dim, edge_rng.child(i))]
+            failing = [list(e) for e in _splitting_edges(g, dim, sub.child(1))]
             if failing:
                 candidates.append({"graph": _graph_payload(g),
                                    "failing_edges": failing})
@@ -226,9 +229,7 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
             if not is_matroid_connected(g, dim, sub.child(0)):
                 continue
             upper_bridges = set(bridges(g, dim + 1, sub.child(1)))
-            for ei, e in enumerate(g.edges):
-                if is_matroid_connected(g.delete_edge(e), dim, sub.child(2 + ei)):
-                    continue
+            for e in _splitting_edges(g, dim, sub.child(2)):
                 cases += 1
                 if e in upper_bridges:
                     confirmed += 1

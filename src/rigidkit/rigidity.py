@@ -389,11 +389,19 @@ def is_matroid_connected(g: Graph, d: int, rng: Rng | None = None) -> bool:
     return len(comps) == 1 and g.m >= 1
 
 
+def _splitting_edges(g: Graph, d: int, rng: Rng):
+    """The edges e, in edge order, whose deletion leaves the rigidity
+    matroid disconnected, G - e_i tested on ``rng.child(i)``. A component
+    may be split wrongly, so an edge may be yielded wrongly, never missed."""
+    for i, e in enumerate(g.edges):
+        if not is_matroid_connected(g.delete_edge(e), d, rng.child(i)):
+            yield e
+
+
 def is_redundantly_matroid_connected(g: Graph, d: int, rng: Rng | None = None) -> bool:
-    """Matroid-connected after deleting any single edge."""
-    rng = _rng(rng)
-    return all(is_matroid_connected(g.delete_edge(e), d, rng.child(i))
-               for i, e in enumerate(g.edges))
+    """Matroid-connected after deleting any single edge: no edge of
+    ``_splitting_edges``, which stops at the first."""
+    return next(_splitting_edges(g, d, _rng(rng)), None) is None
 
 
 @dataclass(frozen=True)

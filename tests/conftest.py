@@ -19,7 +19,7 @@ def graphs_by_n():
 
 @pytest.fixture(scope="session")
 def connected_by_n():
-    return {n: nonisomorphic_graphs(n, connected=True) for n in range(1, 8)}
+    return {n: tuple(g for g in nonisomorphic_graphs(n) if g.is_connected()) for n in range(1, 8)}
 
 
 @pytest.fixture

@@ -12,7 +12,9 @@ primitives and differ from it in how they combine them.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from rigidkit import Graph, GraphError
@@ -25,6 +27,9 @@ from rigidkit.global_rigidity import (
     SparsifyResult,
     Stress,
     _certifies,
+    _directions,
+    _proofs,
+    _route,
     _without,
     is_globally_rigid,
     minimally_globally_rigid_edge_bound,
@@ -43,6 +48,8 @@ from rigidkit.rigidity import (
     _edge_row,
     _factor,
     _rows_for,
+    is_matroid_connected,
+    is_redundantly_rigid,
     rank_upper_bound,
     rigid_rank_target,
     sample_realization,
@@ -756,3 +763,151 @@ def nonisomorphic_graphs_by_seen_dict(n: int) -> tuple[Graph, ...]:
             if chunks not in seen:
                 seen[chunks] = _chunks_to_graph(n, chunks)
     return tuple(sorted(seen.values(), key=lambda g: (g.m, g.edges)))
+
+
+# ---------------------------------------------------------------------------
+# The planar test of G and the edge-deletion families before one loop served
+# every route: G's planar verdict from redundant rigidity on a trial source
+# of its own, and one deletion loop per route.
+
+
+def globally_rigid_2d_by_redundant_rigidity(g: Graph, rng: Rng) -> bool:
+    """``is_globally_rigid(g, 2, rng)`` on the combinatorial-2d route, as
+    3-connectivity plus ``is_redundantly_rigid`` on ``rng.child(0)``."""
+    return is_k_connected(g, 3) and is_redundantly_rigid(g, 2, rng.child(0))
+
+
+def _cocircuit_deletions(g: Graph, minimal: bool, trials) -> tuple[bool, bool]:
+    """The combinatorial-2d deletion families in a loop of their own."""
+    if not is_k_connected(g, 3):
+        return False, False
+    four_connected = cache(lambda: is_k_connected(g, 4))
+
+    @cache
+    def three_connected(j: int) -> bool:
+        return four_connected() or is_k_connected(g.delete_edge(g.edges[j]), 3)
+
+    proved = False
+    open_edges = [j for j, (u, v) in enumerate(g.edges)
+                  if not minimal or min(g.degree(u), g.degree(v)) > 3]
+    for _, _, pivots, stresses, _ in trials:
+        if len(pivots) != rigid_rank_target(g.n, 2):
+            continue
+        if not stresses:
+            break
+        directions = _directions(stresses.values())
+        if None in directions:
+            continue
+        proved = True
+        seen = Counter(directions)
+        still_open = []
+        for j in open_edges:
+            parallel = seen[directions[j]] > 1
+            if minimal and not parallel and three_connected(j):
+                return True, False
+            if not minimal and not three_connected(j):
+                return True, False
+            if parallel:
+                still_open.append(j)
+        open_edges = still_open
+        if not open_edges:
+            break
+    return proved, proved and (minimal or not open_edges)
+
+
+def edge_deletions_by_route(g: Graph, d: int, rng: Rng, method: str, minimal: bool,
+                            trials) -> tuple[bool, bool]:
+    """``global_rigidity._edge_deletions`` with a loop per route: the stress
+    loop, the cocircuit loop, and per-graph tests on the other routes."""
+    how = _route(g, d, method)
+    if how == "combinatorial-2d":
+        return _cocircuit_deletions(g, minimal, trials)
+    if how != "stress":
+        if not is_globally_rigid(g, d, rng.child(0), method=method):
+            return False, False
+        verdicts = (is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
+                    for i, e in enumerate(g.edges))
+        return True, (not any(verdicts) if minimal else all(verdicts))
+    proved = False
+    open_edges = list(range(g.m))
+    for _, real, _, stresses, sub in _proofs(g, d, trials):
+        proved = True
+        stresses = stresses.values()
+        still_open = []
+        for j in open_edges:
+            rest = _without(stresses, j)
+            if rest is None:
+                still_open.append(j)
+            elif not rest:
+                if not minimal:
+                    return True, False
+            elif _certifies(g, real, rest, sub.child(2 + j), {j}):
+                if minimal:
+                    return True, False
+            else:
+                still_open.append(j)
+        open_edges = still_open
+        if not open_edges:
+            break
+    return proved, proved and (minimal or not open_edges)
+
+
+# ---------------------------------------------------------------------------
+# The explorer's G - e sweeps before one generator served them: a loop over
+# the edges per conjecture, one matroid-connectivity test per G - e.
+
+
+def explore_edge_loops(kind: str, dim: int, spec, rng: Rng) -> dict:
+    """The counts and candidates of ``explore_conjecture`` for "redundant-mc"
+    and "bridge", G - e_i tested on ``sub.child(1).child(i)`` and on
+    ``sub.child(2 + i)``."""
+    from rigidkit.linked import _corpus_graphs
+    from rigidkit.rigidity import bridges
+
+    counts = {"graphs": 0, "cases": 0, "confirmed": 0, "unknown": 0}
+    candidates = []
+    for gi, g in enumerate(_corpus_graphs(spec, rng.child(0))):
+        counts["graphs"] += 1
+        sub = rng.child(1 + gi)
+        payload = {"n": g.n, "edges": [list(e) for e in g.edges]}
+        if kind == "redundant-mc":
+            if g.m < 2 or not is_matroid_connected(g, dim + 1, sub.child(0)):
+                continue
+            counts["cases"] += 1
+            failing = [list(e) for i, e in enumerate(g.edges)
+                       if not is_matroid_connected(g.delete_edge(e), dim, sub.child(1).child(i))]
+            if failing:
+                candidates.append({"graph": payload, "failing_edges": failing})
+            else:
+                counts["confirmed"] += 1
+        else:
+            if not is_matroid_connected(g, dim, sub.child(0)):
+                continue
+            upper_bridges = set(bridges(g, dim + 1, sub.child(1)))
+            for ei, e in enumerate(g.edges):
+                if is_matroid_connected(g.delete_edge(e), dim, sub.child(2 + ei)):
+                    continue
+                counts["cases"] += 1
+                if e in upper_bridges:
+                    counts["confirmed"] += 1
+                else:
+                    candidates.append({"graph": payload, "edge": list(e)})
+    counts["counterexample_candidates"] = len(candidates)
+    return {"counts": counts, "candidates": candidates}
+
+
+# ---------------------------------------------------------------------------
+# The stress matrix by its definition, entry by entry.
+
+
+def stress_matrix_by_definition(g: Graph, values) -> list[list[int]]:
+    """Omega[u][v] = -w(uv) for each edge uv, 0 for other u != v, and
+    Omega[v][v] the sum of w over the edges at v, all mod p."""
+    w = dict(zip(g.edges, values))
+    mat = [[0] * g.n for _ in range(g.n)]
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v:
+                mat[u][v] = -w.get((min(u, v), max(u, v)), 0) % PRIME
+        mat[u][u] = sum(x for e, x in w.items() if u in e) % PRIME
+    return mat

@@ -11,7 +11,7 @@ degenerate ``Rng``.
 from itertools import combinations, count
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rigidkit import (
     Graph,
@@ -39,25 +39,31 @@ from rigidkit import (
     vertex_connectivity,
     wheel,
 )
-from rigidkit import global_rigidity, rigidity
+from rigidkit import global_rigidity, graph as graph_module, rigidity
 from rigidkit.corpus import random_graph_with_edges
 from rigidkit.field import PRIME, FieldMatrix, Rng
 from rigidkit.global_rigidity import (
+    Stress,
     _certifies,
     _directions,
     _edge_deletions,
     _greedy_pass,
     _proofs,
+    _stress_block,
     _without,
+    stress_matrix,
 )
 from rigidkit.rigidity import Realization, _trials
 
+import oracles
 from degenerate import DegenerateRng
 from oracles import (
     bridges_by_rank_drop,
     certifies_full_rank,
+    edge_deletions_by_route,
     first_proof_by_stress_spaces,
     fundamental_circuit_by_probes,
+    globally_rigid_2d_by_redundant_rigidity,
     greedy_pass_per_edge,
     matroid_components_by_probes,
     minimally_globally_rigid_per_edge,
@@ -67,6 +73,7 @@ from oracles import (
     span_with_pair_columns,
     sparsify_three_realizations,
     stress_basis_per_edge,
+    stress_matrix_by_definition,
 )
 
 
@@ -358,6 +365,122 @@ class TestCocircuitRoute:
         assert is_redundantly_rigid(h, 2, Rng(2)) and vertex_connectivity(h) == 2
         assert not is_redundantly_globally_rigid(g, 2, Rng(3))
         assert not redundantly_globally_rigid_per_edge(g, 2, Rng(3))
+
+
+def two_k5_on_a_triangle() -> Graph:
+    """Two K5 sharing the triangle {2, 3, 4}: kappa = 3 and redundantly
+    globally rigid in dimension 2."""
+    return Graph(7, tuple(set(combinations(range(5), 2)) | set(combinations((2, 3, 4, 5, 6), 2))))
+
+
+def k4_and_k5_on_an_edge() -> Graph:
+    """K4 on {1, 2, 3, 4} and K5 on {0, 1, 2, 5, 6}, joined also by (0, 3):
+    kappa = 3, globally rigid in dimension 2, G - (0, 3) 2-connected."""
+    edges = set(combinations((1, 2, 3, 4), 2)) | set(combinations((0, 1, 2, 5, 6), 2))
+    return Graph(7, tuple(edges | {(0, 3)}))
+
+
+@pytest.fixture
+def flows(monkeypatch):
+    """The (source, sink) of every capped flow run in the test."""
+    calls = []
+    flow = graph_module._FlowNet.max_flow
+
+    def counting(net, s, t, limit=None):
+        calls.append((s, t))
+        return flow(net, s, t, limit)
+
+    monkeypatch.setattr(graph_module._FlowNet, "max_flow", counting)
+    return calls
+
+
+class TestOneDeletionLoop:
+    """One deletion loop on every route, and the planar test of G on the
+    trials the deletion families read."""
+
+    @pytest.mark.parametrize("d, method", [
+        (1, "auto"), (1, "stress"), (2, "auto"), (2, "stress"), (2, "combinatorial"),
+        (3, "auto"),
+    ])
+    @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_the_loop_per_route(self, d, method, data, factorizations, flows,
+                                        monkeypatch):
+        # the same verdicts from the same trials, with the same
+        # factorizations, flows and stress-test draws
+        draws = []
+        real_certifies = global_rigidity._certifies
+
+        def recording(h, real, stresses, rng, gone=frozenset()):
+            draws.append((rng.seed, frozenset(gone)))
+            return real_certifies(h, real, stresses, rng, gone)
+
+        monkeypatch.setattr(global_rigidity, "_certifies", recording)
+        monkeypatch.setattr(oracles, "_certifies", recording)
+        g = data.draw(planar_deletion_graphs() if d == 2 else dense_graphs(d))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        for minimal in (True, False):
+            for log in (factorizations, flows, draws):
+                log.clear()
+            got = _edge_deletions(g, d, rng, method, minimal, _trials(g, d, rng))
+            work = (len(factorizations), len(flows), list(draws))
+            for log in (factorizations, flows, draws):
+                log.clear()
+            assert got == edge_deletions_by_route(g, d, rng, method, minimal, _trials(g, d, rng))
+            assert work == (len(factorizations), len(flows), draws)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_planar_g_test_matches_redundant_rigidity(self, data):
+        g = data.draw(st.one_of(planar_deletion_graphs(), small_graphs(2)))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        cert = is_globally_rigid(g, 2, rng)
+        if g.n > 3:
+            assert cert.method == "combinatorial-2d"
+            assert bool(cert) == globally_rigid_2d_by_redundant_rigidity(g, rng)
+        # G's verdict is the first proof of the families' loop
+        assert _edge_deletions(g, 2, rng, "auto", True, _trials(g, 2, rng))[0] == bool(cert)
+
+    @pytest.mark.parametrize("graph, redundant, expect", [
+        (two_k5_on_a_triangle, False, (1, 6)),
+        (two_k5_on_a_triangle, True, (1, 54)),
+        (k4_and_k5_on_an_edge, False, (1, 6)),
+        (k4_and_k5_on_an_edge, True, (1, 10)),
+    ], ids=["minimal-redundant-input", "redundant-redundant-input",
+            "minimal-other-input", "redundant-other-input"])
+    def test_kappa_three_counts(self, graph, redundant, expect, factorizations, flows):
+        # seed-fixed factorizations and flows of both families at d = 2, as
+        # the loop per route ran them
+        g = graph()
+        assert vertex_connectivity(g) == 3
+        flows.clear()
+        family = is_redundantly_globally_rigid if redundant else is_minimally_globally_rigid
+        assert family(g, 2, Rng(3)) == (redundant and g == two_k5_on_a_triangle())
+        assert (len(factorizations), len(flows)) == expect
+
+    def test_planar_global_rigidity_skips_a_collapsed_trial(self, factorizations):
+        # trial 0 puts every vertex at one point, so trial 1 decides; with
+        # trial 1 collapsed too, trial 2
+        g = complete(6)
+        cert = is_globally_rigid(g, 2, DegenerateRng(5, [(0, 0)]))
+        assert cert and cert.method == "combinatorial-2d"
+        assert factorizations == [g, g]
+        factorizations.clear()
+        assert is_globally_rigid(g, 2, DegenerateRng(5, [(0, 0), (1, 0)]))
+        assert factorizations == [g, g, g]
+
+
+class TestStressBlock:
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_blocks_are_the_stress_matrix_by_its_definition(self, data):
+        g = data.draw(small_graphs(2))
+        values = data.draw(st.lists(st.integers(-5, PRIME + 5), min_size=g.m, max_size=g.m))
+        full = stress_matrix_by_definition(g, values)
+        mat = stress_matrix(g, Stress(edges=g.edges, values=tuple(values)))
+        assert [list(row) for row in mat.data] == full
+        rest = sorted(data.draw(st.sets(st.integers(0, g.n - 1))))
+        assert _stress_block(g.edges, values, rest) == [[full[u][v] for v in rest] for u in rest]
 
 
 class TestExactWitness:

@@ -543,6 +543,18 @@ class TestSeparatorPairs:
         # source-bounded loop over every later vertex ran 174
         assert (cost, len(ran)) == (4, 99)
 
+    def test_flow_scans_stop_at_a_zero_flow(self, flows):
+        # two disjoint triangles: the first pair across them has flow 0, and
+        # no capped flow runs after it; the mixed cut's scan then stops at
+        # the first pair whose flow is 0
+        g = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+        assert vertex_connectivity(g) == 0 and flows == [(1, 6)]
+        flows.clear()
+        assert min_mixed_cut(g).cost == 0
+        assert flows == [(1, 2), (1, 4), (1, 6), (1, 2), (1, 4), (1, 6)]
+        flows.clear()
+        assert vertex_connectivity(Graph(2)) == 0 and flows == [(1, 2)]
+
     def test_is_k_connected_runs_the_esfahanian_hakimi_pairs(self, flows):
         g = icosahedron()
         delta = g.min_degree()

@@ -27,7 +27,7 @@ from rigidkit.field import Rng
 from rigidkit.linked import NO, UNKNOWN, YES, CorpusSpec, REASON_CIRCUIT, REASON_EDGE, REASON_KAPPA
 
 from degenerate import DegenerateRng
-from oracles import is_linked_by_ranks
+from oracles import explore_edge_loops, is_linked_by_ranks
 
 
 def two_k4_sharing_a_vertex() -> Graph:
@@ -58,6 +58,14 @@ class TestIsLinked:
     def test_same_vertex_rejected(self):
         with pytest.raises(GraphError):
             is_linked(complete(3), 2, 2, 1)
+
+    @pytest.mark.parametrize("u, v", [(0, -1), (-2, 1), (-5, 0), (0, 5), (99, 1), (5, -1)])
+    def test_vertices_out_of_range_rejected(self, u, v):
+        # a negative label would otherwise index a vertex from the end
+        with pytest.raises(GraphError, match="out of range"):
+            is_linked(cycle(5), u, v, 2)
+        with pytest.raises(GraphError, match="out of range"):
+            is_globally_linked_2d(cycle(5), u, v)
 
 
 @st.composite
@@ -285,6 +293,24 @@ class TestExplorer:
         assert rep["counts"]["counterexample_candidates"] == rep["counts"]["cases"]
         for cand in rep["candidates"]:
             assert cand["failing_edges"] == [cand["graph"]["edges"][0]]
+
+    @pytest.mark.parametrize("kind", ["redundant-mc", "bridge"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_edge_sweeps_match_the_per_edge_loops(self, kind, dim):
+        spec = CorpusSpec(max_n=5, isomorph_reject=True)
+        rep = explore_conjecture(kind, dim, spec, Rng(9))
+        expect = explore_edge_loops(kind, dim, spec, Rng(9))
+        assert rep["counts"] == expect["counts"] and rep["candidates"] == expect["candidates"]
+        assert rep["counts"]["cases"] > 0
+
+    def test_redundant_mc_candidates_match_the_per_edge_loop(self):
+        # as in the test above, every first edge is tested on a degenerate stream
+        spec = CorpusSpec(max_n=5, isomorph_reject=True)
+        rng = DegenerateRng(4, [(1 + gi, 1, 0) for gi in range(100)])
+        rep = explore_conjecture("redundant-mc", 1, spec, rng)
+        expect = explore_edge_loops("redundant-mc", 1, spec, rng)
+        assert rep["counts"] == expect["counts"] and rep["candidates"] == expect["candidates"]
+        assert rep["counts"]["counterexample_candidates"] > 0
 
     def test_bridge_small(self):
         rep = explore_conjecture("bridge", 1,
