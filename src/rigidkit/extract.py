@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .field import Rng
-from .graph import Graph, GraphError, find_cycle, min_mixed_cut
+from .graph import Graph, GraphError, cycle, find_cycle, min_mixed_cut
 from .rigidity import _rng
 from .global_rigidity import is_globally_rigid, is_redundantly_globally_rigid
 
@@ -292,11 +292,8 @@ def estimate_grn(g: Graph, d_max: int, rng: Rng | None = None) -> GrnEstimate:
                 candidates.append((piped[0], piped[1].vertices))
         if d == 1:
             cyc = find_cycle(g)
-            if cyc is not None and len(cyc) >= 3:
-                ring = Graph(len(cyc), tuple(
-                    (i, (i + 1) % len(cyc)) if i < (i + 1) % len(cyc)
-                    else ((i + 1) % len(cyc), i) for i in range(len(cyc))))
-                candidates.append((ring, tuple(cyc)))  # ring vertex i is cyc[i]
+            if cyc is not None:
+                candidates.append((cycle(len(cyc)), tuple(cyc)))  # ring vertex i is cyc[i]
         for ci, (cand, verts) in enumerate(candidates):
             if cand.n >= d + 2 and is_globally_rigid(cand, d, sub.child(1 + ci)):
                 return GrnEstimate(lower_bound=d, witness=cand, witness_vertices=verts)

@@ -14,6 +14,8 @@ cost far less than a full row update per step would.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 PRIME = (1 << 61) - 1
 
 _M64 = (1 << 64) - 1
@@ -70,6 +72,7 @@ class Rng:
         return f"Rng(seed={self.seed:#x})"
 
 
+@dataclass(frozen=True)
 class FieldMatrix:
     """Immutable dense matrix over Z_p.
 
@@ -77,25 +80,22 @@ class FieldMatrix:
     integers mod p, so callers may pass negative differences directly.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    rows: int
+    cols: int
+    data: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows: int, cols: int, data):
-        if rows < 0 or cols < 0:
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         packed = []
-        for r in data:
+        for r in self.data:
             row = tuple(x % PRIME for x in r)
-            if len(row) != cols:
-                raise ValueError(f"row of length {len(row)}, expected {cols}")
+            if len(row) != self.cols:
+                raise ValueError(f"row of length {len(row)}, expected {self.cols}")
             packed.append(row)
-        if len(packed) != rows:
-            raise ValueError(f"{len(packed)} rows given, expected {rows}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        if len(packed) != self.rows:
+            raise ValueError(f"{len(packed)} rows given, expected {self.rows}")
         object.__setattr__(self, "data", tuple(packed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldMatrix is immutable")
 
     @classmethod
     def from_rows(cls, data) -> "FieldMatrix":
@@ -126,13 +126,6 @@ class FieldMatrix:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(a * b for a, b in zip(row, v)) % PRIME for row in self.data)
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols})"

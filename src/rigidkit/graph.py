@@ -9,7 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -73,9 +73,6 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -107,10 +104,7 @@ class Graph:
         """Remove v; vertices above v shift down by one."""
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} out of range")
-        relabel = lambda x: x if x < v else x - 1
-        return Graph(self.n - 1,
-                     tuple((relabel(a), relabel(b)) for a, b in self.edges
-                           if a != v and b != v))
+        return self.induced(w for w in range(self.n) if w != v)
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph, relabeled by the sorted order of ``vertices``."""
@@ -381,13 +375,8 @@ def two_separation(g: Graph, u: int, v: int, add_edge: bool) -> tuple[Graph, Gra
     pieces = []
     for side in sides:
         verts = sorted(side | {u, v})
-        index = {w: i for i, w in enumerate(verts)}
-        edges = [(index[a], index[b]) for a, b in h.edges
-                 if a in index and b in index]
-        if add_edge:
-            edges.append((index[u], index[v]) if index[u] < index[v]
-                         else (index[v], index[u]))
-        pieces.append(Graph(len(verts), tuple(edges)))
+        piece = h.induced(verts)
+        pieces.append(piece.add_edge(verts.index(u), verts.index(v)) if add_edge else piece)
     return pieces[0], pieces[1]
 
 
@@ -547,45 +536,44 @@ def vertex_connectivity(g: Graph) -> int:
     return _least_flow(_split_network(g, vertex_cap=1), _separator_pairs(g), g.n - 1)
 
 
-def articulation_points(g: Graph) -> set[int]:
-    """Cut vertices, by the usual lowpoint DFS."""
-    visited = [False] * g.n
-    depth = [0] * g.n
+def _dfs(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """One iterative depth-first search over every component (Tarjan 1972):
+    each vertex's tree parent (-1 at a root), its depth, and its lowpoint,
+    the least depth that its subtree reaches by one non-tree edge. Every
+    non-tree edge joins a vertex to one of its ancestors."""
+    parent = [-1] * g.n
+    depth = [-1] * g.n
     low = [0] * g.n
-    cut = set()
-
     for root in range(g.n):
-        if visited[root]:
+        if depth[root] >= 0:
             continue
-        # iterative DFS so deep graphs cannot overflow the stack
+        depth[root] = 0
+        # an explicit stack: recursion would overflow on deep graphs
         stack = [(root, -1, iter(g.adjacency[root]))]
-        visited[root] = True
-        root_children = 0
         while stack:
-            u, parent, it = stack[-1]
-            advanced = False
+            u, p, it = stack[-1]
             for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    depth[w] = depth[u] + 1
-                    low[w] = depth[w]
-                    if u == root:
-                        root_children += 1
+                if depth[w] < 0:
+                    parent[w] = u
+                    depth[w] = low[w] = depth[u] + 1
                     stack.append((w, u, iter(g.adjacency[w])))
-                    advanced = True
                     break
-                elif w != parent:
-                    low[u] = min(low[u], depth[w])
-            if not advanced:
+                if w != p and depth[w] < low[u]:
+                    low[u] = depth[w]
+            else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if p != root and low[u] >= depth[p]:
-                        cut.add(p)
-        if root_children >= 2:
-            cut.add(root)
-    return cut
+                if p >= 0 and low[u] < low[p]:
+                    low[p] = low[u]
+    return parent, depth, low
+
+
+def articulation_points(g: Graph) -> set[int]:
+    """Cut vertices, read off ``_dfs``: a root with two or more children, or
+    a non-root p with a child c whose lowpoint does not climb above p."""
+    parent, depth, low = _dfs(g)
+    children = Counter(p for p in parent if p >= 0 and depth[p] == 0)
+    return {p for p, k in children.items() if k >= 2} | {
+        p for c, p in enumerate(parent) if p >= 0 and 0 < depth[p] <= low[c]}
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -698,31 +686,17 @@ def min_mixed_cut(g: Graph) -> MixedCut:
 
 
 def find_cycle(g: Graph) -> list[int] | None:
-    """Vertices of some cycle, in order, or None on forests."""
-    color = [0] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
-        if color[root]:
-            continue
-        stack = [(root, -1)]
-        while stack:
-            u, p = stack.pop()
-            if color[u]:
-                continue
-            color[u] = 1
-            parent[u] = p
-            for w in g.adjacency[u]:
-                if w == p:
-                    continue
-                if color[w]:
-                    # back edge u-w closes a cycle through the tree path
-                    cyc = [u]
-                    x = u
-                    while x != w and parent[x] != -1:
-                        x = parent[x]
-                        cyc.append(x)
-                    if cyc[-1] == w:
-                        return cyc
-                else:
-                    stack.append((w, u))
+    """Vertices of some cycle, in order, or None on forests: the first
+    non-tree edge of ``_dfs`` closes one with the tree path from its deeper
+    end up to the other, an ancestor."""
+    parent, depth, _ = _dfs(g)
+    for u, w in g.edges:
+        if parent[u] != w and parent[w] != u:
+            if depth[u] < depth[w]:
+                u, w = w, u
+            cyc = [u]
+            while u != w:
+                u = parent[u]
+                cyc.append(u)
+            return cyc
     return None

@@ -13,7 +13,8 @@ errs one way: at a trial of generic rank "not linked" is exact and only
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cache
 
 from .field import Rng
 from .graph import Graph, GraphError, local_connectivity
@@ -56,10 +57,8 @@ def is_linked(g: Graph, u: int, v: int, d: int, rng: Rng | None = None) -> bool:
     (``rigidity._matroid``). At a trial of generic rank "not linked" is
     exact; only "linked" can be wrong."""
     pairs = [_pair(g, u, v)]
-    if g.has_edge(u, v):
-        return True
     trials = _trials(g, d, _rng(rng), pairs, edge_stresses=False)
-    return bool(_matroid(g, d, trials, None, pairs)[3])
+    return g.has_edge(u, v) or bool(_matroid(g, d, trials, None, pairs)[3])
 
 
 def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> PairVerdict:
@@ -228,10 +227,11 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
         else:  # bridge
             if not is_matroid_connected(g, dim, sub.child(0)):
                 continue
-            upper_bridges = set(bridges(g, dim + 1, sub.child(1)))
+            # computed at the first splitting edge, if there is one
+            upper_bridges = cache(lambda: set(bridges(g, dim + 1, sub.child(1))))
             for e in _splitting_edges(g, dim, sub.child(2)):
                 cases += 1
-                if e in upper_bridges:
+                if e in upper_bridges():
                     confirmed += 1
                 else:
                     candidates.append({"graph": _graph_payload(g),
@@ -240,14 +240,7 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
     return {
         "conjecture": kind,
         "dim": dim,
-        "corpus": {
-            "mode": spec.mode,
-            "max_n": spec.max_n,
-            "count": spec.count,
-            "n": spec.n,
-            "edge_prob": spec.edge_prob,
-            "isomorph_reject": spec.isomorph_reject,
-        },
+        "corpus": asdict(spec),
         "counts": {
             "graphs": graphs_seen,
             "cases": cases,

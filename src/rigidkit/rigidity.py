@@ -221,11 +221,20 @@ def _trials(g: Graph, d: int, rng: Rng, extra=(), edge_stresses=True):
     any further draws of the trial from ``sub.child(k)`` with k >= 1. With
     ``edge_stresses`` false the trials carry the linked pairs' stresses
     alone, for ``_matroid`` with ``settled=None``.
+
+    Raises:
+        GraphError: when d < 1, at the call, before any trial is drawn, so
+        that queries which read no trial (edgeless graphs) reject d too.
     """
-    for t in range(TRIALS):
-        sub = rng.child(t)
-        real = sample_realization(g, d, sub.child(0))
-        yield (t, real, *_factor(g, real, g.edges, extra, edge_stresses), sub)
+    if d < 1:
+        raise GraphError("dimension must be >= 1")
+
+    def draw():
+        for t in range(TRIALS):
+            sub = rng.child(t)
+            real = sample_realization(g, d, sub.child(0))
+            yield (t, real, *_factor(g, real, g.edges, extra, edge_stresses), sub)
+    return draw()
 
 
 class _UnionFind:
@@ -393,6 +402,8 @@ def _splitting_edges(g: Graph, d: int, rng: Rng):
     """The edges e, in edge order, whose deletion leaves the rigidity
     matroid disconnected, G - e_i tested on ``rng.child(i)``. A component
     may be split wrongly, so an edge may be yielded wrongly, never missed."""
+    if d < 1:
+        raise GraphError("dimension must be >= 1")
     for i, e in enumerate(g.edges):
         if not is_matroid_connected(g.delete_edge(e), d, rng.child(i)):
             yield e

@@ -17,11 +17,6 @@ def graphs_by_n():
     return {n: nonisomorphic_graphs(n) for n in range(1, 8)}
 
 
-@pytest.fixture(scope="session")
-def connected_by_n():
-    return {n: tuple(g for g in nonisomorphic_graphs(n) if g.is_connected()) for n in range(1, 8)}
-
-
 @pytest.fixture
 def rng():
     return Rng(0xC0FFEE)

@@ -3,8 +3,8 @@
 Everything here is deliberately dumb: rational arithmetic, Gauss-Jordan
 elimination, exhaustive enumeration, definition-level checks, and the
 library's earlier implementations of the rigidity matroid, the stress
-test, the edge-deletion predicates, the sparsifier and the isomorphism-class
-generator. Beyond sampling
+test, the edge-deletion predicates, the sparsifier, the isomorphism-class
+generator and the cut-vertex and cycle searches. Beyond sampling
 realizations and building their rows, the brute-force oracles share no code
 with the paths they verify; the earlier implementations reuse the library's
 primitives and differ from it in how they combine them.
@@ -697,6 +697,82 @@ def is_k_connected_all_pairs(g: Graph, k: int) -> bool:
             if net.max_flow(2 * u + 1, 2 * v, limit=k) < k:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The graph layer before one depth-first search (``graph._dfs``) answered both
+# the cut-vertex and the cycle question: a DFS loop of its own for each.
+
+def articulation_points_by_own_dfs(g: Graph) -> set[int]:
+    """Cut vertices, by the usual lowpoint DFS."""
+    visited = [False] * g.n
+    depth = [0] * g.n
+    low = [0] * g.n
+    cut = set()
+
+    for root in range(g.n):
+        if visited[root]:
+            continue
+        # iterative DFS so deep graphs cannot overflow the stack
+        stack = [(root, -1, iter(g.adjacency[root]))]
+        visited[root] = True
+        root_children = 0
+        while stack:
+            u, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if not visited[w]:
+                    visited[w] = True
+                    depth[w] = depth[u] + 1
+                    low[w] = depth[w]
+                    if u == root:
+                        root_children += 1
+                    stack.append((w, u, iter(g.adjacency[w])))
+                    advanced = True
+                    break
+                elif w != parent:
+                    low[u] = min(low[u], depth[w])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if p != root and low[u] >= depth[p]:
+                        cut.add(p)
+        if root_children >= 2:
+            cut.add(root)
+    return cut
+
+
+def find_cycle_by_own_dfs(g: Graph) -> list[int] | None:
+    """Vertices of some cycle, in order, or None on forests."""
+    color = [0] * g.n
+    parent = [-1] * g.n
+    for root in range(g.n):
+        if color[root]:
+            continue
+        stack = [(root, -1)]
+        while stack:
+            u, p = stack.pop()
+            if color[u]:
+                continue
+            color[u] = 1
+            parent[u] = p
+            for w in g.adjacency[u]:
+                if w == p:
+                    continue
+                if color[w]:
+                    # back edge u-w closes a cycle through the tree path
+                    cyc = [u]
+                    x = u
+                    while x != w and parent[x] != -1:
+                        x = parent[x]
+                        cyc.append(x)
+                    if cyc[-1] == w:
+                        return cyc
+                else:
+                    stack.append((w, u))
+    return None
 
 
 def min_mixed_cut_all_pairs(g: Graph) -> MixedCut:

@@ -51,6 +51,36 @@ class TestRng:
         assert r.child(0).field_element() != r.child(1).field_element()
 
 
+class TestFieldMatrixValue:
+    def test_equal_matrices_are_equal_and_hash_equal(self):
+        a = FieldMatrix(2, 2, [[1, -1], [0, PRIME + 3]])
+        b = FieldMatrix.from_rows([[1, PRIME - 1], [0, 3]])
+        assert a == b and hash(a) == hash(b)
+        assert a != FieldMatrix.identity(2)
+        assert len({a, b, FieldMatrix.identity(2)}) == 2
+
+    def test_attributes_cannot_be_assigned(self):
+        m = FieldMatrix.identity(2)
+        for name, value in (("rows", 3), ("data", ()), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(m, name, value)
+
+    def test_negative_entries_reduce_mod_p(self):
+        assert FieldMatrix(1, 3, [[-1, -PRIME, -PRIME - 2]]).data == ((PRIME - 1, 0, PRIME - 2),)
+
+    @pytest.mark.parametrize("rows, cols, data, message", [
+        (-1, 0, [], "matrix dimensions must be nonnegative"),
+        (1, 2, [[1, 2, 3]], "row of length 3, expected 2"),
+        (2, 1, [[1]], "1 rows given, expected 2"),
+    ])
+    def test_shape_errors_keep_their_messages(self, rows, cols, data, message):
+        with pytest.raises(ValueError, match=message):
+            FieldMatrix(rows, cols, data)
+
+    def test_repr_gives_the_shape(self):
+        assert repr(FieldMatrix.zeros(2, 3)) == "FieldMatrix(2x3)"
+
+
 class TestRank:
     def test_identity(self):
         assert rank(FieldMatrix.identity(2)) == 2

@@ -30,9 +30,12 @@ from rigidkit import (
     wheel,
 )
 from rigidkit import graph as graph_module
+from rigidkit.graph import articulation_points, find_cycle
 from rigidkit.corpus import random_graph, random_graph_with_edges
 from rigidkit.field import Rng
 from oracles import (
+    articulation_points_by_own_dfs,
+    find_cycle_by_own_dfs,
     is_k_connected_all_pairs,
     local_connectivity_brute,
     min_mixed_cut_all_pairs,
@@ -598,3 +601,32 @@ class TestFindCycle:
                     assert len(cyc) >= 3 and len(set(cyc)) == len(cyc)
                     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                         assert g.has_edge(a, b)
+
+
+class TestOneDepthFirstSearch:
+    """``articulation_points`` and ``find_cycle`` read one ``_dfs``; they
+    must agree with the DFS loop that each of them ran on its own before."""
+
+    @settings(max_examples=150)
+    @given(cut_query_graphs())
+    def test_cut_vertices_match_the_old_loop_and_networkx(self, g):
+        ours = articulation_points(g)
+        assert ours == articulation_points_by_own_dfs(g)
+        assert ours == set(nx.articulation_points(to_nx(g)))
+
+    @settings(max_examples=150)
+    @given(cut_query_graphs())
+    def test_a_cycle_is_found_exactly_when_the_old_loop_finds_one(self, g):
+        cyc = find_cycle(g)
+        assert (cyc is None) == (find_cycle_by_own_dfs(g) is None)
+        assert (cyc is None) == (g.m == g.n - len(g.connected_components()))
+        if cyc is not None:
+            assert len(cyc) >= 3 and len(set(cyc)) == len(cyc)
+            assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+
+    def test_a_long_path_does_not_recurse(self):
+        g = path(5000)
+        assert articulation_points(g) == set(range(1, 4999))
+        assert find_cycle(g) is None
+        cyc = find_cycle(g.add_edge(0, 4999))
+        assert sorted(cyc) == list(range(5000))

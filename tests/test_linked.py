@@ -22,7 +22,8 @@ from rigidkit import (
     wheel,
     TwoSumSpec,
 )
-from rigidkit import rigidity
+from rigidkit import linked, rigidity
+from rigidkit.corpus import nonisomorphic_graphs
 from rigidkit.field import Rng
 from rigidkit.linked import NO, UNKNOWN, YES, CorpusSpec, REASON_CIRCUIT, REASON_EDGE, REASON_KAPPA
 
@@ -316,6 +317,23 @@ class TestExplorer:
         rep = explore_conjecture("bridge", 1,
                                  CorpusSpec(max_n=5, isomorph_reject=True), Rng(5))
         assert rep["counts"]["counterexample_candidates"] == 0
+
+    def test_bridge_sweep_asks_for_upper_bridges_only_where_an_edge_splits(self, monkeypatch):
+        calls = []
+        real = linked.bridges
+        monkeypatch.setattr(linked, "bridges",
+                            lambda g, d, rng: calls.append(g) or real(g, d, rng))
+        rep = explore_conjecture("bridge", 1, CorpusSpec(max_n=5, isomorph_reject=True), Rng(5))
+        splitting = [g for n in range(1, 6) for g in nonisomorphic_graphs(n)
+                     if is_matroid_connected(g, 1) and not is_redundantly_matroid_connected(g, 1)]
+        assert calls == splitting and rep["counts"]["cases"] >= len(calls) > 0
+
+    def test_corpus_block_lists_the_spec_fields_in_order(self):
+        spec = CorpusSpec(max_n=3, isomorph_reject=True)
+        rep = explore_conjecture("bridge", 1, spec, Rng(5))
+        assert list(rep["corpus"].items()) == [
+            ("mode", "exhaustive"), ("max_n", 3), ("count", 0), ("n", 0),
+            ("edge_prob", 0.5), ("isomorph_reject", True)]
 
     def test_random_corpus_mode(self):
         rep = explore_conjecture("bridge", 1,

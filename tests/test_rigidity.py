@@ -13,7 +13,9 @@ from rigidkit import (
     icosahedron_braced,
     is_circuit,
     is_independent,
+    is_linked,
     is_matroid_connected,
+    is_redundantly_matroid_connected,
     is_redundantly_rigid,
     is_rigid,
     is_vertex_redundantly_rigid,
@@ -317,3 +319,40 @@ class TestMatroidReport:
         assert not rep.circuit
         assert sum(len(c) for c in rep.components) == g.m
         assert rep.rank <= rank_upper_bound(g.n, g.m, 2)
+
+
+class TestDimensionValidated:
+    """Every public matroid query rejects d < 1, on edgeless graphs too,
+    where no trial is drawn."""
+
+    QUERIES = {
+        "generic_rank": generic_rank,
+        "is_rigid": is_rigid,
+        "is_redundantly_rigid": is_redundantly_rigid,
+        "is_vertex_redundantly_rigid": is_vertex_redundantly_rigid,
+        "is_independent": is_independent,
+        "is_circuit": is_circuit,
+        "bridges": bridges,
+        "rigid_basis": rigid_basis,
+        "matroid_components": matroid_components,
+        "is_matroid_connected": is_matroid_connected,
+        "is_redundantly_matroid_connected": is_redundantly_matroid_connected,
+        "matroid_report": matroid_report,
+        # (0, 1) is a non-edge of Graph(3) and an edge of complete(4)
+        "is_linked": lambda g, d: is_linked(g, 0, 1, d),
+    }
+
+    @pytest.mark.parametrize("d", [0, -1])
+    @pytest.mark.parametrize("g", [Graph(3), complete(4)], ids=["edgeless", "K4"])
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_rejects_dimension_below_one(self, query, g, d):
+        with pytest.raises(GraphError, match="dimension must be >= 1"):
+            self.QUERIES[query](g, d)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_fundamental_circuit_rejects_dimension_below_one(self, d):
+        # it needs an edge outside a basis, so only K4 can ask it
+        g = complete(4)
+        basis = tuple(e for e in g.edges if e != (2, 3))
+        with pytest.raises(GraphError, match="dimension must be >= 1"):
+            fundamental_circuit(g, d, basis, (2, 3))

@@ -9,17 +9,38 @@ import rigidkit
 PACKAGE = Path(rigidkit.__file__).resolve().parent
 
 
+def _modules():
+    """(relative path, AST) for every module in the package."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path.relative_to(PACKAGE), ast.parse(path.read_text(encoding="utf-8"),
+                                                   filename=str(path))
+
+
 def _nodes():
     """(location, node) for every AST node of every module in the package."""
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in _modules():
         for node in ast.walk(tree):
-            yield f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', 0)}", node
+            yield f"{path}:{getattr(node, 'lineno', 0)}", node
 
 
 def test_no_assert_statements_in_the_package():
     # internal checks must raise real exceptions so they still run under -O
     assert [where for where, node in _nodes() if isinstance(node, ast.Assert)] == []
+
+
+def test_every_private_function_and_class_is_used_in_the_package():
+    # a private module-level definition that no other code of the package
+    # names has lost its last caller: it is dead code
+    private, used = [], set()
+    for path, tree in _modules():
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_"):
+                private.append((f"{path}:{stmt.lineno}", own))
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    assert [f"{where} {name}" for where, name in private if name not in used] == []
 
 
 def test_the_package_imports_only_the_standard_library():
