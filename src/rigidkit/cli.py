@@ -84,7 +84,7 @@ def cmd_analyze(args) -> int:
     matroid_trials, proof_trials = tee(_trials(g, d, rng))
     report_m = _report(g, d, matroid_trials)
     how = _route(g, d, args.method)
-    globally_rigid, minimal = _edge_deletions(g, d, rng, args.method, True, proof_trials)
+    globally_rigid, minimal = _edge_deletions(g, d, how, True, proof_trials)
     bound = minimally_globally_rigid_edge_bound(g.n, d) if g.n >= d + 2 else None
     report = {
         "schema_version": SCHEMA_VERSION,

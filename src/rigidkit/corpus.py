@@ -127,12 +127,8 @@ def canonical_key(g: Graph) -> tuple:
 
 
 def _chunks_to_graph(n: int, chunks: tuple[int, ...]) -> Graph:
-    edges = []
-    for j, chunk in enumerate(chunks):
-        for i in range(j):
-            if chunk >> i & 1:
-                edges.append((i, j))
-    return Graph(n, tuple(edges))
+    # chunk j holds the pairs (i, j), i < j: the mask's slice from j(j-1)/2
+    return _mask_to_graph(n, sum(c << j * (j - 1) // 2 for j, c in enumerate(chunks)))
 
 
 @lru_cache(maxsize=None)

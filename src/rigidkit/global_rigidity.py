@@ -6,21 +6,25 @@ realization has a stress matrix of rank n - d - 1. This module implements
 that certificate over Z_p, the deterministic combinatorial characterizations
 for d <= 2 (2-connectivity, and 3-connectivity plus redundant rigidity),
 a randomized subset-rank reducer for matrix pencils, and the sparsifier
-that extracts a minimally globally rigid spanning subgraph. The trials of
+that extracts a minimally globally rigid spanning subgraph.
+
+The route is decided once (``_route``): complete-small, combinatorial-1d,
+combinatorial-2d or stress. One stream (``_tests``) then yields each proof
+that G is globally rigid on that route, with a test of every G - e.
+``is_globally_rigid`` takes its first proof, and the deletion questions
+(minimal and redundant global rigidity) run one loop over all of them
+(``_edge_deletions``). On the stress and 2D routes the proofs are trials of
 ``rigidity._trials`` (one realization p and one factorization of R(G,p)^T
-each) are filtered by ``_proofs`` down to those that prove G globally
-rigid, with one random stress of G at p. A stress is tested on the
-(n - d - 1)-square principal block of its stress matrix that the affine
-frame of p leaves (``_certifies``), never on the whole n x n matrix. The
-stress test, the edge-deletion questions (minimal and redundant global
-rigidity) and the sparsifier all run off those trials. At p the stresses of
-G - e are the stresses of G that vanish on e, so the deletion questions read
-every G - e off the factorization of G, and both greedy passes of the
-sparsifier read every deletion off that stress space. At d = 2 the test of
-G and the deletion questions read the same trials through matroid duality
-instead: G is redundantly rigid when no column of the stress basis is zero,
-and G - e stays so unless its column is parallel to another. The deletion
-questions on every route run one loop (``_edge_deletions``).
+each), filtered by ``_proofs``. On the stress route a trial proves G with
+one random stress of G at p, tested on the (n - d - 1)-square principal
+block of its stress matrix that the affine frame of p leaves
+(``_certifies``), never on the whole n x n matrix. At p the stresses of
+G - e are the stresses of G that vanish on e, so every G - e is read off
+the factorization of G; the sparsifier reads the same proofs, and both of
+its greedy passes read every deletion off that stress space. At d = 2 the
+same trials are read through matroid duality instead: G is redundantly
+rigid when no column of the stress basis is zero, and G - e stays so
+unless its column is parallel to another.
 """
 
 from __future__ import annotations
@@ -208,36 +212,47 @@ def _certifies(g: Graph, real: Realization, stresses, rng: Rng, gone=frozenset()
     return len(_echelon(_stress_block(edges, values, rest), len(rest))) == len(rest)
 
 
-def _proofs(g: Graph, d: int, trials):
+def _proofs(g: Graph, d: int, trials, proves):
     """The trials of ``trials`` (``rigidity._trials`` of G) that prove G
-    globally rigid, in order.
+    globally rigid on one route, in order, each with its proof.
 
     Trials short of the rigid rank are skipped, and a stress-free trial at
-    the rigid rank ends the search (G is then not globally rigid). A trial
-    proves G when one random combination of its stresses, drawn on
-    ``sub.child(1)``, has a stress matrix of rank n - d - 1 (``_certifies``).
-    Yields each such trial as ``(t, real, pivots, stresses, sub)``: the
-    factorization's pivot columns, its map from each free column to that
-    column's fundamental stress (together a basis of the stresses of G at
-    p), and ``sub`` for the trial's further draws, from ``sub.child(2)`` on.
+    the rigid rank ends the search: G is then independent, so not globally
+    rigid. Every other trial is asked ``proves(real, stresses, sub)``, with
+    the values of its stress map, for its proof or a false value: one
+    random stress (``_stress_proof``) on the stress route, the column
+    directions of the stress basis (``_planar_proof``) on the
+    combinatorial-2d route. Yields each proved trial as ``(t, real, pivots,
+    stresses, sub, proof)``: the factorization's pivot columns, its map
+    from each free column to that column's fundamental stress (together a
+    basis of the stresses of G at p), and ``sub`` for the trial's further
+    draws, from ``sub.child(2)`` on.
     """
     for t, real, pivots, stresses, sub in trials:
         if len(pivots) != rigid_rank_target(g.n, d):
             continue
         if not stresses:
             return
-        if _certifies(g, real, stresses.values(), sub.child(1)):
-            yield t, real, pivots, stresses, sub
+        proof = proves(real, stresses.values(), sub)
+        if proof:
+            yield t, real, pivots, stresses, sub, proof
+
+
+def _stress_proof(g: Graph, real: Realization, stresses, sub: Rng) -> bool:
+    """The stress route's test of a trial for ``_proofs``: one random
+    combination of the ``stresses`` of G at ``real``, drawn on
+    ``sub.child(1)``, has a stress matrix of rank n - d - 1
+    (``_certifies``)."""
+    return _certifies(g, real, stresses, sub.child(1))
 
 
 def _route(g: Graph, d: int, method: str) -> str:
     """The path ``is_globally_rigid`` takes for these arguments, which it
     validates: "complete-small", "combinatorial-1d", "combinatorial-2d" or
-    "stress"."""
+    "stress". The dimension is checked where the trials are built
+    (``rigidity._trials``)."""
     if method not in ("auto", "stress", "combinatorial"):
         raise ValueError(f"unknown method {method!r}")
-    if d < 1:
-        raise GraphError("dimension must be >= 1")
     if g.n <= d + 1:
         return "complete-small"
     if method == "combinatorial" and d > 2:
@@ -247,40 +262,66 @@ def _route(g: Graph, d: int, method: str) -> str:
     return f"combinatorial-{d}d"
 
 
+def _tests(g: Graph, d: int, how: str, minimal: bool, trials):
+    """The proofs that G is globally rigid on route ``how``, in order, each
+    as ``(note, deleted)``: the certificate's note, and ``deleted(j)``,
+    whether G - e_j is globally rigid: True or False where that is exact,
+    None where this proof leaves it open. ``trials`` (``_trials`` of G) are
+    read on the stress and 2D routes; ``minimal`` orders the 2D questions.
+
+    - complete-small: one proof when G is complete; no G - e is complete.
+    - combinatorial-1d: one proof when G is 2-connected; G - e is tested by
+      its own 2-connectivity.
+    - combinatorial-2d: when G is 3-connected, the proofs of
+      ``_planar_deletions``.
+    - stress: the trials of ``_proofs`` whose random stress reaches rank
+      n - d - 1, each G - e tested by ``_stress_deletion``.
+
+    When it yields nothing, the generator returns the note of the failure.
+    """
+    if how == "complete-small":
+        if g.is_complete():
+            yield "", lambda j: False
+    elif how == "combinatorial-1d":
+        if is_k_connected(g, 2):
+            yield "", lambda j: is_k_connected(g.delete_edge(g.edges[j]), 2)
+    elif how == "combinatorial-2d":
+        if not is_k_connected(g, 3):
+            return "not 3-connected"
+        for deleted in _planar_deletions(g, minimal, trials):
+            yield "", deleted
+    else:
+        target = g.n - d - 1
+        for t, real, _, stresses, sub, _ in _proofs(g, d, trials, partial(_stress_proof, g)):
+            yield (f"stress matrix reached rank {target} in trial {t}",
+                   partial(_stress_deletion, g, real, list(stresses.values()), sub))
+        return f"no stress matrix of rank {target} in {TRIALS} trials"
+    return ""
+
+
 def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
                       method: str = "auto") -> GlobalRigidityCertificate:
     """Global rigidity in dimension d, with a certificate of the deciding path.
 
     Graphs on at most d + 1 vertices are globally rigid iff complete. For
     d = 1 the combinatorial path is 2-connectivity, for d = 2 it is
-    3-connectivity plus redundant rigidity, the latter proved by the first
-    trial of ``_planar_proofs``; ``method="auto"`` prefers those and falls
-    back to the randomized stress-matrix test for d >= 3. On the stress and
-    the combinatorial-2d routes G reads the trials ``_trials(g, d, rng)``,
-    those the deletion families read with the same ``rng``. The
-    stress test takes the first trial of ``_proofs`` that proves G; a trial
-    short of the rigid rank resamples, and a stress-free one ends the test.
-    It has one-sided error: a True verdict is backed by an exact witness, a
-    False verdict is wrong with negligible probability.
+    3-connectivity plus redundant rigidity; ``method="auto"`` prefers those
+    and falls back to the randomized stress-matrix test for d >= 3. The
+    verdict is the first proof of ``_tests`` on the trials
+    ``_trials(g, d, rng)``, those the deletion families read with the same
+    ``rng``: on the stress route the first trial whose random stress
+    matrix reaches rank n - d - 1, where a trial short of the rigid rank
+    resamples and a stress-free one ends the test. It has one-sided error:
+    a True verdict is backed by an exact witness, a False verdict is wrong
+    with negligible probability.
     """
     how = _route(g, d, method)
     rng = _rng(rng)
-
-    def cert(value, note=""):
-        return GlobalRigidityCertificate(bool(value), how, d, rng.seed, note)
-
-    if how == "complete-small":
-        return cert(g.is_complete())
-    if how == "combinatorial-1d":
-        return cert(is_k_connected(g, 2))
-    if how == "combinatorial-2d":
-        if not is_k_connected(g, 3):
-            return cert(False, "not 3-connected")
-        return cert(next(_planar_proofs(g, _trials(g, 2, rng)), None) is not None)
-    target = g.n - d - 1
-    for t, *_ in _proofs(g, d, _trials(g, d, rng)):
-        return cert(True, f"stress matrix reached rank {target} in trial {t}")
-    return cert(False, f"no stress matrix of rank {target} in {TRIALS} trials")
+    try:
+        note, _ = next(_tests(g, d, how, True, _trials(g, d, rng)))
+    except StopIteration as failure:
+        return GlobalRigidityCertificate(False, how, d, rng.seed, failure.value)
+    return GlobalRigidityCertificate(True, how, d, rng.seed, note)
 
 
 def _stress_deletion(g: Graph, real: Realization, stresses, sub: Rng, j: int) -> bool | None:
@@ -312,35 +353,26 @@ def _directions(stresses) -> list[tuple[int, ...] | None]:
     return directions
 
 
-def _planar_proofs(g: Graph, trials):
-    """The trials of ``trials`` (``rigidity._trials`` of G at d = 2) that
-    prove G redundantly rigid, in order, each as the directions of the
-    columns of its stress basis W (``_directions``); with 3-connectivity,
-    which the callers check, that proves G globally rigid.
+def _planar_proof(stresses) -> list[tuple[int, ...]] | None:
+    """The combinatorial-2d route's test of a trial for ``_proofs``: the
+    column directions of the stress basis W (``_directions``) when no
+    column is zero, None otherwise.
 
     W (one row per fundamental stress) spans the stresses of G at p, and
     its columns represent the dual of the rigidity matroid at p. A trial at
     the rigid rank 2n - 3 whose W has no zero column proves G redundantly
-    rigid: an edge on no stress is one whose deletion drops the rank. A
-    trial with a zero column proves nothing and the next one is read; a
-    stress-free trial at the rigid rank shows G independent, so every edge
-    is a bridge, and ends the search.
+    rigid: an edge on no stress is one whose deletion drops the rank. With
+    3-connectivity that proves G globally rigid.
     """
-    for _, _, pivots, stresses, _ in trials:
-        if len(pivots) != rigid_rank_target(g.n, 2):
-            continue
-        if not stresses:
-            return
-        directions = _directions(stresses.values())
-        if None not in directions:
-            yield directions
+    directions = _directions(stresses)
+    return None if None in directions else directions
 
 
 def _planar_deletions(g: Graph, minimal: bool, trials):
-    """The proofs of ``_planar_proofs``, each as its test of G - e_j for
-    ``_edge_deletions``: True when G - e_j is 3-connected and redundantly
-    rigid, False when it is not 3-connected, None when that trial leaves
-    it open. Nothing when G is not 3-connected.
+    """For a 3-connected G, the proofs of ``_proofs`` with ``_planar_proof``,
+    each as its test of G - e_j: True when G - e_j is 3-connected and
+    redundantly rigid, False when it is not 3-connected, None when that
+    trial leaves it open.
 
     For G redundantly rigid, G - e - f drops the rank exactly when {e, f}
     is a cocircuit, that is when columns e and f of W are parallel. So
@@ -358,8 +390,6 @@ def _planar_deletions(g: Graph, minimal: bool, trials):
     asks 3-connectivity first, minimality only for a column that is not
     parallel to another.
     """
-    if not is_k_connected(g, 3):
-        return
     four_connected = cache(lambda: is_k_connected(g, 4))
 
     @cache
@@ -372,48 +402,27 @@ def _planar_deletions(g: Graph, minimal: bool, trials):
             return False
         return None if seen[directions[j]] > 1 else three_connected(j)
 
-    for directions in _planar_proofs(g, trials):
+    for *_, directions in _proofs(g, 2, trials,
+                                  lambda real, stresses, sub: _planar_proof(stresses)):
         seen = Counter(directions)
         yield deleted
 
 
-def _edge_deletions(g: Graph, d: int, rng: Rng, method: str, minimal: bool,
-                    trials) -> tuple[bool, bool]:
+def _edge_deletions(g: Graph, d: int, how: str, minimal: bool, trials) -> tuple[bool, bool]:
     """Global rigidity of G, and minimal (``minimal``) or redundant global
-    rigidity: G and every G - e tested on the route of ``is_globally_rigid``.
+    rigidity: G and every G - e tested on route ``how`` (``_route``), on
+    ``trials`` (``_trials`` of G).
 
-    One loop on every route. Each proof of G comes with a test that says,
-    for edge j, whether G - e_j is globally rigid: True settles "not
-    minimal", False settles "not redundant", and None leaves j open for the
-    next proof. G is globally rigid exactly when some proof comes, as in
-    ``is_globally_rigid`` with the same ``rng``. The proofs and their tests:
-
-    - stress route: the trials of ``_proofs`` of ``trials`` (``_trials`` of
-      G, at most TRIALS factorizations of R(G,p)^T), each edge tested by
-      ``_stress_deletion``;
-    - combinatorial-2d route: the same trials, filtered by
-      ``_planar_proofs``, each edge tested by ``_planar_deletions``;
-    - complete-small and combinatorial-1d routes: one proof, G's own test
-      on ``rng.child(0)``, and G - e_j's own test on ``rng.child(1 + j)``.
-
-    A test says True or False only where that is exact, so an edge left
-    open can only make a wrong "minimal" a "yes" and a wrong "redundant" a
-    "no".
+    One loop over the proofs of ``_tests``: True settles "not minimal",
+    False settles "not redundant", and None leaves j open for the next
+    proof. G is globally rigid exactly when some proof comes, as in
+    ``is_globally_rigid`` on the same trials. A test says True or False
+    only where that is exact, so an edge left open can only make a wrong
+    "minimal" a "yes" and a wrong "redundant" a "no".
     """
-    how = _route(g, d, method)
-    if how == "stress":
-        tests = (partial(_stress_deletion, g, real, list(stresses.values()), sub)
-                 for _, real, _, stresses, sub in _proofs(g, d, trials))
-    elif how == "combinatorial-2d":
-        tests = _planar_deletions(g, minimal, trials)
-    elif is_globally_rigid(g, d, rng.child(0), method=method):
-        tests = [lambda j: bool(is_globally_rigid(g.delete_edge(g.edges[j]), d, rng.child(1 + j),
-                                                  method=method))]
-    else:
-        tests = []
     proved = False
     open_edges = list(range(g.m))
-    for deleted in tests:
+    for _, deleted in _tests(g, d, how, minimal, trials):
         proved = True
         still_open = []
         for j in open_edges:
@@ -432,44 +441,31 @@ def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
                                 method: str = "auto") -> bool:
     """Globally rigid, and no longer so after any single edge deletion.
 
-    On the stress route (d >= 3 with ``method="auto"``, or
-    ``method="stress"``) G and every G - e are tested on the same <= TRIALS
-    factorizations of R(G,p)^T: at any realization p the stresses of G - e
-    are exactly the stresses of G that vanish on e. The first G - e proved
-    globally rigid ends the test. A proof needs a random stress whose
-    matrix reaches rank n - d - 1, so a G - e can only be missed: a wrong
-    answer can only be a wrong "yes". At d = 2 (``method`` "auto" or
-    "combinatorial") the same trials carry the cocircuit test
-    (``_planar_deletions``): G - e is redundantly rigid when column e of
-    the stress basis is parallel to no other column, and globally rigid
-    when it is also 3-connected. A parallel pair at p may be an accident,
-    so here too a wrong answer can only be a wrong "yes". At d = 1 each
-    G - e gets its own 2-connectivity test.
+    One loop over the proofs of ``is_globally_rigid`` with the same ``rng``
+    (``_edge_deletions``); the first G - e proved globally rigid ends it.
+    On the stress and 2D routes a G - e is proved only by an exact witness,
+    a stress of rank n - d - 1 or a column of the stress basis parallel to
+    no other, so a G - e can only be missed: a wrong answer can only be a
+    wrong "yes". At d = 1 and on at most d + 1 vertices it is exact.
     """
-    rng = _rng(rng)
-    return _edge_deletions(g, d, rng, method, True, _trials(g, d, rng))[1]
+    trials = _trials(g, d, _rng(rng))
+    return _edge_deletions(g, d, _route(g, d, method), True, trials)[1]
 
 
 def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
                                   method: str = "auto") -> bool:
     """Globally rigid after deleting any single edge.
 
-    On the stress route (d >= 3 with ``method="auto"``, or
-    ``method="stress"``) G and every G - e are tested on the same <= TRIALS
-    factorizations of R(G,p)^T: at any realization p the stresses of G - e
-    are exactly the stresses of G that vanish on e. Every G - e must be
-    proved globally rigid within those trials, each proof an exact stress
-    of G - e whose matrix has rank n - d - 1, so a wrong answer can only be
-    a wrong "no". At d = 2 (``method`` "auto" or "combinatorial") the same
-    trials carry the cocircuit test (``_planar_deletions``): every G - e
-    must be 3-connected, and its column of the stress basis must be
-    parallel to no other column in some trial. A column that is not
-    parallel at a realization of full rank is not parallel generically, so
-    here too a wrong answer can only be a wrong "no". At d = 1 each G - e
-    gets its own 2-connectivity test.
+    One loop over the proofs of ``is_globally_rigid`` with the same ``rng``
+    (``_edge_deletions``); the first G - e shown not globally rigid ends
+    it. On the stress and 2D routes every G - e must be proved globally
+    rigid by an exact witness within those proofs, a stress of rank
+    n - d - 1 or 3-connectivity and a column of the stress basis parallel
+    to no other, so a wrong answer can only be a wrong "no". At d = 1 and
+    on at most d + 1 vertices it is exact.
     """
-    rng = _rng(rng)
-    return _edge_deletions(g, d, rng, method, False, _trials(g, d, rng))[1]
+    trials = _trials(g, d, _rng(rng))
+    return _edge_deletions(g, d, _route(g, d, method), False, trials)[1]
 
 
 def is_globally_k_d_rigid(g: Graph, k: int, d: int, rng: Rng | None = None) -> bool:
@@ -607,8 +603,9 @@ def _greedy_pass(g: Graph, real: Realization, stresses, gone, order, rng: Rng):
 def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> SparsifyResult:
     """Extract a minimally globally rigid spanning subgraph.
 
-    Each trial of ``_proofs`` factors R(G,p)^T once and proves G globally
-    rigid with one random combination of the stresses read off it. Its
+    Each trial of ``_proofs`` with ``_stress_proof``, the stress route's
+    proofs, factors R(G,p)^T once and proves G globally rigid with one
+    random combination of the stresses read off it. Its
     pivots are a maximal independent edge set E0, its kernel vectors the
     fundamental stresses of the other (free) edges, a basis of the stresses
     of G at p. Two greedy passes (``_greedy_pass``) then run on these
@@ -630,12 +627,11 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> Sparsif
         NotGloballyRigidError: when no trial proves G globally rigid. At
         every d this "no" may be wrong, with negligible probability.
     """
-    if d < 1:
-        raise GraphError("dimension must be >= 1")
+    rng = _rng(rng)
+    trials = _trials(g, d, rng)
     if g.n < d + 2:
         raise GraphError("sparsifier needs at least d + 2 vertices")
-    rng = _rng(rng)
-    for t, real, pivots, stresses, sub in _proofs(g, d, _trials(g, d, rng)):
+    for t, real, pivots, stresses, sub, _ in _proofs(g, d, trials, partial(_stress_proof, g)):
         free = list(stresses) if len(stresses) > g.n - d - 1 else []
         first = _greedy_pass(g, real, stresses.values(), (), free, sub.child(2))
         if first is None:

@@ -18,8 +18,8 @@ from functools import cache
 
 from .field import Rng
 from .graph import Graph, GraphError, local_connectivity
-from .rigidity import (_connects, _matroid, _rng, _splitting_edges, _trials, bridges,
-                       is_matroid_connected)
+from .rigidity import (_check_dimension, _connects, _matroid, _rng, _splitting_edges, _trials,
+                       bridges, is_matroid_connected)
 
 YES = "yes"
 NO = "no"
@@ -169,8 +169,7 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
     """
     if kind not in CONJECTURES:
         raise ValueError(f"unknown conjecture {kind!r}; known: {CONJECTURES}")
-    if dim < 1:
-        raise GraphError("dimension must be >= 1")
+    _check_dimension(dim)
     rng = _rng(rng)
 
     confirmed = 0

@@ -37,6 +37,12 @@ def _rng(rng: Rng | None) -> Rng:
     return rng if rng is not None else Rng(DEFAULT_SEED)
 
 
+def _check_dimension(d: int) -> None:
+    """The one dimension rule of the package: d >= 1."""
+    if d < 1:
+        raise GraphError("dimension must be >= 1")
+
+
 class NonGenericRealizationError(RuntimeError):
     """The supplied realization behaved degenerately; resample and retry."""
 
@@ -50,8 +56,7 @@ class Realization:
     seed: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise GraphError("dimension must be >= 1")
+        _check_dimension(self.d)
         for c in self.coords:
             if len(c) != self.d:
                 raise GraphError("every vertex needs exactly d coordinates")
@@ -224,10 +229,10 @@ def _trials(g: Graph, d: int, rng: Rng, extra=(), edge_stresses=True):
 
     Raises:
         GraphError: when d < 1, at the call, before any trial is drawn, so
-        that queries which read no trial (edgeless graphs) reject d too.
+        that queries which read no trial (edgeless graphs, the global
+        rigidity routes that need no realization) reject d too.
     """
-    if d < 1:
-        raise GraphError("dimension must be >= 1")
+    _check_dimension(d)
 
     def draw():
         for t in range(TRIALS):
@@ -237,33 +242,11 @@ def _trials(g: Graph, d: int, rng: Rng, extra=(), edge_stresses=True):
     return draw()
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _classes(m: int, supports) -> list[list[int]]:
-    """Edge indices 0..m-1 grouped by union-find over the supports, each
-    group ascending and the groups ordered by their first index."""
-    uf = _UnionFind(m)
-    for supp in supports:
-        for j in supp[1:]:
-            uf.union(supp[0], j)
-    groups: dict[int, list[int]] = {}
-    for j in range(m):
-        groups.setdefault(uf.find(j), []).append(j)
-    return list(groups.values())
+    """Edge indices 0..m-1 grouped by the supports: the components of the
+    graph on them that joins each support's first index to its others,
+    each group ascending and the groups ordered by their least index."""
+    return Graph(m, {(s[0], j) for s in supports for j in s[1:]}).connected_components()
 
 
 def _matroid(g: Graph, d: int, trials, settled, pairs=()):
@@ -384,7 +367,8 @@ def matroid_components(g: Graph, d: int, rng: Rng | None = None
                        ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Connected components of the rigidity matroid, as edge sets.
 
-    Union-find over the stress supports of the kept trials of ``_matroid``.
+    The edges grouped by the stress supports of the kept trials of
+    ``_matroid`` (``_classes``).
     Each support is a fundamental circuit, and the fundamental circuits of
     one basis already connect each component. The loop stops early once a
     trial at the rank bound connects every edge. A component may be split
@@ -402,8 +386,7 @@ def _splitting_edges(g: Graph, d: int, rng: Rng):
     """The edges e, in edge order, whose deletion leaves the rigidity
     matroid disconnected, G - e_i tested on ``rng.child(i)``. A component
     may be split wrongly, so an edge may be yielded wrongly, never missed."""
-    if d < 1:
-        raise GraphError("dimension must be >= 1")
+    _check_dimension(d)
     for i, e in enumerate(g.edges):
         if not is_matroid_connected(g.delete_edge(e), d, rng.child(i)):
             yield e

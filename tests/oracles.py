@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 from rigidkit import Graph, GraphError
@@ -30,6 +30,7 @@ from rigidkit.global_rigidity import (
     _directions,
     _proofs,
     _route,
+    _stress_proof,
     _without,
     is_globally_rigid,
     minimally_globally_rigid_edge_bound,
@@ -906,7 +907,7 @@ def edge_deletions_by_route(g: Graph, d: int, rng: Rng, method: str, minimal: bo
         return True, (not any(verdicts) if minimal else all(verdicts))
     proved = False
     open_edges = list(range(g.m))
-    for _, real, _, stresses, sub in _proofs(g, d, trials):
+    for _, real, _, stresses, sub, _ in _proofs(g, d, trials, partial(_stress_proof, g)):
         proved = True
         stresses = stresses.values()
         still_open = []

@@ -8,6 +8,7 @@ predicates and the sparsifier, and the resample and retry paths driven by a
 degenerate ``Rng``.
 """
 
+from functools import partial
 from itertools import combinations, count
 
 import pytest
@@ -49,7 +50,9 @@ from rigidkit.global_rigidity import (
     _edge_deletions,
     _greedy_pass,
     _proofs,
+    _route,
     _stress_block,
+    _stress_proof,
     _without,
     stress_matrix,
 )
@@ -132,6 +135,16 @@ def planar_deletion_graphs(draw):
     n = 1 + max(v for e in edges for v in e)
     label = draw(st.permutations(range(n)))
     return Graph(n, tuple({tuple(sorted((label[u], label[v]))) for u, v in edges}))
+
+
+@st.composite
+def tiny_graphs(draw, d):
+    """Graphs on 1 to d + 1 vertices, the complete-small route: complete,
+    or complete less up to two edges."""
+    n = draw(st.integers(1, d + 1))
+    pairs = list(combinations(range(n), 2))
+    missing = set(draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True))) if pairs else ()
+    return Graph(n, tuple(e for e in pairs if e not in missing))
 
 
 @st.composite
@@ -275,7 +288,8 @@ class TestAgainstEdgeByEdge:
         assert is_redundantly_globally_rigid(g, d, rng.child(1), method="stress") == \
             redundantly_globally_rigid_per_edge(g, d, rng.child(1), method="stress")
         if is_globally_rigid(g, d, rng.child(2), method="stress"):
-            _, real, _, stresses, sub = next(_proofs(g, d, _trials(g, d, rng.child(3))))
+            proofs = _proofs(g, d, _trials(g, d, rng.child(3)), partial(_stress_proof, g))
+            _, real, _, stresses, sub, _ = next(proofs)
             dropped = _greedy_pass(g, real, stresses.values(), (), range(g.m), sub.child(2))
             pruned = Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in dropped))
             assert pruned == greedy_pass_per_edge(g, d, rng.child(3))
@@ -307,11 +321,12 @@ class TestAgainstEdgeByEdge:
         g = data.draw(dense_graphs(d))
         rng = Rng(data.draw(st.integers(0, 2**32)))
         rigid = bool(is_globally_rigid(g, d, rng, method=method))
-        assert _edge_deletions(g, d, rng, method, True, _trials(g, d, rng)) == \
+        how = _route(g, d, method)
+        assert _edge_deletions(g, d, how, True, _trials(g, d, rng)) == \
             (rigid, is_minimally_globally_rigid(g, d, rng, method=method))
-        assert _edge_deletions(g, d, rng, method, False, _trials(g, d, rng)) == \
+        assert _edge_deletions(g, d, how, False, _trials(g, d, rng)) == \
             (rigid, is_redundantly_globally_rigid(g, d, rng, method=method))
-        got = next(_proofs(g, d, _trials(g, d, rng)), None)
+        got = next(_proofs(g, d, _trials(g, d, rng), partial(_stress_proof, g)), None)
         expect = first_proof_by_stress_spaces(g, d, rng)
         assert (got is None) == (expect is None)
         if got is not None:
@@ -399,8 +414,9 @@ class TestOneDeletionLoop:
     trials the deletion families read."""
 
     @pytest.mark.parametrize("d, method", [
-        (1, "auto"), (1, "stress"), (2, "auto"), (2, "stress"), (2, "combinatorial"),
-        (3, "auto"),
+        (1, "auto"), (1, "stress"), (1, "combinatorial"),
+        (2, "auto"), (2, "stress"), (2, "combinatorial"),
+        (3, "auto"), (3, "stress"),
     ])
     @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -417,12 +433,13 @@ class TestOneDeletionLoop:
 
         monkeypatch.setattr(global_rigidity, "_certifies", recording)
         monkeypatch.setattr(oracles, "_certifies", recording)
-        g = data.draw(planar_deletion_graphs() if d == 2 else dense_graphs(d))
+        g = data.draw(st.one_of(planar_deletion_graphs() if d == 2 else dense_graphs(d),
+                                tiny_graphs(d)))
         rng = Rng(data.draw(st.integers(0, 2**32)))
         for minimal in (True, False):
             for log in (factorizations, flows, draws):
                 log.clear()
-            got = _edge_deletions(g, d, rng, method, minimal, _trials(g, d, rng))
+            got = _edge_deletions(g, d, _route(g, d, method), minimal, _trials(g, d, rng))
             work = (len(factorizations), len(flows), list(draws))
             for log in (factorizations, flows, draws):
                 log.clear()
@@ -439,7 +456,7 @@ class TestOneDeletionLoop:
             assert cert.method == "combinatorial-2d"
             assert bool(cert) == globally_rigid_2d_by_redundant_rigidity(g, rng)
         # G's verdict is the first proof of the families' loop
-        assert _edge_deletions(g, 2, rng, "auto", True, _trials(g, 2, rng))[0] == bool(cert)
+        assert _edge_deletions(g, 2, cert.method, True, _trials(g, 2, rng))[0] == bool(cert)
 
     @pytest.mark.parametrize("graph, redundant, expect", [
         (two_k5_on_a_triangle, False, (1, 6)),

@@ -143,6 +143,30 @@ class TestGloballyRigid:
                 c = is_globally_rigid(g, d, rng.child(200 + i), method="combinatorial")
                 assert bool(s) == bool(c), (g, d)
 
+    @pytest.mark.parametrize("g, d, method, verdict, route, note", [
+        (complete(3), 2, "auto", True, "complete-small", ""),
+        (path(3), 2, "auto", False, "complete-small", ""),
+        (cycle(5), 1, "auto", True, "combinatorial-1d", ""),
+        (path(4), 1, "combinatorial", False, "combinatorial-1d", ""),
+        (complete_bipartite(3, 4), 2, "auto", True, "combinatorial-2d", ""),
+        (cycle(4), 2, "auto", False, "combinatorial-2d", "not 3-connected"),
+        # 3-connected but minimally rigid: no trial proves it redundantly rigid
+        (complete_bipartite(3, 3), 2, "combinatorial", False, "combinatorial-2d", ""),
+        (icosahedron_braced(), 3, "auto", True, "stress",
+         "stress matrix reached rank 8 in trial 0"),
+        (complete(4), 1, "stress", True, "stress", "stress matrix reached rank 2 in trial 0"),
+        # short of the rigid rank in every trial
+        (cycle(5), 2, "stress", False, "stress", "no stress matrix of rank 2 in 3 trials"),
+        # at the rigid rank but stress-free
+        (complete_bipartite(3, 3), 2, "stress", False, "stress",
+         "no stress matrix of rank 3 in 3 trials"),
+    ], ids=lambda x: x if isinstance(x, str) else None)
+    def test_certificate_per_route(self, g, d, method, verdict, route, note):
+        # the whole certificate, on a success and on a failure of each route
+        cert = is_globally_rigid(g, d, Rng(7), method=method)
+        assert (cert.globally_rigid, cert.method, cert.dimension, cert.seed, cert.note) == \
+            (verdict, route, d, 7, note)
+
     def test_combinatorial_rejected_for_d3(self):
         with pytest.raises(ValueError):
             is_globally_rigid(complete(6), 3, method="combinatorial")

@@ -1,20 +1,25 @@
 import pytest
 
 from rigidkit import (
+    CorpusSpec,
     Graph,
     GraphError,
     bridges,
     complete,
     cone,
     cycle,
+    explore_conjecture,
     fundamental_circuit,
     generic_rank,
     icosahedron,
     icosahedron_braced,
     is_circuit,
+    is_globally_rigid,
     is_independent,
     is_linked,
     is_matroid_connected,
+    is_minimally_globally_rigid,
+    is_redundantly_globally_rigid,
     is_redundantly_matroid_connected,
     is_redundantly_rigid,
     is_rigid,
@@ -26,6 +31,7 @@ from rigidkit import (
     rigid_basis,
     rigidity_matrix,
     sample_realization,
+    sparsify_globally_rigid,
     two_sum,
     vertex_connectivity,
     wheel,
@@ -322,7 +328,8 @@ class TestMatroidReport:
 
 
 class TestDimensionValidated:
-    """Every public matroid query rejects d < 1, on edgeless graphs too,
+    """Every public matroid query, global rigidity test, deletion family,
+    the sparsifier and the explorer reject d < 1, on edgeless graphs too,
     where no trial is drawn."""
 
     QUERIES = {
@@ -340,6 +347,13 @@ class TestDimensionValidated:
         "matroid_report": matroid_report,
         # (0, 1) is a non-edge of Graph(3) and an edge of complete(4)
         "is_linked": lambda g, d: is_linked(g, 0, 1, d),
+        "is_globally_rigid": is_globally_rigid,
+        "is_minimally_globally_rigid": is_minimally_globally_rigid,
+        "is_redundantly_globally_rigid": is_redundantly_globally_rigid,
+        "sparsify_globally_rigid": sparsify_globally_rigid,
+        **{f"explore_conjecture[{kind}]":
+           lambda g, d, kind=kind: explore_conjecture(kind, d, CorpusSpec(max_n=g.n))
+           for kind in ("linked-gl", "redundant-mc", "bridge")},
     }
 
     @pytest.mark.parametrize("d", [0, -1])

@@ -56,3 +56,18 @@ def test_the_package_imports_only_the_standard_library():
         found += [f"{where} {name}" for name in names
                   if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_every_parameter_of_every_def_is_read():
+    # a parameter that its body never reads is inert: every caller passes it
+    # for nothing (lambdas are exempt, since they fill a fixed signature)
+    unread = []
+    for where, node in _nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None]
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{where} {node.name}({p})" for p in params if p not in read]
+    assert unread == []
