@@ -28,6 +28,7 @@ from .graph import (
     k4e_chain,
     local_connectivity,
     min_mixed_cut,
+    mixed_cut_cost,
     parse_edge_list,
     path,
     two_separation,

@@ -17,7 +17,7 @@ from itertools import tee
 
 from . import __version__
 from .field import PRIME, Rng
-from .graph import GraphError, ParseError, generate, min_mixed_cut, parse_edge_list
+from .graph import GraphError, ParseError, generate, mixed_cut_cost, parse_edge_list
 from .rigidity import DEFAULT_SEED, _report, _rigid_at_rank, _trials
 from .global_rigidity import (
     NotGloballyRigidError,
@@ -106,7 +106,7 @@ def cmd_analyze(args) -> int:
             "globally_rigid_method": how,
             "minimally_globally_rigid": minimal,
             "min_degree": g.min_degree() if g.n else None,
-            "min_mixed_cut_cost": min_mixed_cut(g).cost if g.n >= 2 else None,
+            "min_mixed_cut_cost": mixed_cut_cost(g) if g.n >= 2 else None,
         },
         "bounds": {
             "minimally_globally_rigid_edges": bound,
@@ -196,8 +196,8 @@ def cmd_extract(args) -> int:
             "k": trace.k,
             "promoted": trace.promoted,
             "steps": steps,
-            # both routes return only verified subgraphs: a minimum mixed
-            # cut of cost >= k, and for grs2d redundant global rigidity too
+            # both routes return only verified subgraphs: no mixed cut
+            # costs less than k, and for grs2d redundant global rigidity too
             "verified": True,
         },
     }

@@ -129,9 +129,10 @@ def mixed_k_connected_subgraph(g: Graph, k: int) -> tuple[Graph, ExtractionTrace
     nothing. The density premise is then required of the stripped core.
 
     The output is verified: the loop returns only after ``min_mixed_cut``
-    of the very graph it returns costs at least k, and the cut it computes
-    there is exact. So callers do not run the cut again; ``rigidkit
-    extract`` reports ``verified`` on the strength of this check.
+    proves that no mixed cut of the very graph it returns costs less than
+    k, with flows capped at k; a cut is decoded only when a split follows.
+    So callers do not run the cut again; ``rigidkit extract`` reports
+    ``verified`` on the strength of this check.
     """
     requested = k
     if k < 1:
@@ -164,8 +165,8 @@ def mixed_k_connected_subgraph(g: Graph, k: int) -> tuple[Graph, ExtractionTrace
         delete_while(lambda v: _premise(st.nv - 1, st.ne - st.degree(v), k))
 
         cur, labels = st.graph()
-        cut = min_mixed_cut(cur)
-        if cut.cost >= k:
+        cut = min_mixed_cut(cur, below=k)
+        if cut is None:
             trace = ExtractionTrace(requested_k=requested, k=k,
                                     steps=tuple(steps), vertices=labels)
             return cur, trace

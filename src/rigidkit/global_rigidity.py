@@ -150,8 +150,10 @@ class GlobalRigidityCertificate:
 
     ``note`` says why, where a route has more to say than its verdict: on
     the stress route the trial whose stress matrix reached rank n - d - 1,
-    or that none did in ``TRIALS`` trials; "not 3-connected" when the 2D
-    route stops at connectivity; empty otherwise.
+    or that none did in ``TRIALS`` trials; on a failure of the 1D route
+    "not 2-connected", and of the 2D route "not 3-connected" or, for a
+    3-connected G, that no trial proved it redundantly rigid in ``TRIALS``
+    trials; empty otherwise.
     """
 
     globally_rigid: bool
@@ -283,13 +285,15 @@ def _tests(g: Graph, d: int, how: str, minimal: bool, trials):
         if g.is_complete():
             yield "", lambda j: False
     elif how == "combinatorial-1d":
-        if is_k_connected(g, 2):
-            yield "", lambda j: is_k_connected(g.delete_edge(g.edges[j]), 2)
+        if not is_k_connected(g, 2):
+            return "not 2-connected"
+        yield "", lambda j: is_k_connected(g.delete_edge(g.edges[j]), 2)
     elif how == "combinatorial-2d":
         if not is_k_connected(g, 3):
             return "not 3-connected"
         for deleted in _planar_deletions(g, minimal, trials):
             yield "", deleted
+        return f"not redundantly rigid in {TRIALS} trials"
     else:
         target = g.n - d - 1
         for t, real, _, stresses, sub, _ in _proofs(g, d, trials, partial(_stress_proof, g)):
@@ -448,8 +452,8 @@ def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     no other, so a G - e can only be missed: a wrong answer can only be a
     wrong "yes". At d = 1 and on at most d + 1 vertices it is exact.
     """
-    trials = _trials(g, d, _rng(rng))
-    return _edge_deletions(g, d, _route(g, d, method), True, trials)[1]
+    how = _route(g, d, method)
+    return _edge_deletions(g, d, how, True, _trials(g, d, _rng(rng)))[1]
 
 
 def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
@@ -464,8 +468,8 @@ def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     to no other, so a wrong answer can only be a wrong "no". At d = 1 and
     on at most d + 1 vertices it is exact.
     """
-    trials = _trials(g, d, _rng(rng))
-    return _edge_deletions(g, d, _route(g, d, method), False, trials)[1]
+    how = _route(g, d, method)
+    return _edge_deletions(g, d, how, False, _trials(g, d, _rng(rng)))[1]
 
 
 def is_globally_k_d_rigid(g: Graph, k: int, d: int, rng: Rng | None = None) -> bool:

@@ -384,7 +384,8 @@ def two_separation(g: Graph, u: int, v: int, add_edge: bool) -> tuple[Graph, Gra
 # max-flow core and connectivity
 
 class _FlowNet:
-    """Tiny deterministic max-flow network (BFS augmentation, integer caps).
+    """Tiny deterministic max-flow network (Ford-Fulkerson with depth-first
+    augmenting paths, integer caps).
 
     ``cap`` holds the capacities as built. Every ``max_flow`` query starts
     from them afresh, so one network answers any number of source-sink
@@ -408,19 +409,27 @@ class _FlowNet:
         self.cap.append(0)
 
     def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
+        """The s-t flow value, or a value >= ``limit`` once the flow reaches
+        it. Each augmenting path comes from a stack-order search that stops
+        where it first labels t; Ford-Fulkerson is correct with any
+        augmenting path. After a maximum flow the residual network reaches
+        the source side of the minimal minimum cut, which is the same for
+        every maximum flow, so ``reachable`` does not depend on the paths."""
+        to, head = self.to, self.head
         cap = self.residual = list(self.cap)
         flow = 0
         while limit is None or flow < limit:
             parent_arc = [-1] * self.nodes
             parent_arc[s] = -2
-            queue = deque([s])
-            while queue and parent_arc[t] == -1:
-                u = queue.popleft()
-                for a in self.head[u]:
-                    w = self.to[a]
+            stack = [s]
+            while stack and parent_arc[t] == -1:
+                for a in head[stack.pop()]:
+                    w = to[a]
                     if parent_arc[w] == -1 and cap[a] > 0:
                         parent_arc[w] = a
-                        queue.append(w)
+                        if w == t:
+                            break
+                        stack.append(w)
             if parent_arc[t] == -1:
                 break
             bottleneck = None
@@ -428,13 +437,13 @@ class _FlowNet:
             while w != s:
                 a = parent_arc[w]
                 bottleneck = cap[a] if bottleneck is None else min(bottleneck, cap[a])
-                w = self.to[a ^ 1]
+                w = to[a ^ 1]
             w = t
             while w != s:
                 a = parent_arc[w]
                 cap[a] -= bottleneck
                 cap[a ^ 1] += bottleneck
-                w = self.to[a ^ 1]
+                w = to[a ^ 1]
             flow += bottleneck
         return flow
 
@@ -498,7 +507,7 @@ def _separator_pairs(g: Graph, adjacent: bool = False):
 
     With ``adjacent`` the adjacent pairs come too, n - 1 + C(deg v, 2) pairs
     in all: a mixed cut may cut the edge between the two vertices it
-    separates (``min_mixed_cut``).
+    separates (``_mixed_cost``).
     """
     v = min(range(g.n), key=lambda w: (len(g.adjacency[w]), w))
     for w in range(g.n):
@@ -625,45 +634,49 @@ class MixedCut:
         return len(g.connected_components(self.vertices, self.edges)) >= 2
 
 
-def min_mixed_cut(g: Graph) -> MixedCut:
-    """A minimum-cost mixed cut of g.
+def _mixed_cost(g: Graph, net: _FlowNet, cap: int | None = None) -> int:
+    """The cost proof: min(c, ``cap``) for the least cost c of a mixed cut
+    of g, on its vertex-split network ``net`` (vertex cap 2).
 
-    Every s-t flow of one vertex-split network (internal vertices cost 2,
-    edges cost 1) is the cost of a cheapest mixed cut separating s from t,
-    so the minimum over vertex pairs is the least cost c. The graph is
-    mixed k-connected iff c >= k. On complete graphs the cut isolates a
-    cheapest vertex.
-
-    The cost is proved on the pairs of ``_separator_pairs`` with adjacent
-    pairs included, at most (n - 1) + C(delta, 2) flows (``_least_flow``),
-    each capped at the best cost so far, which starts at deg v, the cost of
-    isolating the vertex v of least (degree, label); a complete graph has
-    no cheaper cut and runs none of them. Let (S, F) be a minimum cut. If v
-    lies outside S, v is separated from some vertex t, and the pair (v, t)
-    is run. If v lies in S, v has neighbours in two components of
-    G - S - F: had it neighbours in at most one, moving v into that
-    component (or into one of its own) would leave a cut of cost c - 2. The
-    two neighbours are run as a pair; an edge between them lies in F.
-
-    The returned cut is the one of the lexicographically first pair s < t
-    whose flow is c, decoded back into (S, F) from the vertices the source
-    reaches in the residual network. A second scan finds it: pairs run in
-    lexicographic order with flows capped at c + 1, so a flow of c is a
-    maximum flow, and the scan stops at the first of them. Such a pair has
-    s <= floor(c/2): a cut of cost c deletes at most floor(c/2) vertices,
-    and the least vertex outside S is separated from every vertex in the
-    other components, all of which come later. The vertices the source
-    reaches are the source side of the minimal minimum cut, the same for
-    every maximum flow, so the cut does not depend on the pairs run before.
+    Every s-t flow of ``net`` (internal vertices cost 2, edges cost 1) is
+    the cost of a cheapest mixed cut separating s from t, so c is the
+    least flow over the vertex pairs. It is proved on the pairs of
+    ``_separator_pairs`` with adjacent pairs included, at most
+    (n - 1) + C(delta, 2) flows (``_least_flow``), each capped at the best
+    cost so far, which starts at deg v, the cost of isolating the vertex v
+    of least (degree, label), or at ``cap`` when that is less; a complete
+    graph has no cheaper cut and runs none of them. Let (S, F) be a
+    minimum cut. If v lies outside S, v is separated from some vertex t,
+    and the pair (v, t) is run. If v lies in S, v has neighbours in two
+    components of G - S - F: had it neighbours in at most one, moving v
+    into that component (or into one of its own) would leave a cut of cost
+    c - 2. The two neighbours are run as a pair; an edge between them lies
+    in F.
     """
-    if g.n < 2:
-        raise GraphError("mixed cut needs n >= 2")
-    net = _split_network(g, vertex_cap=2)
-    cost = g.min_degree()
+    cost = g.min_degree() if cap is None else min(cap, g.min_degree())
     # no cut of K_n beats isolating a vertex: with |S| = s it still splits
     # K_(n-s), which costs n - s - 1 edges
-    if not g.is_complete():
-        cost = _least_flow(net, _separator_pairs(g, adjacent=True), cost)
+    if g.is_complete():
+        return cost
+    return _least_flow(net, _separator_pairs(g, adjacent=True), cost)
+
+
+def _decode_mixed_cut(g: Graph, net: _FlowNet, cost: int) -> MixedCut:
+    """The minimum cut of g at its least cost ``cost`` (``_mixed_cost``):
+    the one of the lexicographically first pair s < t whose flow on
+    ``net`` is the cost, decoded back into (S, F) from the vertices the
+    source reaches in the residual network.
+
+    A scan finds the pair: pairs run in lexicographic order with flows
+    capped at cost + 1, so a flow of cost is a maximum flow, and the scan
+    stops at the first of them. Such a pair has s <= floor(cost/2): a cut
+    of that cost deletes at most floor(cost/2) vertices, and the least
+    vertex outside S is separated from every vertex in the other
+    components, all of which come later. The vertices the source reaches
+    are the source side of the minimal minimum cut, the same for every
+    maximum flow, so the cut depends neither on the pairs run before nor
+    on the augmenting paths.
+    """
     # the residual network stays that of the first pair whose flow is cost
     s = next((s for s in range(cost // 2 + 1) for t in range(s + 1, g.n)
               if net.max_flow(2 * s + 1, 2 * t, limit=cost + 1) == cost), None)
@@ -683,6 +696,33 @@ def min_mixed_cut(g: Graph) -> MixedCut:
     if not cut.disconnects(g):
         raise AssertionError("internal error: decoded cut does not disconnect")
     return cut
+
+
+def mixed_cut_cost(g: Graph) -> int:
+    """The least cost of a mixed cut of g: the cost proof of
+    ``min_mixed_cut`` without decoding a cut (``_mixed_cost``)."""
+    if g.n < 2:
+        raise GraphError("mixed cut needs n >= 2")
+    return _mixed_cost(g, _split_network(g, vertex_cap=2))
+
+
+def min_mixed_cut(g: Graph, below: int | None = None) -> MixedCut | None:
+    """A minimum-cost mixed cut of g: the least cost c, proved by capped
+    flows on one vertex-split network (``_mixed_cost``), then the cut of
+    the lexicographically first pair whose flow is c, decoded on the same
+    network (``_decode_mixed_cut``). The graph is mixed k-connected iff
+    c >= k. On complete graphs the cut isolates a cheapest vertex.
+
+    With ``below``, None when no cut costs less than ``below``: the proof
+    caps its flows there and the cut is decoded only when one is returned.
+    """
+    if g.n < 2:
+        raise GraphError("mixed cut needs n >= 2")
+    net = _split_network(g, vertex_cap=2)
+    cost = _mixed_cost(g, net, below)
+    if below is not None and cost >= below:
+        return None
+    return _decode_mixed_cut(g, net, cost)
 
 
 def find_cycle(g: Graph) -> list[int] | None:

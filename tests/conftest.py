@@ -3,7 +3,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from rigidkit import field, rigidity
+from rigidkit import field, graph, rigidity
 from rigidkit.corpus import nonisomorphic_graphs
 from rigidkit.field import Rng
 
@@ -54,3 +54,18 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(rigidity, "_factor", counting)
     return graphs
+
+
+@pytest.fixture
+def flows(monkeypatch):
+    """The (source, sink) of every flow run in the test, on any network of
+    the flow layer (``graph._FlowNet.max_flow``)."""
+    calls = []
+    real_flow = graph._FlowNet.max_flow
+
+    def counting(net, s, t, limit=None):
+        calls.append((s, t))
+        return real_flow(net, s, t, limit)
+
+    monkeypatch.setattr(graph._FlowNet, "max_flow", counting)
+    return calls

@@ -4,7 +4,8 @@ Everything here is deliberately dumb: rational arithmetic, Gauss-Jordan
 elimination, exhaustive enumeration, definition-level checks, and the
 library's earlier implementations of the rigidity matroid, the stress
 test, the edge-deletion predicates, the sparsifier, the isomorphism-class
-generator and the cut-vertex and cycle searches. Beyond sampling
+generator, the cut-vertex and cycle searches and the breadth-first flow
+kernel. Beyond sampling
 realizations and building their rows, the brute-force oracles share no code
 with the paths they verify; the earlier implementations reuse the library's
 primitives and differ from it in how they combine them.
@@ -12,7 +13,7 @@ primitives and differ from it in how they combine them.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
@@ -39,6 +40,7 @@ from rigidkit.global_rigidity import (
 )
 from rigidkit.graph import (
     MixedCut,
+    _FlowNet,
     _split_network,
     articulation_points,
     is_k_connected,
@@ -648,6 +650,44 @@ def sparsify_three_realizations(g: Graph, d: int, rng: Rng,
         }
         return SparsifyResult(extra_edges=chosen, graph=pruned, log=log, seed=rng.seed)
     raise RuntimeError(f"sparsification failed after {max_attempts} randomized attempts")
+
+
+# ---------------------------------------------------------------------------
+# The flow kernel before depth-first augmenting paths: each augmenting path a
+# shortest one, from a breadth-first search of the whole residual network.
+
+def max_flow_by_bfs(net: _FlowNet, s: int, t: int, limit: int | None = None) -> int:
+    """``net.max_flow(s, t, limit)`` by breadth-first augmenting paths; it
+    leaves the residual capacities in ``net.residual`` as the kernel does."""
+    cap = net.residual = list(net.cap)
+    flow = 0
+    while limit is None or flow < limit:
+        parent_arc = [-1] * net.nodes
+        parent_arc[s] = -2
+        queue = deque([s])
+        while queue and parent_arc[t] == -1:
+            u = queue.popleft()
+            for a in net.head[u]:
+                w = net.to[a]
+                if parent_arc[w] == -1 and cap[a] > 0:
+                    parent_arc[w] = a
+                    queue.append(w)
+        if parent_arc[t] == -1:
+            break
+        bottleneck = None
+        w = t
+        while w != s:
+            a = parent_arc[w]
+            bottleneck = cap[a] if bottleneck is None else min(bottleneck, cap[a])
+            w = net.to[a ^ 1]
+        w = t
+        while w != s:
+            a = parent_arc[w]
+            cap[a] -= bottleneck
+            cap[a ^ 1] += bottleneck
+            w = net.to[a ^ 1]
+        flow += bottleneck
+    return flow
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 
 from rigidkit import (Graph, complete, cycle, complete_bipartite, icosahedron_braced, k4e_chain,
                       parse_edge_list, wheel)
-from rigidkit import cli, extract, global_rigidity
+from rigidkit import cli, global_rigidity
+from rigidkit import graph as graph_module
 from rigidkit.cli import main
 
 from degenerate import DegenerateRng
@@ -214,24 +215,30 @@ class TestExtract:
         assert result["n"] == 5 and result["verified"] is True
 
     def test_k_mode_runs_one_cut_without_a_split(self, capsys, tmp_path, monkeypatch):
-        # the extraction returns only after its own cut of the output costs
-        # >= k, and the report does not run that cut again
-        cuts = []
-        real_cut = extract.min_mixed_cut
+        # the extraction returns only after its own cost proof, capped at k,
+        # reads no cut of the output below k; no split follows, so no cut is
+        # decoded, and the report does not run the proof again
+        proofs, decodes = [], []
+        real_proof, real_decode = graph_module._mixed_cost, graph_module._decode_mixed_cut
 
-        def counting(g):
-            cuts.append(g)
-            return real_cut(g)
+        def proving(g, net, cap=None):
+            proofs.append((g, cap))
+            return real_proof(g, net, cap)
 
-        monkeypatch.setattr(extract, "min_mixed_cut", counting)
-        monkeypatch.setattr(cli, "min_mixed_cut", counting)
+        def decoding(g, net, cost):
+            decodes.append(g)
+            return real_decode(g, net, cost)
+
+        monkeypatch.setattr(graph_module, "_mixed_cost", proving)
+        monkeypatch.setattr(graph_module, "_decode_mixed_cut", decoding)
         path = write_graph(tmp_path, complete(8))
         code, out, _ = run_cli(capsys, "extract", "--in", path, "--k", "6")
         assert code == 0
         result = json.loads(out)["result"]
         assert all("delete_vertex" in step for step in result["steps"])  # no split
         assert result["verified"] is True
-        assert cuts == [Graph(result["n"], tuple(map(tuple, result["edges"])))]
+        assert proofs == [(Graph(result["n"], tuple(map(tuple, result["edges"]))), 6)]
+        assert decodes == []
 
     def test_premise_violation_exits_5(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle(8))

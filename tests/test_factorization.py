@@ -40,7 +40,7 @@ from rigidkit import (
     vertex_connectivity,
     wheel,
 )
-from rigidkit import global_rigidity, graph as graph_module, rigidity
+from rigidkit import global_rigidity, rigidity
 from rigidkit.corpus import random_graph_with_edges
 from rigidkit.field import PRIME, FieldMatrix, Rng
 from rigidkit.global_rigidity import (
@@ -393,20 +393,6 @@ def k4_and_k5_on_an_edge() -> Graph:
     kappa = 3, globally rigid in dimension 2, G - (0, 3) 2-connected."""
     edges = set(combinations((1, 2, 3, 4), 2)) | set(combinations((0, 1, 2, 5, 6), 2))
     return Graph(7, tuple(edges | {(0, 3)}))
-
-
-@pytest.fixture
-def flows(monkeypatch):
-    """The (source, sink) of every capped flow run in the test."""
-    calls = []
-    flow = graph_module._FlowNet.max_flow
-
-    def counting(net, s, t, limit=None):
-        calls.append((s, t))
-        return flow(net, s, t, limit)
-
-    monkeypatch.setattr(graph_module._FlowNet, "max_flow", counting)
-    return calls
 
 
 class TestOneDeletionLoop:

@@ -14,6 +14,7 @@ from rigidkit import (
     is_globally_rigid,
     is_matroid_connected,
     is_minimally_globally_rigid,
+    is_redundantly_globally_rigid,
     is_redundantly_rigid,
     minimally_globally_rigid_edge_bound,
     path,
@@ -147,11 +148,12 @@ class TestGloballyRigid:
         (complete(3), 2, "auto", True, "complete-small", ""),
         (path(3), 2, "auto", False, "complete-small", ""),
         (cycle(5), 1, "auto", True, "combinatorial-1d", ""),
-        (path(4), 1, "combinatorial", False, "combinatorial-1d", ""),
+        (path(4), 1, "combinatorial", False, "combinatorial-1d", "not 2-connected"),
         (complete_bipartite(3, 4), 2, "auto", True, "combinatorial-2d", ""),
         (cycle(4), 2, "auto", False, "combinatorial-2d", "not 3-connected"),
         # 3-connected but minimally rigid: no trial proves it redundantly rigid
-        (complete_bipartite(3, 3), 2, "combinatorial", False, "combinatorial-2d", ""),
+        (complete_bipartite(3, 3), 2, "combinatorial", False, "combinatorial-2d",
+         "not redundantly rigid in 3 trials"),
         (icosahedron_braced(), 3, "auto", True, "stress",
          "stress matrix reached rank 8 in trial 0"),
         (complete(4), 1, "stress", True, "stress", "stress matrix reached rank 2 in trial 0"),
@@ -166,6 +168,14 @@ class TestGloballyRigid:
         cert = is_globally_rigid(g, d, Rng(7), method=method)
         assert (cert.globally_rigid, cert.method, cert.dimension, cert.seed, cert.note) == \
             (verdict, route, d, 7, note)
+
+    @pytest.mark.parametrize("query", [
+        is_globally_rigid, is_minimally_globally_rigid, is_redundantly_globally_rigid,
+    ], ids=lambda f: f.__name__)
+    def test_unknown_method_outranks_a_bad_dimension(self, query):
+        # the method is validated before the trials check the dimension
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            query(complete(4), 0, Rng(7), method="bogus")
 
     def test_combinatorial_rejected_for_d3(self):
         with pytest.raises(ValueError):

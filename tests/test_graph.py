@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -22,6 +22,7 @@ from rigidkit import (
     k4e_chain,
     local_connectivity,
     min_mixed_cut,
+    mixed_cut_cost,
     parse_edge_list,
     path,
     two_separation,
@@ -38,6 +39,7 @@ from oracles import (
     find_cycle_by_own_dfs,
     is_k_connected_all_pairs,
     local_connectivity_brute,
+    max_flow_by_bfs,
     min_mixed_cut_all_pairs,
     min_mixed_cut_brute,
     vertex_connectivity_all_pairs,
@@ -381,9 +383,10 @@ class TestOneNetworkPerCall:
 
     @pytest.mark.parametrize("query", [
         min_mixed_cut,
+        mixed_cut_cost,
         vertex_connectivity,
         lambda g: is_k_connected(g, 3),
-    ], ids=["min_mixed_cut", "vertex_connectivity", "is_k_connected_3"])
+    ], ids=["min_mixed_cut", "mixed_cut_cost", "vertex_connectivity", "is_k_connected_3"])
     def test_one_network_per_call(self, monkeypatch, query):
         built = []
         build = graph_module._split_network
@@ -516,18 +519,6 @@ class TestSeparatorPairs:
         cut = min_mixed_cut(Graph(10, tuple(edges)))
         assert (cut.vertices, cut.edges, cut.cost) == ((0, 1), (), 4)
 
-    @pytest.fixture
-    def flows(self, monkeypatch):
-        calls = []
-        flow = graph_module._FlowNet.max_flow
-
-        def counting(net, s, t, limit=None):
-            calls.append((s, t))
-            return flow(net, s, t, limit)
-
-        monkeypatch.setattr(graph_module._FlowNet, "max_flow", counting)
-        return calls
-
     def test_min_mixed_cut_runs_the_certifying_pairs_then_the_scan(self, flows):
         g = random_graph_with_edges(60, 300, Rng(60300))
         cost = min_mixed_cut(g).cost
@@ -546,6 +537,19 @@ class TestSeparatorPairs:
         # source-bounded loop over every later vertex ran 174
         assert (cost, len(ran)) == (4, 99)
 
+    def test_the_cost_alone_runs_the_certifying_pairs(self, flows):
+        g = random_graph_with_edges(60, 300, Rng(60300))
+        assert mixed_cut_cost(g) == 4
+        # seed-fixed: the 65 certifying flows of min_mixed_cut, no scan
+        assert len(flows) == 65
+        # with a bound that no cut undercuts, the same flows capped lower
+        # (only a flow of 0 ends the proof early) and no scan
+        for below in (4, 3):
+            flows.clear()
+            assert min_mixed_cut(g, below=below) is None and len(flows) == 65
+        flows.clear()
+        assert min_mixed_cut(g, below=5).cost == 4 and len(flows) == 99
+
     def test_flow_scans_stop_at_a_zero_flow(self, flows):
         # two disjoint triangles: the first pair across them has flow 0, and
         # no capped flow runs after it; the mixed cut's scan then stops at
@@ -563,6 +567,52 @@ class TestSeparatorPairs:
         delta = g.min_degree()
         assert is_k_connected(g, 5)
         assert 0 < len(flows) <= (g.n - 1 - delta) + comb(delta, 2)
+
+
+class TestFlowKernel:
+    """The depth-first augmenting paths of ``_FlowNet.max_flow`` against the
+    breadth-first kernel they replaced."""
+
+    @settings(max_examples=100)
+    @given(cut_query_graphs(), st.sampled_from((1, 2)), st.one_of(st.none(), st.integers(0, 6)))
+    def test_same_flows_and_residual_source_sides(self, g, vertex_cap, limit):
+        ours = graph_module._split_network(g, vertex_cap)
+        old = graph_module._split_network(g, vertex_cap)
+        for s, t in permutations(range(g.n), 2):
+            flow = ours.max_flow(2 * s + 1, 2 * t, limit)
+            assert flow == max_flow_by_bfs(old, 2 * s + 1, 2 * t, limit), (s, t)
+            # a flow below its cap is maximum: the source side of the
+            # minimal minimum cut is then the same for any augmenting paths
+            if limit is None or flow < limit:
+                assert ours.reachable(2 * s + 1) == old.reachable(2 * s + 1), (s, t)
+
+    def test_a_long_path_does_not_recurse(self):
+        g = path(3000)
+        assert local_connectivity(g, 0, 2999) == 1
+        assert local_connectivity(g.add_edge(0, 2999), 0, 2999) == 2
+
+
+class TestCostOnly:
+    """The cost proof without the decoding scan: ``mixed_cut_cost`` and
+    ``min_mixed_cut`` with a bound, which caps the proof there."""
+
+    @settings(max_examples=150)
+    @given(cut_query_graphs(), st.one_of(st.none(), st.integers(0, 16)))
+    def test_capped_cost_and_bounded_cut(self, g, cap):
+        cut = min_mixed_cut(g)
+        assert mixed_cut_cost(g) == cut.cost
+        net = graph_module._split_network(g, vertex_cap=2)
+        capped = graph_module._mixed_cost(g, net, cap)
+        assert capped == (cut.cost if cap is None else min(cap, cut.cost))
+        bounded = min_mixed_cut(g, below=cap)
+        if cap is not None and cut.cost >= cap:
+            assert bounded is None
+        else:
+            assert bounded == cut
+
+    def test_rejects_fewer_than_two_vertices(self):
+        with pytest.raises(GraphError):
+            mixed_cut_cost(Graph(1))
 
 
 class TestMixedCutInternalChecks:
