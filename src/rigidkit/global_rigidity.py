@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, compress
 
 from .field import PRIME, FieldMatrix, Rng, _echelon, rank, random_combination
 from .graph import Graph, GraphError, is_k_connected
@@ -203,11 +203,13 @@ def _certifies(g: Graph, real: Realization, stresses, rng: Rng, gone=frozenset()
     Raises:
         NonGenericRealizationError: when ``real`` has no affine frame.
     """
-    coeffs = [rng.field_element() for _ in stresses]
-    values = tuple(sum(c * w[i] for c, w in zip(coeffs, stresses)) % PRIME
-                   for i in range(g.m))
+    values = [0] * g.m
+    for w in stresses:
+        c = rng.field_element()
+        for i in compress(range(g.m), w):
+            values[i] += c * w[i]
     live = [i for i in range(g.m) if i not in gone]
-    edges, values = [g.edges[i] for i in live], [values[i] for i in live]
+    edges, values = [g.edges[i] for i in live], [values[i] % PRIME for i in live]
     _check_stress(real, edges, values)
     frame = set(real.frame)
     rest = [v for v in range(g.n) if v not in frame]
@@ -342,25 +344,12 @@ def _stress_deletion(g: Graph, real: Realization, stresses, sub: Rng, j: int) ->
     return _certifies(g, real, rest, sub.child(2 + j), {j}) or None
 
 
-def _directions(stresses) -> list[tuple[int, ...] | None]:
-    """Column j of the stress basis W (the values of ``stresses`` on edge
-    j) scaled to lead with 1, for each edge j; None for a zero column. Two
-    columns are parallel exactly when their directions are equal."""
-    directions = []
-    for column in zip(*stresses):
-        lead = next((x for x in column if x), 0)
-        if lead:
-            inv = pow(lead, -1, PRIME)
-            directions.append(tuple(x * inv % PRIME for x in column))
-        else:
-            directions.append(None)
-    return directions
-
-
 def _planar_proof(stresses) -> list[tuple[int, ...]] | None:
     """The combinatorial-2d route's test of a trial for ``_proofs``: the
-    column directions of the stress basis W (``_directions``) when no
-    column is zero, None otherwise.
+    direction of each column j of the stress basis W (the values of
+    ``stresses`` on edge j), scaled to lead with 1, so that two columns are
+    parallel exactly when their directions are equal; None at the first
+    zero column.
 
     W (one row per fundamental stress) spans the stresses of G at p, and
     its columns represent the dual of the rigidity matroid at p. A trial at
@@ -368,8 +357,14 @@ def _planar_proof(stresses) -> list[tuple[int, ...]] | None:
     rigid: an edge on no stress is one whose deletion drops the rank. With
     3-connectivity that proves G globally rigid.
     """
-    directions = _directions(stresses)
-    return None if None in directions else directions
+    directions = []
+    for column in zip(*stresses):
+        lead = next((x for x in column if x), 0)
+        if not lead:
+            return None
+        inv = pow(lead, -1, PRIME)
+        directions.append(tuple(x * inv % PRIME for x in column))
+    return directions
 
 
 def _planar_deletions(g: Graph, minimal: bool, trials):

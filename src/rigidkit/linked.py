@@ -3,12 +3,13 @@
 A pair {u, v} is linked in dimension d when adding the edge uv leaves the
 generic rank unchanged. Globally linked pairs (the distance between u and v
 agrees in every equivalent generic realization) are fully understood only in
-special situations; the two-dimensional query below answers "yes" or "no"
-exactly on matroid-connected graphs via the local connectivity threshold 3,
-answers "yes" through a circuit-based reduction when the pair is linked in
-dimension 3, and otherwise reports "unknown" rather than guessing. Linkedness
-errs one way: at a trial of generic rank "not linked" is exact and only
-"linked" can be wrong.
+special situations. In dimension 2 one step per graph answers all the pairs
+asked about: "yes" or "no" exactly on matroid-connected graphs via the local
+connectivity threshold 3, "yes" through a circuit-based reduction for a pair
+linked in dimension 3, otherwise "unknown" rather than guessing. It factors
+G once per trial and dimension, so a pair costs only its capped flows; the
+one-pair query and the explorer both call it. Linkedness errs one way: at a
+trial of generic rank "not linked" is exact and only "linked" can be wrong.
 """
 
 from __future__ import annotations
@@ -68,36 +69,43 @@ def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> P
     graphs the answer is exactly kappa(u, v) >= 3; otherwise, when the pair
     is linked in dimension 3, the fundamental circuit C of uv certifies
     "yes" provided kappa(u, v; C - uv) >= 3 and C - uv is matroid-connected
-    in dimension 2. Anything else stays "unknown".
+    in dimension 2. Anything else stays "unknown". A non-edge is the one
+    pair of ``_globally_linked_2d``.
     """
     pair = _pair(g, u, v)
-    rng = _rng(rng)
     if g.has_edge(u, v):
         return PairVerdict(pair=pair, linked={2: True, 3: True},
                            globally_linked=YES, reason=REASON_EDGE)
+    return next(_globally_linked_2d(g, [pair], _rng(rng)))
 
-    # one elimination per trial gives the components and the pair's linkedness
-    _, _, comps, circuits = _matroid(g, 2, _trials(g, 2, rng.child(0), [pair]), _connects, [pair])
+
+def _globally_linked_2d(g: Graph, pairs, rng: Rng, circuits=None):
+    """The verdict of ``is_globally_linked_2d`` for each non-edge of
+    ``pairs``, in order. One ``_matroid`` call on ``rng.child(0)`` gives G's
+    components and each pair's 2-D linkedness. Unless G has exactly one
+    component, the pairs' 3-D circuits come from ``circuits`` (of a d = 3
+    ``_matroid`` call), else from one call on ``rng.child(2)``, and pair
+    i's C - uv is tested on ``rng.child(3 + i)``."""
+    _, _, comps, linked = _matroid(g, 2, _trials(g, 2, rng.child(0), pairs), _connects, pairs)
     if len(comps) == 1:
-        kappa = local_connectivity(g, u, v, limit=3)
-        verdict = YES if kappa >= 3 else NO
-        return PairVerdict(pair=pair, linked={2: pair in circuits},
-                           globally_linked=verdict, reason=REASON_KAPPA)
-
-    trials = _trials(g, 3, rng.child(2), [pair], edge_stresses=False)
-    circuit = _matroid(g, 3, trials, None, [pair])[3].get(pair)
-    if circuit is None:
-        return PairVerdict(pair=pair, linked={3: False},
-                           globally_linked=UNKNOWN, reason=REASON_OPEN)
-    cminus, labels = g.edge_subgraph(e for e in circuit if e != pair)
-    pos = {w: i for i, w in enumerate(labels)}
-    if local_connectivity(cminus, pos[u], pos[v], limit=3) >= 3 and \
-            is_matroid_connected(cminus, 2, rng.child(3)):
-        return PairVerdict(pair=pair, linked={3: True},
-                           globally_linked=YES, reason=REASON_CIRCUIT,
-                           witness=circuit)
-    return PairVerdict(pair=pair, linked={3: True},
-                       globally_linked=UNKNOWN, reason=REASON_OPEN)
+        for u, v in pairs:
+            kappa = local_connectivity(g, u, v, limit=3)
+            yield PairVerdict(pair=(u, v), linked={2: (u, v) in linked},
+                              globally_linked=YES if kappa >= 3 else NO, reason=REASON_KAPPA)
+        return
+    if circuits is None:
+        trials = _trials(g, 3, rng.child(2), pairs, edge_stresses=False)
+        circuits = _matroid(g, 3, trials, None, pairs)[3]
+    for i, (u, v) in enumerate(pairs):
+        circuit = circuits.get((u, v))
+        if circuit is not None:
+            cminus, labels = g.edge_subgraph(e for e in circuit if e != (u, v))
+            if local_connectivity(cminus, labels.index(u), labels.index(v), limit=3) >= 3 and \
+                    is_matroid_connected(cminus, 2, rng.child(3 + i)):
+                yield PairVerdict(pair=(u, v), linked={3: True}, globally_linked=YES,
+                                  reason=REASON_CIRCUIT, witness=circuit)
+                continue
+        yield PairVerdict(pair=(u, v), linked={3: circuit is not None})
 
 
 def globally_linked_1d(g: Graph, u: int, v: int) -> bool:
@@ -135,11 +143,9 @@ def _corpus_graphs(spec: CorpusSpec, rng: Rng):
     from . import corpus as corpus_mod
 
     if spec.mode == "exhaustive":
+        graphs = corpus_mod.nonisomorphic_graphs if spec.isomorph_reject else corpus_mod.all_graphs
         for n in range(1, spec.max_n + 1):
-            if spec.isomorph_reject:
-                yield from corpus_mod.nonisomorphic_graphs(n)
-            else:
-                yield from corpus_mod.all_graphs(n)
+            yield from graphs(n)
     else:
         for i in range(spec.count):
             yield corpus_mod.random_graph(spec.n, spec.edge_prob, rng.child(i))
@@ -172,44 +178,43 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
     _check_dimension(dim)
     rng = _rng(rng)
 
-    confirmed = 0
-    unknown = 0
+    confirmed = unknown = graphs_seen = cases = 0
     candidates = []
-    graphs_seen = 0
-    cases = 0
 
     for gi, g in enumerate(_corpus_graphs(spec, rng.child(0))):
         graphs_seen += 1
         sub = rng.child(1 + gi)
         if kind == "linked-gl":
-            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-            extra = [p for p in pairs if p not in g.edge_set]
+            extra = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if (u, v) not in g.edge_set]
             trials = _trials(g, dim + 1, sub.child(0), extra, edge_stresses=False)
             circuits = _matroid(g, dim + 1, trials, None, extra)[3]
-            for pi, (u, v) in enumerate(pairs):
-                if not (g.has_edge(u, v) or (u, v) in circuits):
-                    continue
-                cases += 1
-                if dim == 1:
+            pairs = [p for p in extra if p in circuits]
+            cases += g.m + len(pairs)
+            if dim > 2:
+                unknown += g.m + len(pairs)
+                continue
+            confirmed += g.m
+            if dim == 1:
+                for u, v in pairs:
                     if globally_linked_1d(g, u, v):
                         confirmed += 1
                     else:
                         candidates.append({"graph": _graph_payload(g),
                                            "pair": [u, v],
                                            "detail": "linked in dim 2 but not globally linked in dim 1"})
-                elif dim == 2:
-                    verdict = is_globally_linked_2d(g, u, v, sub.child(1 + pi))
+            # a generator would factor G even with no pair to ask about
+            elif pairs:
+                for verdict in _globally_linked_2d(g, pairs, sub.child(1), circuits):
                     if verdict.globally_linked == YES:
                         confirmed += 1
                     elif verdict.globally_linked == NO:
                         candidates.append({"graph": _graph_payload(g),
-                                           "pair": [u, v],
+                                           "pair": list(verdict.pair),
                                            "reason": verdict.reason,
                                            "detail": "linked in dim 3 but globally-linked oracle says no"})
                     else:
                         unknown += 1
-                else:
-                    unknown += 1
         elif kind == "redundant-mc":
             # single-edge matroids are connected only vacuously (the lone
             # edge is its own class); the implication is about circuit-rich

@@ -378,8 +378,7 @@ def matroid_components(g: Graph, d: int, rng: Rng | None = None
 
 
 def is_matroid_connected(g: Graph, d: int, rng: Rng | None = None) -> bool:
-    comps = matroid_components(g, d, rng)
-    return len(comps) == 1 and g.m >= 1
+    return len(matroid_components(g, d, rng)) == 1
 
 
 def _splitting_edges(g: Graph, d: int, rng: Rng):

@@ -4,8 +4,8 @@ Everything here is deliberately dumb: rational arithmetic, Gauss-Jordan
 elimination, exhaustive enumeration, definition-level checks, and the
 library's earlier implementations of the rigidity matroid, the stress
 test, the edge-deletion predicates, the sparsifier, the isomorphism-class
-generator, the cut-vertex and cycle searches and the breadth-first flow
-kernel. Beyond sampling
+generator, the cut-vertex and cycle searches, the breadth-first flow
+kernel and the one-pair globally linked query. Beyond sampling
 realizations and building their rows, the brute-force oracles share no code
 with the paths they verify; the earlier implementations reuse the library's
 primitives and differ from it in how they combine them.
@@ -28,7 +28,7 @@ from rigidkit.global_rigidity import (
     SparsifyResult,
     Stress,
     _certifies,
-    _directions,
+    _planar_proof,
     _proofs,
     _route,
     _stress_proof,
@@ -44,13 +44,28 @@ from rigidkit.graph import (
     _split_network,
     articulation_points,
     is_k_connected,
+    local_connectivity,
+)
+from rigidkit.linked import (
+    NO,
+    REASON_CIRCUIT,
+    REASON_EDGE,
+    REASON_KAPPA,
+    REASON_OPEN,
+    UNKNOWN,
+    YES,
+    PairVerdict,
+    _pair,
 )
 from rigidkit.rigidity import (
     TRIALS,
     _check_stress,
+    _connects,
     _edge_row,
     _factor,
+    _matroid,
     _rows_for,
+    _trials,
     is_matroid_connected,
     is_redundantly_rigid,
     rank_upper_bound,
@@ -342,6 +357,36 @@ def is_linked_by_ranks(g: Graph, u: int, v: int, d: int, rng: Rng) -> bool:
         return True
     return subset_rank(g, d, g.edges + ((u, v),), rng.child(1)) == \
         subset_rank(g, d, g.edges, rng.child(0))
+
+
+def globally_linked_2d_per_pair(g: Graph, u: int, v: int, rng: Rng) -> PairVerdict:
+    """``is_globally_linked_2d`` with G factored for this one pair: its
+    components and 2-D linkedness on ``rng.child(0)``, its 3-D circuit on
+    ``rng.child(2)`` and C - uv tested on ``rng.child(3)``."""
+    pair = _pair(g, u, v)
+    if g.has_edge(u, v):
+        return PairVerdict(pair=pair, linked={2: True, 3: True},
+                           globally_linked=YES, reason=REASON_EDGE)
+    _, _, comps, circuits = _matroid(g, 2, _trials(g, 2, rng.child(0), [pair]), _connects, [pair])
+    if len(comps) == 1:
+        kappa = local_connectivity(g, u, v, limit=3)
+        verdict = YES if kappa >= 3 else NO
+        return PairVerdict(pair=pair, linked={2: pair in circuits},
+                           globally_linked=verdict, reason=REASON_KAPPA)
+    trials = _trials(g, 3, rng.child(2), [pair], edge_stresses=False)
+    circuit = _matroid(g, 3, trials, None, [pair])[3].get(pair)
+    if circuit is None:
+        return PairVerdict(pair=pair, linked={3: False},
+                           globally_linked=UNKNOWN, reason=REASON_OPEN)
+    cminus, labels = g.edge_subgraph(e for e in circuit if e != pair)
+    pos = {w: i for i, w in enumerate(labels)}
+    if local_connectivity(cminus, pos[u], pos[v], limit=3) >= 3 and \
+            is_matroid_connected(cminus, 2, rng.child(3)):
+        return PairVerdict(pair=pair, linked={3: True},
+                           globally_linked=YES, reason=REASON_CIRCUIT,
+                           witness=circuit)
+    return PairVerdict(pair=pair, linked={3: True},
+                       globally_linked=UNKNOWN, reason=REASON_OPEN)
 
 
 def rigid_basis_incremental(g: Graph, d: int, rng: Rng):
@@ -912,8 +957,8 @@ def _cocircuit_deletions(g: Graph, minimal: bool, trials) -> tuple[bool, bool]:
             continue
         if not stresses:
             break
-        directions = _directions(stresses.values())
-        if None in directions:
+        directions = _planar_proof(stresses.values())
+        if directions is None:
             continue
         proved = True
         seen = Counter(directions)

@@ -46,9 +46,9 @@ from rigidkit.field import PRIME, FieldMatrix, Rng
 from rigidkit.global_rigidity import (
     Stress,
     _certifies,
-    _directions,
     _edge_deletions,
     _greedy_pass,
+    _planar_proof,
     _proofs,
     _route,
     _stress_block,
@@ -365,7 +365,7 @@ class TestCocircuitRoute:
         assert not redundantly_globally_rigid_per_edge(g, 2, Rng(4))
         assert not is_minimally_globally_rigid(g, 2, Rng(5))  # G - (0, 2) is the wheel
         _, _, _, stresses, _ = next(_trials(g, 2, Rng(6)))
-        directions = _directions(stresses.values())
+        directions = _planar_proof(stresses.values())
         j = g.edges.index((0, 1))
         assert directions.count(directions[j]) > 1
 
@@ -738,7 +738,7 @@ class TestDegenerateRealizations:
         g = complete(5)
         rng = DegenerateRng(5, [(0, 0)], period=3)
         _, _, pivots, stresses, _ = next(_trials(g, 2, rng))
-        assert len(pivots) == 7 and None in _directions(stresses.values())
+        assert len(pivots) == 7 and _planar_proof(stresses.values()) is None
         factorizations.clear()
         assert is_redundantly_globally_rigid(g, 2, rng)
         assert factorizations == [g, g]

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,7 @@ from rigidkit.field import Rng
 from rigidkit.linked import NO, UNKNOWN, YES, CorpusSpec, REASON_CIRCUIT, REASON_EDGE, REASON_KAPPA
 
 from degenerate import DegenerateRng
-from oracles import explore_edge_loops, is_linked_by_ranks
+from oracles import explore_edge_loops, globally_linked_2d_per_pair, is_linked_by_ranks
 
 
 def two_k4_sharing_a_vertex() -> Graph:
@@ -70,8 +71,8 @@ class TestIsLinked:
 
 
 @st.composite
-def graphs_with_a_pair(draw):
-    n = draw(st.integers(2, 9))
+def graphs_with_a_pair(draw, max_n=9):
+    n = draw(st.integers(2, max_n))
     edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
     u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     return Graph(n, tuple(edges)), u, v
@@ -191,6 +192,52 @@ class TestGloballyLinked2d:
                     assert verdict.globally_linked in (YES, NO, UNKNOWN)
                     if verdict.reason == REASON_KAPPA and verdict.globally_linked == YES:
                         assert local_connectivity(g, u, v) >= 3
+
+
+class TestOneStepPerGraph:
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_one_pair_query_matches_the_per_pair_oracle(self, data):
+        g, u, v = data.draw(graphs_with_a_pair(max_n=7))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        assert is_globally_linked_2d(g, u, v, rng) == globally_linked_2d_per_pair(g, u, v, rng)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_one_step_over_all_pairs_matches_the_oracle_pair_by_pair(self, data):
+        g, _, _ = data.draw(graphs_with_a_pair(max_n=7))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        pairs = [p for p in combinations(range(g.n), 2) if p not in g.edge_set]
+        verdicts = list(linked._globally_linked_2d(g, pairs, rng))
+        assert [verdict.pair for verdict in verdicts] == pairs
+        for verdict in verdicts:
+            expect = globally_linked_2d_per_pair(g, *verdict.pair, rng)
+            assert (verdict.globally_linked, verdict.reason) == (expect.globally_linked, expect.reason)
+
+    def test_linked_gl_d2_counts(self, factorizations):
+        # a query per pair factors some of these graphs 15 times
+        corpus = {id(g) for n in range(1, 8) for g in nonisomorphic_graphs(n)}
+        rep = explore_conjecture("linked-gl", 2,
+                                 CorpusSpec(max_n=7, isomorph_reject=True), Rng(1729))
+        assert rep["counts"] == {"graphs": 1252, "cases": 12865, "confirmed": 12865,
+                                 "unknown": 0, "counterexample_candidates": 0}
+        per_graph = Counter(id(g) for g in factorizations if id(g) in corpus)
+        assert max(per_graph.values()) <= 2 * rigidity.TRIALS
+
+    def test_linked_gl_d2_asks_the_step_only_where_a_pair_is_linked(self, factorizations,
+                                                                       monkeypatch):
+        # the sweep's own d = 3 call, and one d = 2 step for graphs with a
+        # linked non-edge pair; the C - uv subgraphs are not corpus graphs
+        asked = []
+        step = linked._globally_linked_2d
+        monkeypatch.setattr(linked, "_globally_linked_2d",
+                            lambda g, pairs, *args: asked.append(pairs) or step(g, pairs, *args))
+        corpus = {id(g) for n in range(1, 7) for g in nonisomorphic_graphs(n)}
+        rep = explore_conjecture("linked-gl", 2,
+                                 CorpusSpec(max_n=6, isomorph_reject=True), Rng(1729))
+        per_graph = Counter(id(g) for g in factorizations if id(g) in corpus)
+        assert rep["counts"]["cases"] > 0 and asked and all(asked)
+        assert max(per_graph.values()) <= 2 * rigidity.TRIALS
 
 
 class TestTwoSumLemmas:
