@@ -1,9 +1,10 @@
 """Command-line front end: JSON reports to stdout, summaries to stderr.
 
 Exit codes: 0 success, 2 input parse error, 3 invalid arguments, 4 input
-not globally rigid (sparsify), 5 extraction premise not satisfied. Reports
-are reproducible: with the same input, seed and flags the JSON is
-byte-identical apart from the wall-time trailer.
+not globally rigid (sparsify), 5 extraction premise not satisfied. A failed
+command prints one ``<command>: <message>`` line to stderr and nothing to
+stdout. Reports are reproducible: with the same input, seed and flags the
+JSON is byte-identical apart from the wall-time trailer.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from hashlib import sha256
 from itertools import tee
 
@@ -43,6 +45,13 @@ EXIT_ARGS = 3
 EXIT_NOT_GLOBALLY_RIGID = 4
 EXIT_PREMISE = 5
 
+# the exit code of each error a command may raise, most specific class first:
+# ParseError and ExtractionError are GraphErrors, and GraphError and
+# NotGloballyRigidError are ValueErrors
+_EXIT_CODES = ((ParseError, EXIT_PARSE), (OSError, EXIT_PARSE),
+               (NotGloballyRigidError, EXIT_NOT_GLOBALLY_RIGID), (ExtractionError, EXIT_PREMISE),
+               (GraphError, EXIT_ARGS), (ValueError, EXIT_ARGS))
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
@@ -52,30 +61,20 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _load_graph(path: str):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE) from None
-    return parse_edge_list(text)
+    with open(path, "r", encoding="ascii") as fh:
+        return parse_edge_list(fh.read())
 
 
-def _input_digest(g) -> dict:
-    return {
-        "n": g.n,
-        "m": g.m,
-        "sha256": sha256(g.serialize().encode("ascii")).hexdigest(),
-    }
+def _header(command: str, g=None, **fields) -> dict:
+    """The fields every report opens with, the input digest, then ``fields``."""
+    report = {"schema_version": SCHEMA_VERSION, "prime": PRIME, "command": command}
+    if g is not None:
+        report["input"] = {"n": g.n, "m": g.m,
+                           "sha256": sha256(g.serialize().encode("ascii")).hexdigest()}
+    return report | fields
 
 
-def _emit(report: dict, started: float) -> None:
-    report["timing"] = {"wall_time_s": round(time.monotonic() - started, 6)}
-    print(json.dumps(report, indent=2))
-
-
-def cmd_analyze(args) -> int:
-    started = time.monotonic()
+def cmd_analyze(args) -> dict:
     g = _load_graph(args.infile)
     d = args.dim
     rng = Rng(args.seed).child(1)
@@ -86,15 +85,11 @@ def cmd_analyze(args) -> int:
     how = _route(g, d, args.method)
     globally_rigid, minimal = _edge_deletions(g, d, how, True, proof_trials)
     bound = minimally_globally_rigid_edge_bound(g.n, d) if g.n >= d + 2 else None
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "prime": PRIME,
-        "command": "analyze",
-        "input": _input_digest(g),
-        "dim": d,
-        "seed": args.seed,
-        "method": args.method,
-        "results": {
+    print(f"analyze: n={g.n} m={g.m} dim={d} "
+          f"globally_rigid={globally_rigid} ({how})", file=sys.stderr)
+    return _header(
+        "analyze", g, dim=d, seed=args.seed, method=args.method,
+        results={
             "generic_rank": report_m.rank,
             "rigid": _rigid_at_rank(g.n, d, report_m.rank),
             "independent": report_m.independent,
@@ -108,108 +103,59 @@ def cmd_analyze(args) -> int:
             "min_degree": g.min_degree() if g.n else None,
             "min_mixed_cut_cost": mixed_cut_cost(g) if g.n >= 2 else None,
         },
-        "bounds": {
+        bounds={
             "minimally_globally_rigid_edges": bound,
             "edges_exceed_bound": None if bound is None else g.m > bound,
             "minimally_connected_edges": None if bound is None else (d + 1) * g.n - (d + 1) ** 2,
             "conditional_grn_lower_bound": conditional_grn_bound(g) if g.n else None,
             "conditional_note": "assumes the sufficient-connectivity conjecture; reported, not asserted",
         },
-    }
-    print(f"analyze: n={g.n} m={g.m} dim={d} "
-          f"globally_rigid={globally_rigid} ({how})", file=sys.stderr)
-    _emit(report, started)
-    return EXIT_OK
+    )
 
 
-def cmd_sparsify(args) -> int:
-    started = time.monotonic()
+def cmd_sparsify(args) -> dict:
     g = _load_graph(args.infile)
-    d = args.dim
-    rng = Rng(args.seed)
-    try:
-        result = sparsify_globally_rigid(g, d, rng)
-    except NotGloballyRigidError as exc:
-        print(f"sparsify: {exc}", file=sys.stderr)
-        return EXIT_NOT_GLOBALLY_RIGID
-    except GraphError as exc:
-        print(f"sparsify: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "prime": PRIME,
-        "command": "sparsify",
-        "input": _input_digest(g),
-        "dim": d,
-        "seed": args.seed,
-        "result": {
-            "edges": [list(e) for e in result.graph.edges],
-            "edge_count": result.graph.m,
-            "edge_bound": result.log["edge_bound"],
-            "extra_edges": [list(e) for e in result.extra_edges],
-            "log": result.log,
-        },
-    }
+    result = sparsify_globally_rigid(g, args.dim, Rng(args.seed))
     print(f"sparsify: kept {result.graph.m} of {g.m} edges "
           f"(bound {result.log['edge_bound']})", file=sys.stderr)
-    _emit(report, started)
-    return EXIT_OK
+    return _header("sparsify", g, dim=args.dim, seed=args.seed, result={
+        "edges": result.graph.edges,
+        "edge_count": result.graph.m,
+        "edge_bound": result.log["edge_bound"],
+        "extra_edges": result.extra_edges,
+        "log": result.log,
+    })
 
 
-def cmd_extract(args) -> int:
-    started = time.monotonic()
+def cmd_extract(args) -> dict:
     g = _load_graph(args.infile)
-    rng = Rng(args.seed)
-    try:
-        if args.grs2d:
-            got = globally_rigid_subgraph_2d(g, rng, verify=True)
-            if got is None:
-                print(f"extract: premise violated: |E| = {g.m} < {5 * g.n - 14} "
-                      f"= 5|V| - 14 (or |V| = {g.n} < 7)", file=sys.stderr)
-                return EXIT_PREMISE
-            sub, trace = got
-        else:
-            sub, trace = mixed_k_connected_subgraph(g, args.k)
-    except ExtractionError as exc:
-        print(f"extract: {exc}", file=sys.stderr)
-        return EXIT_PREMISE
-    steps = []
-    for step in trace.steps:
-        if isinstance(step, DeleteVertex):
-            steps.append({"delete_vertex": step.vertex, "reason": step.reason})
-        else:
-            steps.append({"cut_vertices": list(step.cut_vertices),
-                          "cut_edges": [list(e) for e in step.cut_edges],
-                          "side": list(step.side)})
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "prime": PRIME,
-        "command": "extract",
-        "input": _input_digest(g),
-        "mode": "grs2d" if args.grs2d else f"mixed-{trace.k}",
-        "seed": args.seed,
-        "result": {
-            "vertices": list(trace.vertices),
-            "n": sub.n,
-            "edges": [list(e) for e in sub.edges],
-            "requested_k": trace.requested_k,
-            "k": trace.k,
-            "promoted": trace.promoted,
-            "steps": steps,
-            # both routes return only verified subgraphs: no mixed cut
-            # costs less than k, and for grs2d redundant global rigidity too
-            "verified": True,
-        },
-    }
-    print(f"extract: kept {sub.n} of {g.n} vertices, verified=True",
-          file=sys.stderr)
-    _emit(report, started)
-    return EXIT_OK
+    if args.grs2d:
+        got = globally_rigid_subgraph_2d(g, Rng(args.seed), verify=True)
+        if got is None:
+            raise ExtractionError(f"premise violated: |E| = {g.m} < {5 * g.n - 14} "
+                                  f"= 5|V| - 14 (or |V| = {g.n} < 7)")
+        sub, trace = got
+    else:
+        sub, trace = mixed_k_connected_subgraph(g, args.k)
+    print(f"extract: kept {sub.n} of {g.n} vertices, verified=True", file=sys.stderr)
+    mode = "grs2d" if args.grs2d else f"mixed-{trace.k}"
+    return _header("extract", g, mode=mode, seed=args.seed, result={
+        "vertices": trace.vertices,
+        "n": sub.n,
+        "edges": sub.edges,
+        "requested_k": trace.requested_k,
+        "k": trace.k,
+        "promoted": trace.promoted,
+        "steps": [{"delete_vertex": step.vertex, "reason": step.reason}
+                  if isinstance(step, DeleteVertex) else asdict(step)
+                  for step in trace.steps],
+        # both routes return only verified subgraphs: no mixed cut
+        # costs less than k, and for grs2d redundant global rigidity too
+        "verified": True,
+    })
 
 
-def cmd_explore(args) -> int:
-    started = time.monotonic()
-    rng = Rng(args.seed)
+def cmd_explore(args) -> dict:
     if args.random is not None:
         count, prob = args.random
         spec = CorpusSpec(mode="random", count=int(count), n=args.max_n,
@@ -218,31 +164,33 @@ def cmd_explore(args) -> int:
     else:
         spec = CorpusSpec(mode="exhaustive", max_n=args.max_n,
                           isomorph_reject=args.isomorph_reject)
-    result = explore_conjecture(args.conjecture, args.dim, spec, rng)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "prime": PRIME,
-        "command": "explore",
-        "seed": args.seed,
-    }
-    report.update(result)
+    result = explore_conjecture(args.conjecture, args.dim, spec, Rng(args.seed))
     counts = result["counts"]
     print(f"explore {args.conjecture} dim={args.dim}: "
           f"{counts['cases']} cases, {counts['confirmed']} confirmed, "
           f"{counts['unknown']} unknown, "
           f"{counts['counterexample_candidates']} candidates", file=sys.stderr)
-    _emit(report, started)
-    return EXIT_OK
+    return _header("explore", seed=args.seed) | result
 
 
-def cmd_generate(args) -> int:
-    try:
-        g = generate(args.family, *args.params)
-    except GraphError as exc:
-        print(f"generate: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    sys.stdout.write(g.serialize())
-    return EXIT_OK
+def cmd_generate(args) -> None:
+    sys.stdout.write(generate(args.family, *args.params).serialize())
+
+
+_SHARED = {
+    "--in": {"dest": "infile", "required": True},
+    "--dim": {"type": int, "required": True},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+}
+
+
+def _command(subs, name: str, fn, summary: str, *shared: str) -> _ArgumentParser:
+    """Add subcommand ``name`` run by ``fn``, with the ``shared`` arguments."""
+    p = subs.add_parser(name, help=summary)
+    p.set_defaults(fn=fn)
+    for flag in shared:
+        p.add_argument(flag, **_SHARED[flag])
+    return p
 
 
 def _build_parser() -> _ArgumentParser:
@@ -251,50 +199,38 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rigidkit {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("analyze", help="rigidity / global rigidity / matroid report")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p = _command(subs, "analyze", cmd_analyze, "rigidity / global rigidity / matroid report",
+                 "--in", "--dim", "--seed")
     p.add_argument("--method", choices=["auto", "stress", "combinatorial"], default="auto")
-    p.set_defaults(fn=cmd_analyze)
 
-    p = subs.add_parser("sparsify", help="minimally globally rigid spanning subgraph")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(fn=cmd_sparsify)
+    _command(subs, "sparsify", cmd_sparsify, "minimally globally rigid spanning subgraph",
+             "--in", "--dim", "--seed")
 
-    p = subs.add_parser("extract", help="dense-graph subgraph extraction")
-    p.add_argument("--in", dest="infile", required=True)
+    p = _command(subs, "extract", cmd_extract, "dense-graph subgraph extraction",
+                 "--in", "--seed")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="target mixed connectivity")
     group.add_argument("--grs2d", action="store_true",
                        help="redundantly globally rigid subgraph in dimension 2")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(fn=cmd_extract)
 
-    p = subs.add_parser("explore", help="conjecture sweep over a graph corpus")
+    p = _command(subs, "explore", cmd_explore, "conjecture sweep over a graph corpus",
+                 "--dim", "--seed")
     p.add_argument("--conjecture", choices=list(CONJECTURES), required=True)
-    p.add_argument("--dim", type=int, required=True)
     p.add_argument("--max-n", dest="max_n", type=int, required=True)
     p.add_argument("--random", nargs=2, metavar=("COUNT", "P"), default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--isomorph-reject", action="store_true",
                    help="sweep one representative per isomorphism class")
-    p.set_defaults(fn=cmd_explore)
 
-    p = subs.add_parser("generate", help="write a named family as edge-list text")
+    p = _command(subs, "generate", cmd_generate, "write a named family as edge-list text")
     p.add_argument("--family", required=True)
     p.add_argument("--params", nargs="*", type=int, default=[])
-    p.set_defaults(fn=cmd_generate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_ARGS
 
@@ -308,16 +244,16 @@ def main(argv=None) -> int:
         print(f"--k must be >= 1, got {args.k}", file=sys.stderr)
         return EXIT_ARGS
 
+    started = time.monotonic()
     try:
-        return args.fn(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_ARGS
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
+        report = args.fn(args)
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    if report is not None:
+        report["timing"] = {"wall_time_s": round(time.monotonic() - started, 6)}
+        print(json.dumps(report, indent=2))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -103,14 +103,14 @@ class _State:
             self.delete_vertex(v)
 
     def restrict(self, keep, drop_edges) -> None:
-        keep = set(keep)
-        drop = set(drop_edges)
-        for v in list(self.vertices - keep):
-            self.delete_vertex(v)
-        for u, v in drop:
+        # drop the cut edges while both ends are present: a cut edge may
+        # end outside ``keep``
+        for u, v in drop_edges:
             self.adj[u].discard(v)
             self.adj[v].discard(u)
             self.edges.discard((u, v) if u < v else (v, u))
+        for v in self.vertices - set(keep):
+            self.delete_vertex(v)
 
     def graph(self) -> tuple[Graph, tuple[int, ...]]:
         verts = sorted(self.vertices)

@@ -41,15 +41,25 @@ def eliminations(monkeypatch):
     return calls
 
 
+class _Factorizations(list):
+    """The graphs of the factorizations, in order; ``dims`` holds the
+    dimension of each one's realization at the same index."""
+
+    def __init__(self):
+        super().__init__()
+        self.dims = []
+
+
 @pytest.fixture
 def factorizations(monkeypatch):
     """The graph of every factorization of R(G,p)^T that the trials of the
     rigidity and global rigidity layers run in the test."""
-    graphs = []
+    graphs = _Factorizations()
     real_factor = rigidity._factor
 
     def counting(g, real, edges, *args):
         graphs.append(g)
+        graphs.dims.append(real.d)
         return real_factor(g, real, edges, *args)
 
     monkeypatch.setattr(rigidity, "_factor", counting)

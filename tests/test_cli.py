@@ -280,10 +280,47 @@ class TestExplore:
         assert code == 3
 
 
+# every exit-code row of the command line: the subcommand's arguments, the
+# text of its --in file (None: no file), the code and a part of the one
+# stderr line; a failed command prints nothing to stdout
+EXIT_ROWS = {
+    "parse-error": (["analyze", "--dim", "2"], "3 1\n0 0\n", 2, "line 2"),
+    "missing-file": (["analyze", "--in", "/nonexistent", "--dim", "2"], None, 2,
+                     "No such file"),
+    "argparse": (["explore", "--conjecture", "p-equals-np", "--dim", "1", "--max-n", "4"],
+                 None, 3, "invalid choice"),
+    "no-command": ([], None, 3, "required"),
+    "dim-range": (["analyze", "--dim", "9"], complete(4).serialize(), 3, "--dim must lie"),
+    "max-n-range": (["explore", "--conjecture", "bridge", "--dim", "1", "--max-n", "10"],
+                    None, 3, "--max-n must lie"),
+    "k-range": (["extract", "--k", "0"], complete(4).serialize(), 3, "--k must be >= 1"),
+    "graph-error": (["sparsify", "--dim", "2"], complete(3).serialize(), 3,
+                    "at least d + 2 vertices"),
+    "unknown-family": (["generate", "--family", "petersen"], None, 3, "unknown generator"),
+    "value-error": (["explore", "--conjecture", "bridge", "--dim", "1", "--max-n", "5",
+                     "--random", "x", "0.5"], None, 3, "invalid literal"),
+    "not-globally-rigid": (["sparsify", "--dim", "2"], cycle(4).serialize(), 4,
+                           "not globally rigid"),
+    "grs2d-premise": (["extract", "--grs2d"], k4e_chain(3).serialize(), 5, "premise violated"),
+    "k-premise": (["extract", "--k", "4"], cycle(8).serialize(), 5, "premise violated"),
+}
+
+
+@pytest.mark.parametrize("argv, text, code, message", EXIT_ROWS.values(), ids=EXIT_ROWS)
+def test_exit_code(capsys, tmp_path, argv, text, code, message):
+    if text is not None:
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="ascii")
+        argv = argv[:1] + ["--in", str(path)] + argv[1:]
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "") and message in err
+
+
 class TestEntryPoint:
-    def test_module_invocation(self, tmp_path):
+    @pytest.mark.parametrize("module", ["rigidkit", "rigidkit.cli"])
+    def test_module_invocation(self, module):
         out = subprocess.run(
-            [sys.executable, "-m", "rigidkit.cli", "generate",
+            [sys.executable, "-m", module, "generate",
              "--family", "cycle", "--params", "5"],
             capture_output=True, text=True)
         assert out.returncode == 0

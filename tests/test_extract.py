@@ -95,6 +95,17 @@ class TestMixedExtraction:
         assert any(isinstance(s, CutSplit) for s in trace.steps)
         assert replay_trace(g, trace) == sub
 
+    def test_split_along_a_cut_with_edges(self):
+        # two 6-cliques joined by a 3-edge matching: the cheap cut holds
+        # edges with an end on the dropped side, which the split drops too
+        edges = list(complete(6).edges)
+        edges += [(a + 6, b + 6) for a, b in complete(6).edges] + [(i, i + 6) for i in range(3)]
+        g = Graph(12, tuple(sorted(edges)))
+        sub, trace = mixed_k_connected_subgraph(g, 4)
+        assert any(isinstance(s, CutSplit) and s.cut_edges for s in trace.steps)
+        assert min_mixed_cut(sub).cost >= 4
+        assert replay_trace(g, trace) == sub
+
 
 class TestGloballyRigidSubgraph2d:
     def test_k7(self):

@@ -12,6 +12,7 @@ from rigidkit import (
     complete_bipartite,
     cycle,
     explore_conjecture,
+    globally_linked_1d,
     is_globally_linked_2d,
     is_linked,
     is_matroid_connected,
@@ -29,7 +30,8 @@ from rigidkit.field import Rng
 from rigidkit.linked import NO, UNKNOWN, YES, CorpusSpec, REASON_CIRCUIT, REASON_EDGE, REASON_KAPPA
 
 from degenerate import DegenerateRng
-from oracles import explore_edge_loops, globally_linked_2d_per_pair, is_linked_by_ranks
+from oracles import (explore_edge_loops, globally_linked_2d_per_pair, is_linked_by_ranks,
+                     local_connectivity_brute)
 
 
 def two_k4_sharing_a_vertex() -> Graph:
@@ -130,6 +132,17 @@ class TestDegenerateFirstTrial:
         assert is_linked(g, 2, 4, 2, DegenerateRng(3, [(0,)], period=8))
 
 
+class TestGloballyLinked1d:
+    def test_matches_exhaustive_menger_on_every_small_pair(self, graphs_by_n):
+        # in d = 1 a pair is globally linked iff it is an edge or two
+        # internally disjoint paths join it
+        pairs = [(g, u, v) for n in range(1, 7) for g in graphs_by_n[n]
+                 for u, v in combinations(range(n), 2)]
+        assert len(pairs) == 2760
+        assert [(g, u, v) for g, u, v in pairs if globally_linked_1d(g, u, v)
+                != (g.has_edge(u, v) or local_connectivity_brute(g, u, v) >= 2)] == []
+
+
 class TestGloballyLinked2d:
     def test_adjacent_pair(self):
         verdict = is_globally_linked_2d(complete(4), 0, 1)
@@ -223,6 +236,14 @@ class TestOneStepPerGraph:
                                  "unknown": 0, "counterexample_candidates": 0}
         per_graph = Counter(id(g) for g in factorizations if id(g) in corpus)
         assert max(per_graph.values()) <= 2 * rigidity.TRIALS
+        # the sweep factors each corpus graph at d = 3 for its own call and
+        # at d = 2 for the step, at most TRIALS times each; the step also
+        # factors the C - uv subgraphs, which are not corpus graphs
+        dims = list(zip(factorizations, factorizations.dims))
+        assert Counter(d for g, d in dims if id(g) in corpus) == {3: 1341, 2: 418}
+        assert Counter(factorizations.dims) == {3: 1341, 2: 596}
+        per_graph_and_d = Counter((id(g), d) for g, d in dims if id(g) in corpus)
+        assert max(per_graph_and_d.values()) <= rigidity.TRIALS
 
     def test_linked_gl_d2_asks_the_step_only_where_a_pair_is_linked(self, factorizations,
                                                                        monkeypatch):
