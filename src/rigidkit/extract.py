@@ -5,6 +5,10 @@ the density premise 2|E| > (k-1)(2|V| - k) holds (k even; odd k is promoted
 to k+1 and recorded). Every step either deletes a vertex while the premise
 survives or splits along a cheap mixed cut into a side that still satisfies
 it, so termination and correctness follow from the counting in the premise.
+Every step works on a ``Graph`` with the input label of each of its vertices,
+the package's subgraph convention; all four peels (the degree strip, the
+premise peel, the core and the connectivity descent) are one ``_peel``, which
+reads only |V|, |E| and the degree of the vertex it may delete.
 On top of that sit a two-dimensional pipeline (mixed 6-connected subgraphs
 are redundantly globally rigid in the plane) and a certified lower-bound
 estimator for the largest dimension admitting a nontrivial globally rigid
@@ -60,63 +64,34 @@ def _premise(nv: int, ne: int, k: int) -> bool:
     return nv >= k + 1 and _edge_premise(nv, ne, k)
 
 
-class _State:
-    """Mutable working copy of a subgraph, in original labels."""
+def _peel(g: Graph, removable) -> tuple[list[tuple[int, int]], list[int]]:
+    """Delete the vertex of least (degree, label) among those for which
+    ``removable(|V|, |E|, degree)`` holds, until it holds for none. Returns
+    (vertex, degree at deletion) for each deletion, in order, and the
+    sorted vertices left."""
+    adj = [set(a) for a in g.adjacency]
+    alive = set(range(g.n))
+    ne = g.m
+    deleted = []
+    while True:
+        nv = len(alive)
+        best = min(((len(adj[v]), v) for v in alive if removable(nv, ne, len(adj[v]))),
+                   default=None)
+        if best is None:
+            return deleted, sorted(alive)
+        deg, v = best
+        deleted.append((v, deg))
+        for w in adj[v]:
+            adj[w].discard(v)
+        ne -= deg
+        alive.discard(v)
 
-    def __init__(self, g: Graph):
-        self.vertices = set(range(g.n))
-        self.edges = set(g.edges)
-        self.adj = {v: set() for v in range(g.n)}
-        for u, v in g.edges:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
 
-    @property
-    def nv(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def ne(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def delete_vertex(self, v: int) -> None:
-        for w in self.adj[v]:
-            self.adj[w].discard(v)
-            self.edges.discard((v, w) if v < w else (w, v))
-        del self.adj[v]
-        self.vertices.discard(v)
-
-    def peel(self, removable) -> list[tuple[int, int]]:
-        """Delete the vertex of least (degree, label) among those for which
-        ``removable(v)`` holds, until it holds for none; returns
-        (vertex, degree at deletion) for each deletion, in order."""
-        deleted = []
-        while True:
-            cands = [v for v in self.vertices if removable(v)]
-            if not cands:
-                return deleted
-            v = min(cands, key=lambda x: (self.degree(x), x))
-            deleted.append((v, self.degree(v)))
-            self.delete_vertex(v)
-
-    def restrict(self, keep, drop_edges) -> None:
-        # drop the cut edges while both ends are present: a cut edge may
-        # end outside ``keep``
-        for u, v in drop_edges:
-            self.adj[u].discard(v)
-            self.adj[v].discard(u)
-            self.edges.discard((u, v) if u < v else (v, u))
-        for v in self.vertices - set(keep):
-            self.delete_vertex(v)
-
-    def graph(self) -> tuple[Graph, tuple[int, ...]]:
-        verts = sorted(self.vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        return Graph(len(verts),
-                     tuple((index[a], index[b]) for a, b in sorted(self.edges))), tuple(verts)
+def _split(g: Graph, cut_edges, side) -> Graph:
+    """g minus the edges ``cut_edges``, induced on the vertices ``side``: a
+    cut edge may end outside ``side``."""
+    dropped = set(cut_edges)
+    return Graph(g.n, tuple(e for e in g.edges if e not in dropped)).induced(side)
 
 
 def mixed_k_connected_subgraph(g: Graph, k: int) -> tuple[Graph, ExtractionTrace]:
@@ -140,76 +115,72 @@ def mixed_k_connected_subgraph(g: Graph, k: int) -> tuple[Graph, ExtractionTrace
     if k % 2 == 1:
         k += 1
 
-    st = _State(g)
+    # the working subgraph, vertex i being vertex labels[i] of g
+    cur, labels = g, tuple(range(g.n))
     steps = []
 
     def delete_while(removable) -> None:
-        steps.extend(DeleteVertex(vertex=v, reason="degree" if deg < k else "minimality")
-                     for v, deg in st.peel(removable))
+        nonlocal cur, labels
+        deleted, kept = _peel(cur, removable)
+        steps.extend(DeleteVertex(vertex=labels[v], reason="degree" if deg < k else "minimality")
+                     for v, deg in deleted)
+        if deleted:
+            cur, labels = cur.induced(kept), tuple(labels[v] for v in kept)
 
-    delete_while(lambda v: st.degree(v) < k)
+    delete_while(lambda nv, ne, deg: deg < k)
 
-    if st.nv < k + 1:
+    if cur.n < k + 1:
         raise ExtractionError(
-            f"premise violated: |V| = {st.nv} < {k + 1} = k + 1 "
+            f"premise violated: |V| = {cur.n} < {k + 1} = k + 1 "
             f"after stripping degree < {k} vertices (input had |V| = {g.n})")
-    if not _edge_premise(st.nv, st.ne, k):
+    if not _edge_premise(cur.n, cur.m, k):
         raise ExtractionError(
-            f"premise violated: |E| = {st.ne} is not greater than "
-            f"(k-1)(|V| - k/2) = {(k - 1) * (2 * st.nv - k) // 2} with "
-            f"k = {k}, |V| = {st.nv} (after stripping degree < {k} vertices)")
+            f"premise violated: |E| = {cur.m} is not greater than "
+            f"(k-1)(|V| - k/2) = {(k - 1) * (2 * cur.n - k) // 2} with "
+            f"k = {k}, |V| = {cur.n} (after stripping degree < {k} vertices)")
 
     while True:
         # deletion phase: drop vertices while the premise survives,
         # cheapest (minimum degree) first
-        delete_while(lambda v: _premise(st.nv - 1, st.ne - st.degree(v), k))
+        delete_while(lambda nv, ne, deg: _premise(nv - 1, ne - deg, k))
 
-        cur, labels = st.graph()
         cut = min_mixed_cut(cur, below=k)
         if cut is None:
             trace = ExtractionTrace(requested_k=requested, k=k,
                                     steps=tuple(steps), vertices=labels)
             return cur, trace
 
-        # split along the cheap cut; at least one side keeps the premise
-        cut_vertices = tuple(sorted(labels[i] for i in cut.vertices))
-        cut_edges = tuple(sorted((labels[a], labels[b]) for a, b in cut.edges))
-        dropped = set(cut_edges)
-        comps = [{labels[i] for i in comp}
-                 for comp in cur.connected_components(cut.vertices, cut.edges)]
+        # split along the cheap cut into the least side, by (size, vertices),
+        # that keeps the premise; at least one does
+        comps = cur.connected_components(cut.vertices, cut.edges)
         if len(comps) < 2:
             raise AssertionError("internal error: cheap cut fails to disconnect")
-
-        best_side = None
-        for comp in comps:
-            side = comp | set(cut_vertices)
-            inside = sum(1 for u, v in st.edges
-                         if u in side and v in side
-                         and ((u, v) if u < v else (v, u)) not in dropped)
-            if _premise(len(side), inside, k):
-                key = (len(side), tuple(sorted(side)))
-                if best_side is None or key < best_side[0]:
-                    best_side = (key, side)
-        if best_side is None:
+        pieces = [(len(side), side, _split(cur, cut.edges, side))
+                  for side in (sorted(set(comp).union(cut.vertices)) for comp in comps)]
+        pieces = [p for p in pieces if _premise(p[0], p[2].m, k)]
+        if not pieces:
             raise AssertionError("internal error: no side satisfies the premise")
-        side = best_side[1]
-        steps.append(CutSplit(cut_vertices=cut_vertices, cut_edges=cut_edges,
-                              side=tuple(sorted(side))))
-        st.restrict(side, dropped)
+        _, side, cur = min(pieces, key=lambda p: p[:2])
+        steps.append(CutSplit(cut_vertices=tuple(labels[v] for v in cut.vertices),
+                              cut_edges=tuple((labels[a], labels[b]) for a, b in cut.edges),
+                              side=tuple(labels[v] for v in side)))
+        labels = tuple(labels[v] for v in side)
 
 
 def replay_trace(g: Graph, trace: ExtractionTrace) -> Graph:
     """Reapply a trace to its input; must reproduce the extracted subgraph."""
-    st = _State(g)
+    cur, labels = g, tuple(range(g.n))
     for step in trace.steps:
         if isinstance(step, DeleteVertex):
-            st.delete_vertex(step.vertex)
+            i = labels.index(step.vertex)
+            cur, labels = cur.delete_vertex(i), labels[:i] + labels[i + 1:]
         else:
-            st.restrict(set(step.side), set(step.cut_edges))
-    out, labels = st.graph()
+            side = sorted(labels.index(v) for v in step.side)
+            cut_edges = [(labels.index(a), labels.index(b)) for a, b in step.cut_edges]
+            cur, labels = _split(cur, cut_edges, side), tuple(labels[v] for v in side)
     if labels != trace.vertices:
         raise AssertionError("trace replay reached a different vertex set")
-    return out
+    return cur
 
 
 def globally_rigid_subgraph_2d(g: Graph, rng: Rng | None = None, verify: bool = True):
@@ -247,9 +218,7 @@ class GrnEstimate:
 def _iterated_core(g: Graph, min_deg: int) -> tuple[int, ...]:
     """Vertices of the subgraph left by stripping degree < min_deg repeatedly
     (the min_deg-core, which does not depend on the order of deletion)."""
-    st = _State(g)
-    st.peel(lambda v: st.degree(v) < min_deg)
-    return tuple(sorted(st.vertices))
+    return tuple(_peel(g, lambda nv, ne, deg: deg < min_deg)[1])
 
 
 def _mader_descent(g: Graph, k: int) -> tuple[Graph, tuple[int, ...]] | None:
@@ -258,10 +227,9 @@ def _mader_descent(g: Graph, k: int) -> tuple[Graph, tuple[int, ...]] | None:
     candidate and the input label of each of its vertices."""
     if g.n < 2 * k - 1 or g.m <= (2 * k - 3) * (g.n - k - 1):
         return None
-    st = _State(g)
-    st.peel(lambda v: st.nv - 1 >= 2 * k - 1
-            and st.ne - st.degree(v) > (2 * k - 3) * (st.nv - 1 - k - 1))
-    return st.graph()
+    kept = _peel(g, lambda nv, ne, deg: nv - 1 >= 2 * k - 1
+                 and ne - deg > (2 * k - 3) * (nv - 1 - k - 1))[1]
+    return g.induced(kept), tuple(kept)
 
 
 def estimate_grn(g: Graph, d_max: int, rng: Rng | None = None) -> GrnEstimate:

@@ -141,6 +141,8 @@ class Graph:
         their least vertex."""
         seen = [False] * self.n
         for w in without:
+            if not 0 <= w < self.n:
+                raise GraphError(f"vertex {w} out of range")
             seen[w] = True
         cut = {(a, b) if a < b else (b, a) for a, b in cut_edges}
         comps = []
@@ -624,6 +626,9 @@ class MixedCut:
 
     def __post_init__(self):
         s = set(self.vertices)
+        edges = {(a, b) if a < b else (b, a) for a, b in self.edges}
+        if len(s) < len(self.vertices) or len(edges) < len(self.edges):
+            raise GraphError("a mixed cut repeats a vertex or an edge")
         for a, b in self.edges:
             if a in s or b in s:
                 raise GraphError(f"cut edge ({a}, {b}) is incident to the vertex part")

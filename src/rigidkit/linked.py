@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from functools import cache
 
+from . import corpus
 from .field import Rng
 from .graph import Graph, GraphError, local_connectivity
 from .rigidity import (_check_dimension, _connects, _matroid, _rng, _splitting_edges, _trials,
@@ -137,18 +138,18 @@ class CorpusSpec:
             raise ValueError("exhaustive corpus needs max_n >= 1")
         if self.mode == "random" and (self.count < 1 or self.n < 1):
             raise ValueError("random corpus needs count >= 1 and n >= 1")
+        if self.mode == "random" and self.isomorph_reject:
+            raise ValueError("isomorph rejection applies to exhaustive corpora only")
 
 
 def _corpus_graphs(spec: CorpusSpec, rng: Rng):
-    from . import corpus as corpus_mod
-
     if spec.mode == "exhaustive":
-        graphs = corpus_mod.nonisomorphic_graphs if spec.isomorph_reject else corpus_mod.all_graphs
+        graphs = corpus.nonisomorphic_graphs if spec.isomorph_reject else corpus.all_graphs
         for n in range(1, spec.max_n + 1):
             yield from graphs(n)
     else:
         for i in range(spec.count):
-            yield corpus_mod.random_graph(spec.n, spec.edge_prob, rng.child(i))
+            yield corpus.random_graph(spec.n, spec.edge_prob, rng.child(i))
 
 
 def _graph_payload(g: Graph) -> dict:

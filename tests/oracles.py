@@ -1022,7 +1022,7 @@ def edge_deletions_by_route(g: Graph, d: int, rng: Rng, method: str, minimal: bo
 def explore_edge_loops(kind: str, dim: int, spec, rng: Rng) -> dict:
     """The counts and candidates of ``explore_conjecture`` for "redundant-mc"
     and "bridge", G - e_i tested on ``sub.child(1).child(i)`` and on
-    ``sub.child(2 + i)``."""
+    ``sub.child(2).child(i)``, the streams the sweep hands each edge."""
     from rigidkit.linked import _corpus_graphs
     from rigidkit.rigidity import bridges
 
@@ -1047,7 +1047,7 @@ def explore_edge_loops(kind: str, dim: int, spec, rng: Rng) -> dict:
                 continue
             upper_bridges = set(bridges(g, dim + 1, sub.child(1)))
             for ei, e in enumerate(g.edges):
-                if is_matroid_connected(g.delete_edge(e), dim, sub.child(2 + ei)):
+                if is_matroid_connected(g.delete_edge(e), dim, sub.child(2).child(ei)):
                     continue
                 counts["cases"] += 1
                 if e in upper_bridges:

@@ -299,6 +299,9 @@ EXIT_ROWS = {
     "unknown-family": (["generate", "--family", "petersen"], None, 3, "unknown generator"),
     "value-error": (["explore", "--conjecture", "bridge", "--dim", "1", "--max-n", "5",
                      "--random", "x", "0.5"], None, 3, "invalid literal"),
+    "random-isomorph-reject": (["explore", "--conjecture", "bridge", "--dim", "1", "--max-n", "5",
+                                "--random", "5", "0.5", "--isomorph-reject"], None, 3,
+                               "exhaustive corpora only"),
     "not-globally-rigid": (["sparsify", "--dim", "2"], cycle(4).serialize(), 4,
                            "not globally rigid"),
     "grs2d-premise": (["extract", "--grs2d"], k4e_chain(3).serialize(), 5, "premise violated"),

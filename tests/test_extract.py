@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import networkx as nx
@@ -33,6 +34,16 @@ def assert_witness_maps_into(g: Graph, est) -> None:
 
 def k7_with_pendant_path() -> Graph:
     return Graph(10, complete(7).edges + ((0, 7), (7, 8), (8, 9)))
+
+
+def two_dense_blocks(rng: Rng) -> Graph:
+    """Two G(n, 0.9) blocks of 8 to 14 vertices each, joined by 1 to 3
+    random cross edges: dense enough for the premise, yet cheap to cut."""
+    a = 8 + rng.next_u64() % 7
+    b = 8 + rng.next_u64() % 7
+    g = random_graph(a, 0.9, rng.child(0)).disjoint_union(random_graph(b, 0.9, rng.child(1)))
+    cross = {(rng.next_u64() % a, a + rng.next_u64() % b) for _ in range(1 + rng.next_u64() % 3)}
+    return Graph(g.n, g.edges + tuple(cross))
 
 
 class TestMixedExtraction:
@@ -105,6 +116,35 @@ class TestMixedExtraction:
         assert any(isinstance(s, CutSplit) and s.cut_edges for s in trace.steps)
         assert min_mixed_cut(sub).cost >= 4
         assert replay_trace(g, trace) == sub
+
+    def test_splits_of_two_dense_blocks(self):
+        rng = Rng(22)
+        splits = 0
+        for i in range(150):
+            g = two_dense_blocks(rng.child(i))
+            for k in (4, 6):
+                try:
+                    sub, trace = mixed_k_connected_subgraph(g, k)
+                except ExtractionError:
+                    continue
+                assert replay_trace(g, trace) == sub
+                assert min_mixed_cut(sub, below=k) is None
+                # the graph left by a split is g on its side, minus every cut
+                # edge so far; it must keep the premise
+                dropped = set()
+                for step in trace.steps:
+                    if isinstance(step, CutSplit):
+                        dropped |= set(step.cut_edges)
+                        side = set(step.side)
+                        m = sum(1 for e in g.edges
+                                if e[0] in side and e[1] in side and e not in dropped)
+                        assert len(side) >= k + 1 and 2 * m > (k - 1) * (2 * len(side) - k)
+                splits += any(isinstance(s, CutSplit) for s in trace.steps)
+                deleted = next(s for s in trace.steps if isinstance(s, DeleteVertex))
+                twice = replace(trace, steps=trace.steps + (deleted,))
+                with pytest.raises(ValueError):
+                    replay_trace(g, twice)
+        assert splits >= 10
 
 
 class TestGloballyRigidSubgraph2d:

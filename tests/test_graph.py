@@ -9,6 +9,7 @@ import networkx as nx
 from rigidkit import (
     Graph,
     GraphError,
+    MixedCut,
     ParseError,
     TwoSumSpec,
     complete,
@@ -95,6 +96,12 @@ class TestGraphBasics:
         pruned = Graph(n, kept).induced(rest)
         expected = [[rest[i] for i in comp] for comp in pruned.connected_components()]
         assert g.connected_components(without, cut) == expected
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_components_refuse_a_deleted_vertex_outside_the_graph(self, label):
+        # -1 would silently index vertex 3 from the end; 4 would overrun
+        with pytest.raises(GraphError, match="out of range"):
+            path(4).connected_components(without=(label,))
 
 
 class TestParse:
@@ -375,6 +382,26 @@ class TestMinMixedCut:
             cost = min_mixed_cut(g).cost
             kappa = vertex_connectivity(g)
             assert (cost + 1) // 2 <= kappa <= cost
+
+
+class TestMixedCutInput:
+    @pytest.mark.parametrize("vertices, edges, cost", [
+        ((1, 1), (), 4),                 # one vertex counted twice
+        ((), ((0, 1), (0, 1)), 2),
+        ((), ((0, 1), (1, 0)), 2),       # one edge written both ways
+    ])
+    def test_a_repeated_vertex_or_edge_is_refused(self, vertices, edges, cost):
+        with pytest.raises(GraphError, match="repeats"):
+            MixedCut(vertices, edges, cost)
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_disconnects_refuses_a_vertex_outside_the_graph(self, label):
+        with pytest.raises(GraphError, match="out of range"):
+            MixedCut((label,), (), 2).disconnects(path(4))
+
+    def test_disconnects_reads_the_cut_in_the_graph_labels(self):
+        assert MixedCut((1,), (), 2).disconnects(path(4))
+        assert not MixedCut((3,), (), 2).disconnects(path(4))
 
 
 class TestOneNetworkPerCall:

@@ -372,6 +372,17 @@ class TestExplorer:
         assert rep["counts"] == expect["counts"] and rep["candidates"] == expect["candidates"]
         assert rep["counts"]["cases"] > 0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bridge_candidates_match_the_per_edge_loop(self, dim):
+        # every first edge deletion is tested on a degenerate stream, which
+        # the sweep and the loop must both reach as sub.child(2).child(0)
+        spec = CorpusSpec(max_n=5, isomorph_reject=True)
+        rng = DegenerateRng(4, [(1 + gi, 2, 0) for gi in range(100)])
+        rep = explore_conjecture("bridge", dim, spec, rng)
+        expect = explore_edge_loops("bridge", dim, spec, rng)
+        assert rep["counts"] == expect["counts"] and rep["candidates"] == expect["candidates"]
+        assert rep["counts"]["cases"] > 0
+
     def test_redundant_mc_candidates_match_the_per_edge_loop(self):
         # as in the test above, every first edge is tested on a degenerate stream
         spec = CorpusSpec(max_n=5, isomorph_reject=True)
@@ -408,6 +419,11 @@ class TestExplorer:
                                  CorpusSpec(mode="random", count=10, n=6,
                                             edge_prob=0.5, max_n=6), Rng(6))
         assert rep["counts"]["graphs"] == 10
+
+    def test_random_corpus_refuses_isomorph_rejection(self):
+        # the sweep never reduces a random corpus, so the flag would be inert
+        with pytest.raises(ValueError, match="exhaustive corpora only"):
+            CorpusSpec(mode="random", count=5, n=5, isomorph_reject=True)
 
     def test_labeled_sweep_matches_class_sweep(self):
         # isomorph rejection changes the work, never the verdicts

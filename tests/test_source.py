@@ -28,6 +28,16 @@ def test_no_assert_statements_in_the_package():
     assert [where for where, node in _nodes() if isinstance(node, ast.Assert)] == []
 
 
+def test_no_assert_statements_in_the_test_helpers():
+    # python -O drops every assert that pytest does not rewrite, so the
+    # helpers raise real exceptions and the -O run checks what the plain one does
+    tests = Path(__file__).resolve().parent
+    found = [f"{name}:{node.lineno}" for name in ("oracles.py", "degenerate.py", "conftest.py")
+             for node in ast.walk(ast.parse((tests / name).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_every_private_function_and_class_is_used_in_the_package():
     # a private module-level definition that no other code of the package
     # names has lost its last caller: it is dead code
