@@ -132,8 +132,8 @@ def cmd_extract(args) -> dict:
     if args.grs2d:
         got = globally_rigid_subgraph_2d(g, Rng(args.seed), verify=True)
         if got is None:
-            raise ExtractionError(f"premise violated: |E| = {g.m} < {5 * g.n - 14} "
-                                  f"= 5|V| - 14 (or |V| = {g.n} < 7)")
+            raise ExtractionError("premise violated: " + (
+                f"|V| = {g.n} < 7" if g.n < 7 else f"|E| = {g.m} < {5 * g.n - 14} = 5|V| - 14"))
         sub, trace = got
     else:
         sub, trace = mixed_k_connected_subgraph(g, args.k)

@@ -138,13 +138,15 @@ class Graph:
     def connected_components(self, without=(), cut_edges=()) -> list[list[int]]:
         """Components of the graph minus the vertices ``without`` and the
         edges ``cut_edges``, in this graph's labels: each sorted, ordered by
-        their least vertex."""
+        their least vertex. A cut edge must be an edge of the graph."""
         seen = [False] * self.n
         for w in without:
             if not 0 <= w < self.n:
                 raise GraphError(f"vertex {w} out of range")
             seen[w] = True
         cut = {(a, b) if a < b else (b, a) for a, b in cut_edges}
+        if cut and not cut <= self.edge_set:
+            raise GraphError(f"cut edge {min(cut - self.edge_set)} not in graph")
         comps = []
         for s in range(self.n):
             if seen[s]:

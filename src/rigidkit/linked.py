@@ -10,10 +10,15 @@ linked in dimension 3, otherwise "unknown" rather than guessing. It factors
 G once per trial and dimension, so a pair costs only its capped flows; the
 one-pair query and the explorer both call it. Linkedness errs one way: at a
 trial of generic rank "not linked" is exact and only "linked" can be wrong.
+
+The conjecture explorer is a table: each kind names a generator that yields
+the cases of one graph as confirmed, unknown or a candidate's certificate,
+and one loop sweeps the corpus and tallies them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache
 
@@ -101,7 +106,9 @@ def _globally_linked_2d(g: Graph, pairs, rng: Rng, circuits=None):
         circuit = circuits.get((u, v))
         if circuit is not None:
             cminus, labels = g.edge_subgraph(e for e in circuit if e != (u, v))
-            if local_connectivity(cminus, labels.index(u), labels.index(v), limit=3) >= 3 and \
+            # a circuit from a collapsed trial may leave u or v out of C - uv
+            if {u, v} <= set(labels) and local_connectivity(
+                    cminus, labels.index(u), labels.index(v), limit=3) >= 3 and \
                     is_matroid_connected(cminus, 2, rng.child(3 + i)):
                 yield PairVerdict(pair=(u, v), linked={3: True}, globally_linked=YES,
                                   reason=REASON_CIRCUIT, witness=circuit)
@@ -116,9 +123,6 @@ def globally_linked_1d(g: Graph, u: int, v: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # conjecture explorer
-
-CONJECTURES = ("linked-gl", "redundant-mc", "bridge")
-
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -152,8 +156,57 @@ def _corpus_graphs(spec: CorpusSpec, rng: Rng):
             yield corpus.random_graph(spec.n, spec.edge_prob, rng.child(i))
 
 
-def _graph_payload(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges]}
+def _linked_gl(g: Graph, dim: int, sub: Rng):
+    """Every edge, and every non-edge linked in dimension dim + 1, is a case:
+    globally linked in dimension dim or not. Exact at dim 1, the 2-D step at
+    dim 2, unknown above."""
+    extra = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+             if (u, v) not in g.edge_set]
+    trials = _trials(g, dim + 1, sub.child(0), extra, edge_stresses=False)
+    circuits = _matroid(g, dim + 1, trials, None, extra)[3]
+    pairs = [p for p in extra if p in circuits]
+    if dim > 2:
+        yield from [UNKNOWN] * (g.m + len(pairs))
+        return
+    yield from [YES] * g.m
+    if dim == 1:
+        for u, v in pairs:
+            yield YES if globally_linked_1d(g, u, v) else {
+                "pair": [u, v], "detail": "linked in dim 2 but not globally linked in dim 1"}
+    # _globally_linked_2d would factor G even with no pair to ask about
+    elif pairs:
+        for verdict in _globally_linked_2d(g, pairs, sub.child(1), circuits):
+            yield verdict.globally_linked if verdict.globally_linked != NO else {
+                "pair": list(verdict.pair), "reason": verdict.reason,
+                "detail": "linked in dim 3 but globally-linked oracle says no"}
+
+
+def _redundant_mc(g: Graph, dim: int, sub: Rng):
+    """One case per graph matroid-connected in dimension dim + 1: does every
+    single-edge deletion stay matroid-connected in dimension dim?"""
+    # single-edge matroids are connected only vacuously (the lone edge is
+    # its own class); the implication is about circuit-rich graphs, so the
+    # hypothesis asks for at least two edges
+    if g.m >= 2 and is_matroid_connected(g, dim + 1, sub.child(0)):
+        failing = [list(e) for e in _splitting_edges(g, dim, sub.child(1))]
+        yield {"failing_edges": failing} if failing else YES
+
+
+def _bridge(g: Graph, dim: int, sub: Rng):
+    """One case per edge e of a graph matroid-connected in dimension dim
+    whose deletion is not: is e a bridge in dimension dim + 1?"""
+    if not is_matroid_connected(g, dim, sub.child(0)):
+        return
+    # computed at the first splitting edge, if there is one
+    upper_bridges = cache(lambda: set(bridges(g, dim + 1, sub.child(1))))
+    for e in _splitting_edges(g, dim, sub.child(2)):
+        yield YES if e in upper_bridges() else {"edge": list(e)}
+
+
+# each kind's cases on graph g: YES (confirmed), UNKNOWN (no sound oracle
+# settles it) or a candidate's certificate, a dict without the graph
+_SWEEPS = {"linked-gl": _linked_gl, "redundant-mc": _redundant_mc, "bridge": _bridge}
+CONJECTURES = tuple(_SWEEPS)
 
 
 def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
@@ -163,7 +216,8 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
     For every case whose hypothesis holds, the strongest checkable
     conclusion is evaluated: confirmed, unknown (no sound oracle applies),
     or a counterexample candidate with a full certificate. Unknowns are
-    never treated as refutations.
+    never treated as refutations. Graph i of the corpus draws on
+    ``rng.child(1 + i)``.
 
     Kinds:
       linked-gl      pair linked in dimension dim+1 implies globally linked
@@ -179,78 +233,25 @@ def explore_conjecture(kind: str, dim: int, spec: CorpusSpec,
     _check_dimension(dim)
     rng = _rng(rng)
 
-    confirmed = unknown = graphs_seen = cases = 0
-    candidates = []
-
+    tally, candidates = Counter(), []
     for gi, g in enumerate(_corpus_graphs(spec, rng.child(0))):
-        graphs_seen += 1
-        sub = rng.child(1 + gi)
-        if kind == "linked-gl":
-            extra = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                     if (u, v) not in g.edge_set]
-            trials = _trials(g, dim + 1, sub.child(0), extra, edge_stresses=False)
-            circuits = _matroid(g, dim + 1, trials, None, extra)[3]
-            pairs = [p for p in extra if p in circuits]
-            cases += g.m + len(pairs)
-            if dim > 2:
-                unknown += g.m + len(pairs)
-                continue
-            confirmed += g.m
-            if dim == 1:
-                for u, v in pairs:
-                    if globally_linked_1d(g, u, v):
-                        confirmed += 1
-                    else:
-                        candidates.append({"graph": _graph_payload(g),
-                                           "pair": [u, v],
-                                           "detail": "linked in dim 2 but not globally linked in dim 1"})
-            # a generator would factor G even with no pair to ask about
-            elif pairs:
-                for verdict in _globally_linked_2d(g, pairs, sub.child(1), circuits):
-                    if verdict.globally_linked == YES:
-                        confirmed += 1
-                    elif verdict.globally_linked == NO:
-                        candidates.append({"graph": _graph_payload(g),
-                                           "pair": list(verdict.pair),
-                                           "reason": verdict.reason,
-                                           "detail": "linked in dim 3 but globally-linked oracle says no"})
-                    else:
-                        unknown += 1
-        elif kind == "redundant-mc":
-            # single-edge matroids are connected only vacuously (the lone
-            # edge is its own class); the implication is about circuit-rich
-            # graphs, so the hypothesis asks for at least two edges
-            if g.m < 2 or not is_matroid_connected(g, dim + 1, sub.child(0)):
-                continue
-            cases += 1
-            failing = [list(e) for e in _splitting_edges(g, dim, sub.child(1))]
-            if failing:
-                candidates.append({"graph": _graph_payload(g),
-                                   "failing_edges": failing})
+        tally["graphs"] += 1
+        for outcome in _SWEEPS[kind](g, dim, rng.child(1 + gi)):
+            if isinstance(outcome, dict):
+                candidates.append({"graph": {"n": g.n, "edges": [list(e) for e in g.edges]}}
+                                  | outcome)
             else:
-                confirmed += 1
-        else:  # bridge
-            if not is_matroid_connected(g, dim, sub.child(0)):
-                continue
-            # computed at the first splitting edge, if there is one
-            upper_bridges = cache(lambda: set(bridges(g, dim + 1, sub.child(1))))
-            for e in _splitting_edges(g, dim, sub.child(2)):
-                cases += 1
-                if e in upper_bridges():
-                    confirmed += 1
-                else:
-                    candidates.append({"graph": _graph_payload(g),
-                                       "edge": list(e)})
+                tally[outcome] += 1
 
     return {
         "conjecture": kind,
         "dim": dim,
         "corpus": asdict(spec),
         "counts": {
-            "graphs": graphs_seen,
-            "cases": cases,
-            "confirmed": confirmed,
-            "unknown": unknown,
+            "graphs": tally["graphs"],
+            "cases": tally[YES] + tally[UNKNOWN] + len(candidates),
+            "confirmed": tally[YES],
+            "unknown": tally[UNKNOWN],
             "counterexample_candidates": len(candidates),
         },
         "candidates": candidates,

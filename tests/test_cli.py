@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +209,16 @@ class TestExtract:
         code, _, err = run_cli(capsys, "extract", "--in", path, "--grs2d")
         assert code == 5 and "premise" in err
 
+    @pytest.mark.parametrize("g, message", [
+        (complete(4), "|V| = 4 < 7"),
+        (k4e_chain(3), "|E| = 15 < 26 = 5|V| - 14"),
+    ], ids=["K4", "k4e_chain3"])
+    def test_grs2d_premise_message_cites_the_failing_inequality(self, capsys, tmp_path,
+                                                                g, message):
+        path = write_graph(tmp_path, g)
+        code, out, err = run_cli(capsys, "extract", "--in", path, "--grs2d")
+        assert (code, out, err) == (5, "", f"extract: premise violated: {message}\n")
+
     def test_k5_mixed_4(self, capsys, tmp_path):
         path = write_graph(tmp_path, complete(5))
         code, out, _ = run_cli(capsys, "extract", "--in", path, "--k", "4")
@@ -331,3 +343,26 @@ class TestEntryPoint:
 
     def test_no_command_exits_3(self, capsys):
         assert main([]) == 3
+
+
+def _readme_commands():
+    """Every ``rigidkit ...`` line of the README's sh blocks, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```sh\n")[1:]
+    return [line for block in blocks for line in block.split("```")[0].splitlines()
+            if line.startswith("rigidkit ")]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    # each line runs in order in one directory, so a later line reads what
+    # an earlier "> file" wrote
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        target = argv[-1] if len(argv) > 1 and argv[-2] == ">" else None
+        code, out, err = run_cli(capsys, *(argv[:-2] if target else argv))
+        assert code == 0, (line, err)
+        if target:
+            Path(target).write_text(out, encoding="ascii")

@@ -103,6 +103,12 @@ class TestGraphBasics:
         with pytest.raises(GraphError, match="out of range"):
             path(4).connected_components(without=(label,))
 
+    @pytest.mark.parametrize("edge", [(7, 8), (0, 2), (3, 0)])
+    def test_components_refuse_a_cut_edge_outside_the_graph(self, edge):
+        # a cut edge the graph lacks cuts nothing, so it was ignored silently
+        with pytest.raises(GraphError, match="not in graph"):
+            path(4).connected_components(cut_edges=(edge,))
+
 
 class TestParse:
     def test_triangle(self):
@@ -398,6 +404,10 @@ class TestMixedCutInput:
     def test_disconnects_refuses_a_vertex_outside_the_graph(self, label):
         with pytest.raises(GraphError, match="out of range"):
             MixedCut((label,), (), 2).disconnects(path(4))
+
+    def test_disconnects_refuses_an_edge_outside_the_graph(self):
+        with pytest.raises(GraphError, match="not in graph"):
+            MixedCut((), ((0, 9),), 1).disconnects(path(4))
 
     def test_disconnects_reads_the_cut_in_the_graph_labels(self):
         assert MixedCut((1,), (), 2).disconnects(path(4))

@@ -19,6 +19,7 @@ from rigidkit import (
     is_redundantly_matroid_connected,
     is_redundantly_rigid,
     local_connectivity,
+    path,
     two_sum,
     vertex_connectivity,
     wheel,
@@ -27,7 +28,8 @@ from rigidkit import (
 from rigidkit import linked, rigidity
 from rigidkit.corpus import nonisomorphic_graphs
 from rigidkit.field import Rng
-from rigidkit.linked import NO, UNKNOWN, YES, CorpusSpec, REASON_CIRCUIT, REASON_EDGE, REASON_KAPPA
+from rigidkit.linked import (NO, UNKNOWN, YES, CONJECTURES, CorpusSpec, PairVerdict, REASON_CIRCUIT,
+                             REASON_EDGE, REASON_KAPPA)
 
 from degenerate import DegenerateRng
 from oracles import (explore_edge_loops, globally_linked_2d_per_pair, is_linked_by_ranks,
@@ -130,6 +132,13 @@ class TestDegenerateFirstTrial:
         # there (2, 4) is not linked
         g = Graph(5, complete(4).edges + ((0, 4), (1, 4)))
         assert is_linked(g, 2, 4, 2, DegenerateRng(3, [(0,)], period=8))
+
+    def test_a_circuit_from_collapsed_trials_certifies_nothing(self):
+        # every d = 3 trial collapses, so the pair's circuit is {uv} alone and
+        # C - uv has neither end: "linked" (the documented error), no verdict
+        got = is_globally_linked_2d(path(3), 0, 2, DegenerateRng(1, [(2, t) for t in range(3)]))
+        assert got == PairVerdict(pair=(0, 2), linked={3: True})
+        assert got.globally_linked == UNKNOWN
 
 
 class TestGloballyLinked1d:
@@ -351,6 +360,45 @@ class TestExplorer:
                                  CorpusSpec(max_n=5, isomorph_reject=True), Rng(4))
         assert rep["counts"]["counterexample_candidates"] == 0
         assert rep["counts"]["cases"] > 0
+
+    # every trial on each graph's first stream collapses: at linked-gl those
+    # are the d + 1 trials, so every non-edge looks linked there
+    COLLAPSED_UPPER = [(1 + gi, 0, t) for gi in range(100) for t in range(3)]  # 52 graphs
+
+    def test_linked_gl_d1_candidate_certificate(self):
+        spec = CorpusSpec(max_n=5, isomorph_reject=True)
+        rep = explore_conjecture("linked-gl", 1, spec, DegenerateRng(4, self.COLLAPSED_UPPER))
+        assert rep["counts"] == {"graphs": 52, "cases": 400, "confirmed": 247, "unknown": 0,
+                                 "counterexample_candidates": 153}
+        assert list(rep["candidates"][0].items()) == [
+            ("graph", {"n": 3, "edges": [[1, 2]]}), ("pair", [0, 1]),
+            ("detail", "linked in dim 2 but not globally linked in dim 1")]
+
+    def test_linked_gl_d2_candidate_certificate(self):
+        spec = CorpusSpec(max_n=5, isomorph_reject=True)
+        rep = explore_conjecture("linked-gl", 2, spec, DegenerateRng(4, self.COLLAPSED_UPPER))
+        assert rep["counts"] == {"graphs": 52, "cases": 400, "confirmed": 213, "unknown": 167,
+                                 "counterexample_candidates": 20}
+        assert list(rep["candidates"][0].items()) == [
+            ("graph", {"n": 3, "edges": [[1, 2]]}), ("pair", [0, 1]), ("reason", REASON_KAPPA),
+            ("detail", "linked in dim 3 but globally-linked oracle says no")]
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_linked_gl_d2_survives_collapsed_upper_trials(self, period):
+        # a circuit read off collapsed d = 3 trials may leave u or v out of C - uv
+        spec = CorpusSpec(max_n=5, isomorph_reject=True)
+        rng = DegenerateRng(4, self.COLLAPSED_UPPER, period=period)
+        c = explore_conjecture("linked-gl", 2, spec, rng)["counts"]
+        assert c["graphs"] == 52 and c["unknown"] > 0
+
+    @pytest.mark.parametrize("kind", CONJECTURES)
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_cases_are_confirmed_unknown_or_candidates(self, kind, dim, degenerate):
+        spec = CorpusSpec(max_n=5, isomorph_reject=True)
+        rng = DegenerateRng(4, self.COLLAPSED_UPPER) if degenerate else Rng(4)
+        c = explore_conjecture(kind, dim, spec, rng)["counts"]
+        assert c["cases"] == c["confirmed"] + c["unknown"] + c["counterexample_candidates"]
 
     def test_redundant_mc_candidate_lists_the_edges_behind_its_verdict(self):
         # the deletion of each graph's first edge is tested on a degenerate
