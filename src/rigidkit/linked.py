@@ -6,10 +6,14 @@ agrees in every equivalent generic realization) are fully understood only in
 special situations. In dimension 2 one step per graph answers all the pairs
 asked about: "yes" or "no" exactly on matroid-connected graphs via the local
 connectivity threshold 3, "yes" through a circuit-based reduction for a pair
-linked in dimension 3, otherwise "unknown" rather than guessing. It factors
-G once per trial and dimension, so a pair costs only its capped flows; the
-one-pair query and the explorer both call it. Linkedness errs one way: at a
-trial of generic rank "not linked" is exact and only "linked" can be wrong.
+linked in dimension 3, otherwise "unknown" rather than guessing. It reads
+G's 2-D matroid once and asks every pair on one flow network; the one-pair
+query and the explorer both call it. Linkedness is exact at d <= 2, where
+the pebble game answers it, and one-sided at d >= 3: there G is factored
+once per trial, and at a trial of generic rank "not linked" is exact and
+only "linked" can be wrong. In dimension 1 a non-edge is globally linked
+exactly when a 2-connected block holds both ends, read off the d = 1
+matroid components once per graph.
 
 The conjecture explorer is a table: each kind names a generator that yields
 the cases of one graph as confirmed, unknown or a candidate's certificate,
@@ -24,9 +28,9 @@ from functools import cache
 
 from . import corpus
 from .field import Rng
-from .graph import Graph, GraphError, local_connectivity
+from .graph import Graph, GraphError, _split_network, local_connectivity
 from .rigidity import (_check_dimension, _connects, _matroid, _rng, _splitting_edges, _trials,
-                       bridges, is_matroid_connected)
+                       bridges, is_matroid_connected, matroid_components)
 
 YES = "yes"
 NO = "no"
@@ -59,10 +63,11 @@ def _pair(g: Graph, u: int, v: int) -> tuple[int, int]:
 
 
 def is_linked(g: Graph, u: int, v: int, d: int, rng: Rng | None = None) -> bool:
-    """True when adding uv does not raise the generic rank (edges count):
-    one elimination per trial, the pair column riding along
-    (``rigidity._matroid``). At a trial of generic rank "not linked" is
-    exact; only "linked" can be wrong."""
+    """True when adding uv does not raise the generic rank (edges count),
+    by one ``rigidity._matroid`` call. Exact at d <= 2, one-sided at d >= 3:
+    there each trial runs one elimination with the pair column riding
+    along, and at a trial of generic rank "not linked" is exact; only
+    "linked" can be wrong."""
     pairs = [_pair(g, u, v)]
     trials = _trials(g, d, _rng(rng), pairs, edge_stresses=False)
     return g.has_edge(u, v) or bool(_matroid(g, d, trials, None, pairs)[3])
@@ -87,15 +92,18 @@ def is_globally_linked_2d(g: Graph, u: int, v: int, rng: Rng | None = None) -> P
 
 def _globally_linked_2d(g: Graph, pairs, rng: Rng, circuits=None):
     """The verdict of ``is_globally_linked_2d`` for each non-edge of
-    ``pairs``, in order. One ``_matroid`` call on ``rng.child(0)`` gives G's
-    components and each pair's 2-D linkedness. Unless G has exactly one
-    component, the pairs' 3-D circuits come from ``circuits`` (of a d = 3
+    ``pairs``, in order; the matroid answers behind it are exact at
+    d <= 2, one-sided at d >= 3. One d = 2 ``_matroid`` call gives G's
+    components and each pair's 2-D linkedness. When G has exactly one
+    component, one flow network of G gives every pair's kappa(u, v).
+    Otherwise the pairs' 3-D circuits come from ``circuits`` (of a d = 3
     ``_matroid`` call), else from one call on ``rng.child(2)``, and pair
     i's C - uv is tested on ``rng.child(3 + i)``."""
     _, _, comps, linked = _matroid(g, 2, _trials(g, 2, rng.child(0), pairs), _connects, pairs)
     if len(comps) == 1:
+        net = _split_network(g, vertex_cap=1)
         for u, v in pairs:
-            kappa = local_connectivity(g, u, v, limit=3)
+            kappa = net.max_flow(2 * u + 1, 2 * v, limit=3)
             yield PairVerdict(pair=(u, v), linked={2: (u, v) in linked},
                               globally_linked=YES if kappa >= 3 else NO, reason=REASON_KAPPA)
         return
@@ -158,8 +166,8 @@ def _corpus_graphs(spec: CorpusSpec, rng: Rng):
 
 def _linked_gl(g: Graph, dim: int, sub: Rng):
     """Every edge, and every non-edge linked in dimension dim + 1, is a case:
-    globally linked in dimension dim or not. Exact at dim 1, the 2-D step at
-    dim 2, unknown above."""
+    globally linked in dimension dim or not. Exact at dim 1, the blocks of
+    the d = 1 components, the 2-D step at dim 2, unknown above."""
     extra = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
              if (u, v) not in g.edge_set]
     trials = _trials(g, dim + 1, sub.child(0), extra, edge_stresses=False)
@@ -169,12 +177,17 @@ def _linked_gl(g: Graph, dim: int, sub: Rng):
         yield from [UNKNOWN] * (g.m + len(pairs))
         return
     yield from [YES] * g.m
+    if not pairs:
+        return
     if dim == 1:
+        # a non-edge uv has kappa(u, v) >= 2 exactly when u and v share a
+        # 2-connected block: a d = 1 component of two or more edges
+        blocks = [{w for e in c for w in e}
+                  for c in matroid_components(g, 1, sub.child(1)) if len(c) > 1]
         for u, v in pairs:
-            yield YES if globally_linked_1d(g, u, v) else {
+            yield YES if any(u in b and v in b for b in blocks) else {
                 "pair": [u, v], "detail": "linked in dim 2 but not globally linked in dim 1"}
-    # _globally_linked_2d would factor G even with no pair to ask about
-    elif pairs:
+    else:
         for verdict in _globally_linked_2d(g, pairs, sub.child(1), circuits):
             yield verdict.globally_linked if verdict.globally_linked != NO else {
                 "pair": list(verdict.pair), "reason": verdict.reason,

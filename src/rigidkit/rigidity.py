@@ -1,4 +1,9 @@
-"""The generic rigidity matroid of a graph, evaluated exactly over Z_p.
+"""The generic rigidity matroid of a graph: exact at d <= 2, one-sided at d >= 3.
+
+``_matroid`` answers every matroid query and takes its route by d alone. At
+d <= 2 the matroid is the graphic matroid and the (2, 3)-sparsity matroid
+(Laman), and the pebble game (``_pebble``) answers exactly, drawing and
+factoring nothing. At d >= 3 the answers are sampled, as follows.
 
 "Generic" coordinates are replaced by uniform random field elements. Every
 randomized quantity here has one-sided error: a random realization can only
@@ -11,7 +16,7 @@ negligible at the scales this package targets.
 R(G,p)^T is eliminated by forward elimination (``field._echelon``), and
 ``_trials`` is the one loop that draws p and factors it (``_factor``).
 Its free columns give each non-basis edge's fundamental stress and circuit,
-and pair columns riding along give each linked pair's circuit; ``_matroid``
+and pair columns riding along give each linked pair's circuit; ``_sampled``
 reads rank, basis, bridges, components and linked pairs off those trials.
 Queries that read only the rank, the basis or linked pairs skip the edge
 stresses.
@@ -125,8 +130,8 @@ def rigid_rank_target(n: int, d: int) -> int:
 
 
 def generic_rank(g: Graph, d: int, rng: Rng | None = None) -> int:
-    """r_d(G), the rank of the d-dimensional rigidity matroid: the pivot
-    count of the best trial, read without the edge stresses."""
+    """r_d(G), the rank of the d-dimensional rigidity matroid: the size of
+    the basis of ``_matroid``, read without the edge circuits."""
     return len(_matroid(g, d, _trials(g, d, _rng(rng), edge_stresses=False), None)[0])
 
 
@@ -144,7 +149,7 @@ def is_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
 
 def is_redundantly_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
     """Rigid, and still rigid after deleting any single edge: rank and
-    bridges from the same trials, those of ``bridges``."""
+    bridges from one ``_matroid`` call, that of ``bridges``."""
     basis, brs, _, _ = _matroid(g, d, _trials(g, d, _rng(rng)), _covers)
     return _rigid_at_rank(g.n, d, len(basis)) and not brs
 
@@ -163,7 +168,7 @@ def is_independent(g: Graph, d: int, rng: Rng | None = None) -> bool:
 
 def is_circuit(g: Graph, d: int, rng: Rng | None = None) -> bool:
     """A minimal dependent edge set: rank |E| - 1 and no rank-dropping edge,
-    both read off the trials of ``bridges``."""
+    both from one ``_matroid`` call, that of ``bridges``."""
     basis, brs, _, _ = _matroid(g, d, _trials(g, d, _rng(rng)), _covers)
     return g.m > 0 and len(basis) == g.m - 1 and not brs
 
@@ -252,8 +257,53 @@ def _classes(m: int, supports) -> list[list[int]]:
 def _matroid(g: Graph, d: int, trials, settled, pairs=()):
     """Basis, bridges and components of the rigidity matroid, and the vertex
     pairs of ``pairs`` (non-edges) linked in G, each with its circuit in
-    G + pair, all read off ``trials`` (``_trials`` of G with ``pairs`` as its
-    ``extra`` columns).
+    G + pair: exact at d <= 2, one-sided at d >= 3.
+
+    The route depends on d alone. At d <= 2 the pebble game (``_pebble``)
+    answers exactly and ``trials`` is never iterated, so nothing is drawn
+    or factored. At d >= 3 everything is read off ``trials`` (``_trials``
+    of G with ``pairs`` as its ``extra`` columns; ``_sampled``), with
+    ``settled`` the test that stops them early. Both routes give supports
+    in column indices, which one tail turns into the answer.
+
+    ``settled=None`` asks for the basis and the linked pairs alone: bridges
+    and components come back as None, and the trials may carry the pair
+    stresses alone (``_trials`` with ``edge_stresses`` false).
+
+    Returns ``(basis, bridges, components, circuits)``, ``circuits`` mapping
+    each linked pair to the sorted edges of its circuit, the pair included.
+    """
+    if g.m == 0:
+        return ((), None, None, {}) if settled is None else ((), (), (), {})
+    if d <= 2:
+        found = _pebble(g, d, pairs, settled is not None)
+    else:
+        found = _sampled(g, d, trials, settled, pairs)
+    return _answer(g, pairs, *found)
+
+
+def _answer(g: Graph, pairs, pivots, own, linked):
+    """The ``_matroid`` answer from supports in column indices: edge j is
+    column j and pair i column m + i. ``pivots`` are the basis columns,
+    ``own`` the supports of the edge circuits (None when not asked for) and
+    ``linked`` maps the column of each linked pair to its circuit's
+    support. The edges no support covers are the bridges, and ``_classes``
+    groups the rest into components."""
+    edges = g.edges + tuple(pairs)
+    basis = tuple(g.edges[j] for j in pivots)
+    circuits = {edges[f]: tuple(sorted({edges[j] for j in s})) for f, s in linked.items()}
+    if own is None:
+        return basis, None, None, circuits
+    covered = {j for supp in own for j in supp}
+    bridges_ = tuple(e for j, e in enumerate(g.edges) if j not in covered)
+    components = tuple(tuple(g.edges[j] for j in c) for c in _classes(g.m, own))
+    return basis, bridges_, components, circuits
+
+
+def _sampled(g: Graph, d: int, trials, settled, pairs):
+    """The supports of ``_answer`` read off ``trials`` of G with the columns
+    of ``pairs`` riding along: the route of ``_matroid`` at d >= 3, and its
+    test oracle at d <= 2.
 
     A trial stops the loop when it reaches the a priori rank bound and
     ``settled(m, supports)`` holds for its stress supports. Trials whose
@@ -261,19 +311,11 @@ def _matroid(g: Graph, d: int, trials, settled, pairs=()):
     supports. At a realization of generic rank each support lies inside a
     generic circuit, so pooling can only move bridges and components
     toward the generic answer. A pair is linked when every kept trial finds
-    it so, its circuit the union of their supports: at a trial of generic
-    rank "not linked" is exact, and only "linked" can be wrong.
-
-    ``settled=None`` reads trials that carry the pair stresses alone
-    (``_trials`` with ``edge_stresses`` false): the loop stops at the rank
-    bound, and bridges and components come back as None. Otherwise every
+    it so, its support the union of theirs: at a trial of generic rank "not
+    linked" is exact, and only "linked" can be wrong. ``settled=None``
+    stops at the rank bound and reads no edge supports; otherwise every
     trial must carry the stress of each free edge column.
-
-    Returns ``(basis, bridges, components, circuits)``, ``circuits`` mapping
-    each linked pair to the sorted edges of its circuit, the pair included.
     """
-    if g.m == 0:
-        return ((), None, None, {}) if settled is None else ((), (), (), {})
     m, upper = g.m, rank_upper_bound(g.n, g.m, d)
     seen = []
     for _, _, pivots, stresses, _ in trials:
@@ -286,18 +328,92 @@ def _matroid(g: Graph, d: int, trials, settled, pairs=()):
             break
     best = max(len(pivots) for pivots, _ in seen)
     kept = [trial for trial in seen if len(trial[0]) == best]
-    edges = g.edges + tuple(pairs)
-    basis = tuple(g.edges[j] for j in kept[0][0])
-    circuits = {pair: tuple(sorted({edges[j] for _, supports in kept for j in supports[f]}))
-                for f, pair in enumerate(pairs, m)
-                if all(f in supports for _, supports in kept)}
-    if settled is None:
-        return basis, None, None, circuits
-    own = [s for _, supports in kept for f, s in supports.items() if f < m]
-    covered = {j for supp in own for j in supp}
-    bridges_ = tuple(e for j, e in enumerate(g.edges) if j not in covered)
-    components = tuple(tuple(g.edges[j] for j in c) for c in _classes(m, own))
-    return basis, bridges_, components, circuits
+    linked = {f: [j for _, supports in kept for j in supports[f]]
+              for f in range(m, m + len(pairs)) if all(f in supports for _, supports in kept)}
+    own = None if settled is None else \
+        [s for _, supports in kept for f, s in supports.items() if f < m]
+    return kept[0][0], own, linked
+
+
+def _pebble(g: Graph, d: int, pairs, edge_circuits: bool):
+    """The supports of ``_answer`` from the (k, l) = (d, d(d+1)/2) pebble
+    game (Jacobs and Hendrickson 1997; Lee and Streinu 2008): the route of
+    ``_matroid`` at d <= 2, where the rigidity matroid is the (1, 1)-sparsity
+    (graphic) matroid and the (2, 3)-sparsity matroid (Laman 1970).
+
+    Every vertex holds k pebbles; a basis edge is directed out of the
+    vertex whose pebble covers it. An edge uv is independent of the basis
+    exactly when l + 1 pebbles can be gathered on u and v, each moved
+    along a directed path whose edges are then reversed. Edges go in in
+    canonical order, which gives the greedy basis of the pivot columns.
+    When the gathering fails, the vertices reachable from u and v form the
+    least tight set that holds them, so uv and the basis edges inside that
+    set form uv's fundamental circuit. Pairs are tested the same way
+    without going in; moving pebbles only reorients edges, so nothing needs
+    restoring. With ``edge_circuits`` false the non-basis edges' circuits
+    are not read.
+    """
+    k, l = d, d * (d + 1) // 2
+    pebbles = [k] * g.n
+    out = [set() for _ in range(g.n)]
+    index = {e: j for j, e in enumerate(g.edges)}
+
+    def fetch(x, u, v) -> bool:
+        """Move to x, one of u and v, a free pebble of another vertex
+        reachable from x, reversing the path it takes."""
+        parent = {x: x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for z in out[y]:
+                if z in parent:
+                    continue
+                parent[z] = y
+                if pebbles[z] and z != u and z != v:
+                    pebbles[z] -= 1
+                    pebbles[x] += 1
+                    while z != x:
+                        y = parent[z]
+                        out[y].remove(z)
+                        out[z].add(y)
+                        z = y
+                    return True
+                stack.append(z)
+        return False
+
+    def gather(u, v):
+        """None once u and v hold l + 1 pebbles, else the vertices
+        reachable from them."""
+        while pebbles[u] + pebbles[v] <= l:
+            if not (pebbles[u] < k and fetch(u, u, v) or pebbles[v] < k and fetch(v, u, v)):
+                seen, stack = {u, v}, [u, v]
+                while stack:
+                    for z in out[stack.pop()] - seen:
+                        seen.add(z)
+                        stack.append(z)
+                return seen
+        return None
+
+    def support(f, seen):
+        return sorted([f, *(index[(x, y) if x < y else (y, x)]
+                            for x in seen for y in out[x] & seen)])
+
+    pivots, own = [], []
+    for j, (u, v) in enumerate(g.edges):
+        seen = gather(u, v)
+        if seen is None:
+            # l + 1 = 2k at d <= 2: u and v hold k pebbles each
+            pebbles[u] -= 1
+            out[u].add(v)
+            pivots.append(j)
+        elif edge_circuits:
+            own.append(support(j, seen))
+    linked = {}
+    for f, (u, v) in enumerate(pairs, g.m):
+        seen = gather(u, v)
+        if seen is not None:
+            linked[f] = support(f, seen)
+    return pivots, own if edge_circuits else None, linked
 
 
 def _covers(m, supports) -> bool:
@@ -309,9 +425,10 @@ def _connects(m, supports) -> bool:
 
 
 def bridges(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, int], ...]:
-    """Edges whose deletion drops the generic rank: those on which no stress
-    of a kept trial of ``_matroid`` is nonzero. The loop stops early once a
-    trial at the rank bound has every edge in some stress support. An edge
+    """Edges whose deletion drops the generic rank: those in no circuit of
+    ``_matroid``. Exact at d <= 2, one-sided at d >= 3: there the circuits
+    are the stress supports of the kept trials, the loop stops early once a
+    trial at the rank bound has every edge in some support, and an edge
     may be reported as a bridge wrongly, never the other way round.
     """
     return _matroid(g, d, _trials(g, d, _rng(rng)), _covers)[1]
@@ -320,10 +437,11 @@ def bridges(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, int], 
 def rigid_basis(g: Graph, d: int, rng: Rng | None = None) -> tuple[tuple[int, int], ...]:
     """A maximal independent edge set, grown greedily in canonical edge order.
 
-    These are the pivot columns of R(G,p)^T, from the first trial of the
-    best rank; the trials skip the edge stresses, which the basis does not
-    need. For a rigid graph this is a minimally rigid spanning subgraph.
-    The returned set is always independent; only its size can fall short.
+    For a rigid graph this is a minimally rigid spanning subgraph. Exact at
+    d <= 2, where the pebble game grows it, one-sided at d >= 3: there
+    these are the pivot columns of R(G,p)^T from the first trial of the
+    best rank, read without the edge stresses, and the set is always
+    independent; only its size can fall short.
     """
     return _matroid(g, d, _trials(g, d, _rng(rng), edge_stresses=False), None)[0]
 
@@ -332,12 +450,12 @@ def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
                         ) -> tuple[tuple[int, int], ...]:
     """The unique circuit inside basis + e.
 
-    One ``_matroid`` call on the graph of the basis with e as its pair,
-    whose trials carry e's stress alone: the basis must come out
-    independent, and e linked to it. The circuit is the
-    union of the supports of e's fundamental stress over the trials of full
-    rank, each inside the generic circuit, so a member may be missed, never
-    a non-member included.
+    One ``_matroid`` call on the graph of the basis with e as its pair: the
+    basis must come out independent, and e linked to it. Exact at d <= 2,
+    one-sided at d >= 3: there the trials carry e's stress alone, and the
+    circuit is the union of the supports of e's fundamental stress over the
+    trials of full rank, each inside the generic circuit, so a member may
+    be missed, never a non-member included.
 
     Raises:
         GraphError: when the edges are not in the graph, when e lies in the
@@ -367,12 +485,12 @@ def matroid_components(g: Graph, d: int, rng: Rng | None = None
                        ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Connected components of the rigidity matroid, as edge sets.
 
-    The edges grouped by the stress supports of the kept trials of
-    ``_matroid`` (``_classes``).
-    Each support is a fundamental circuit, and the fundamental circuits of
-    one basis already connect each component. The loop stops early once a
-    trial at the rank bound connects every edge. A component may be split
-    wrongly, never merged wrongly. Bridges come out as singletons.
+    The edges grouped by the fundamental circuits of ``_matroid``
+    (``_classes``): those of one basis already connect each component.
+    Bridges come out as singletons. Exact at d <= 2, one-sided at d >= 3:
+    there the circuits are the stress supports of the kept trials, the loop
+    stops early once a trial at the rank bound connects every edge, and a
+    component may be split wrongly, never merged wrongly.
     """
     return _matroid(g, d, _trials(g, d, _rng(rng)), _connects)[2]
 
@@ -383,8 +501,9 @@ def is_matroid_connected(g: Graph, d: int, rng: Rng | None = None) -> bool:
 
 def _splitting_edges(g: Graph, d: int, rng: Rng):
     """The edges e, in edge order, whose deletion leaves the rigidity
-    matroid disconnected, G - e_i tested on ``rng.child(i)``. A component
-    may be split wrongly, so an edge may be yielded wrongly, never missed."""
+    matroid disconnected, G - e_i tested on ``rng.child(i)``. At d >= 3 a
+    component may be split wrongly, so an edge may be yielded wrongly,
+    never missed."""
     _check_dimension(d)
     for i, e in enumerate(g.edges):
         if not is_matroid_connected(g.delete_edge(e), d, rng.child(i)):

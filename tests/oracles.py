@@ -59,12 +59,14 @@ from rigidkit.linked import (
 )
 from rigidkit.rigidity import (
     TRIALS,
+    _answer,
     _check_stress,
     _connects,
     _edge_row,
     _factor,
     _matroid,
     _rows_for,
+    _sampled,
     _trials,
     is_matroid_connected,
     is_redundantly_rigid,
@@ -495,6 +497,15 @@ def stress_basis_per_edge(g: Graph, d: int, real, basis) -> list[Stress]:
 # one trial source of the whole matroid: its own loop of eliminations that
 # pivot on G's columns only and read the kernel of the pivots and the linked
 # pair columns alone.
+
+
+def sampled_matroid(g: Graph, d: int, rng: Rng, settled=_connects, pairs=()):
+    """``rigidity._matroid`` on its sampled route in every dimension: the
+    trials of G on ``rng``, with ``pairs`` riding along, read by
+    ``_sampled``; all edge stresses unless ``settled`` is None. The oracle
+    of the pebble game at d <= 2."""
+    trials = _trials(g, d, rng, pairs, edge_stresses=settled is not None)
+    return _answer(g, pairs, *_sampled(g, d, trials, settled, pairs))
 
 
 def span_with_pair_columns(g: Graph, d: int, rng: Rng, pairs=()) -> tuple[int, dict]:

@@ -2,7 +2,8 @@
 factorization per realization.
 
 Differential tests against the earlier query-by-query and edge-by-edge
-implementations kept in ``oracles``, counts of the eliminations behind
+implementations kept in ``oracles`` and of the pebble game at d <= 2
+against the sampled route, counts of the eliminations behind
 ``matroid_report`` and of the factorizations behind the edge-deletion
 predicates and the sparsifier, and the resample and retry paths driven by a
 degenerate ``Rng``.
@@ -41,7 +42,7 @@ from rigidkit import (
     wheel,
 )
 from rigidkit import global_rigidity, rigidity
-from rigidkit.corpus import random_graph_with_edges
+from rigidkit.corpus import nonisomorphic_graphs, random_graph_with_edges
 from rigidkit.field import PRIME, FieldMatrix, Rng
 from rigidkit.global_rigidity import (
     Stress,
@@ -73,6 +74,7 @@ from oracles import (
     rank_of_rows,
     redundantly_globally_rigid_per_edge,
     rigid_basis_incremental,
+    sampled_matroid,
     span_with_pair_columns,
     sparsify_three_realizations,
     stress_basis_per_edge,
@@ -159,6 +161,21 @@ def shared_cliques(draw, d):
                                max_size=1)))
     label = draw(st.permutations(range(n)))
     return Graph(n, tuple({tuple(sorted((label[u], label[v]))) for u, v in edges}))
+
+
+@st.composite
+def any_graphs(draw, max_n=8):
+    """Any graph on 1 to ``max_n`` vertices, edgeless and disconnected ones
+    included."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ()))
+
+
+def unread():
+    """Trials that fail the test when ``rigidity._matroid`` reads them."""
+    raise AssertionError("the trials were read")
+    yield
 
 
 def stop_at_the_rank_bound(m, supports) -> bool:
@@ -252,6 +269,50 @@ class TestAgainstQueryByQuery:
         g = complete(4)
         with pytest.raises(GraphError, match="not independent"):
             fundamental_circuit(g, 1, ((0, 1), (0, 2), (1, 2)), (2, 3))
+
+
+class TestPebbleGame:
+    """At d <= 2 ``rigidity._matroid`` plays the pebble game and reads no
+    trial; the sampled route (``oracles.sampled_matroid``) at a fixed seed
+    is its oracle: basis, bridges, components and every non-edge's circuit."""
+
+    @staticmethod
+    def assert_matches_the_sampled_route(g, d):
+        pairs = [p for p in combinations(range(g.n), 2) if p not in g.edge_set]
+        got = rigidity._matroid(g, d, unread(), rigidity._connects, pairs)
+        assert got == sampled_matroid(g, d, Rng(1729), rigidity._connects, pairs)
+        basis, _, _, circuits = got
+        assert rigidity._matroid(g, d, unread(), None, pairs) == (basis, None, None, circuits)
+        assert sampled_matroid(g, d, Rng(1729), None, pairs) == (basis, None, None, circuits)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @settings(max_examples=60)
+    @given(g=any_graphs())
+    def test_matches_the_sampled_route(self, d, g):
+        self.assert_matches_the_sampled_route(g, d)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_the_sampled_route_on_every_class_up_to_six_vertices(self, d):
+        graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+        assert len(graphs) == 208
+        for g in graphs:
+            self.assert_matches_the_sampled_route(g, d)
+
+    @pytest.mark.parametrize("d, circuit", [(1, ((0, 1), (0, 2), (1, 2))), (2, complete(4).edges)])
+    def test_matroid_queries_eliminate_nothing(self, d, circuit, eliminations):
+        # K4 plus a pendant edge; the first non-basis edge closes a triangle
+        # at d = 1 and K4 at d = 2
+        g = Graph(5, complete(4).edges + ((3, 4),))
+        basis = rigid_basis(g, d, Rng(1))
+        extra = next(e for e in g.edges if e not in set(basis))
+        assert matroid_report(g, d, Rng(3)).basis == basis
+        assert bridges(g, d, Rng(3)) == ((3, 4),)
+        assert matroid_components(g, d, Rng(3)) == (complete(4).edges, ((3, 4),))
+        assert fundamental_circuit(g, d, basis, extra, Rng(2)) == circuit
+        assert is_redundantly_rigid(complete(4), d, Rng(4))
+        assert rigidity.generic_rank(complete(5).disjoint_union(complete(3)), d) == \
+            rigidity.rank_upper_bound(5, 10, d) + rigidity.rank_upper_bound(3, 3, d)
+        assert eliminations == []
 
 
 class TestAgainstEdgeByEdge:
@@ -499,9 +560,10 @@ class TestExactWitness:
             _certifies(g, real, [tuple(w)], Rng(13))
 
     def test_components_refuse_trials_without_edge_stresses(self):
-        g = complete(4)
+        # the sampled route, d >= 3
+        g = complete(5)
         with pytest.raises(AssertionError, match="lacks edge stresses"):
-            rigidity._matroid(g, 2, _trials(g, 2, Rng(1), edge_stresses=False), rigidity._connects)
+            rigidity._matroid(g, 3, _trials(g, 3, Rng(1), edge_stresses=False), rigidity._connects)
 
     def test_a_stress_left_nonzero_on_a_deleted_edge_raises(self):
         # a stress of G that is nonzero on e is no stress of G - e
@@ -598,9 +660,11 @@ class TestBlockStressTest:
 
 
 class TestOneFactorizationPerTrial:
+    # at d <= 2 the pebble game eliminates nothing
+    # (TestPebbleGame.test_matroid_queries_eliminate_nothing)
     @pytest.mark.parametrize("g, d", [
-        (complete(5).disjoint_union(complete(3)), 2),
-        (Graph(5, complete(4).edges + ((3, 4),)), 2),
+        (complete(6).disjoint_union(complete(4)), 3),
+        (Graph(6, complete(5).edges + ((4, 5),)), 3),
         (complete(8), 3),
     ])
     def test_matroid_report_eliminates_at_most_trials_times(self, g, d, monkeypatch):
@@ -622,11 +686,11 @@ class TestOneFactorizationPerTrial:
         real_echelon = rigidity._echelon
         monkeypatch.setattr(rigidity, "_echelon",
                             lambda rows, cols: calls.append(cols) or real_echelon(rows, cols))
-        assert len(matroid_report(complete(6), 2, Rng(4)).components) == 1
+        assert len(matroid_report(complete(6), 3, Rng(4)).components) == 1
         assert len(calls) == 1
 
-    def test_redundant_rigidity_of_k4_takes_one_elimination(self, eliminations):
-        assert is_redundantly_rigid(complete(4), 2, Rng(4))
+    def test_redundant_rigidity_of_k5_takes_one_elimination(self, eliminations):
+        assert is_redundantly_rigid(complete(5), 3, Rng(4))
         assert len(eliminations) == 1
 
     def test_minimality_of_the_braced_icosahedron_shares_its_factorizations(
@@ -692,19 +756,19 @@ class TestDegenerateRealizations:
     def test_short_rank_trial_is_discarded(self):
         # trial 0 places every vertex at one point: rank 0, and every edge a
         # loop whose singleton support would hide the pendant bridge
-        g = Graph(5, complete(4).edges + ((3, 4),))
+        g = Graph(6, complete(5).edges + ((4, 5),))
         rng = DegenerateRng(11, [(0, 0)])
-        assert bridges(g, 2, rng) == ((3, 4),)
-        assert rigid_basis(g, 2, rng) == rigid_basis(g, 2, Rng(11))
-        report = matroid_report(g, 2, rng)
-        assert report.rank == 6 and report.bridges == ((3, 4),)
-        assert report.components == (complete(4).edges, ((3, 4),))
+        assert bridges(g, 3, rng) == ((4, 5),)
+        assert rigid_basis(g, 3, rng) == rigid_basis(g, 3, Rng(11))
+        report = matroid_report(g, 3, rng)
+        assert report.rank == 10 and report.bridges == ((4, 5),)
+        assert report.components == (complete(5).edges, ((4, 5),))
 
     def test_fundamental_circuit_skips_a_degenerate_trial(self):
-        g = complete(4)
-        basis = rigid_basis(g, 2, Rng(1))
+        g = complete(5)
+        basis = rigid_basis(g, 3, Rng(1))
         (extra,) = [e for e in g.edges if e not in set(basis)]
-        assert fundamental_circuit(g, 2, basis, extra, DegenerateRng(2, [(0,)])) == g.edges
+        assert fundamental_circuit(g, 3, basis, extra, DegenerateRng(2, [(0,)])) == g.edges
 
     def test_stress_test_resamples_after_a_short_trial(self, factorizations):
         cert = is_globally_rigid(complete(6), 3, DegenerateRng(5, [(0, 0)]))

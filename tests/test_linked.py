@@ -97,13 +97,21 @@ class TestLinkedAgainstRanks:
 
 class TestOneEliminationPerTrial:
     def test_is_linked_eliminates_at_most_trials_times(self, eliminations):
-        assert not is_linked(two_k4_sharing_a_vertex(), 0, 4, 2, Rng(5))
+        # the sampled route, d >= 3; at d <= 2 the pebble game eliminates nothing
+        assert not is_linked(two_k4_sharing_a_vertex(), 0, 4, 3, Rng(5))
         assert 1 <= len(eliminations) <= rigidity.TRIALS
+        eliminations.clear()
+        assert not is_linked(two_k4_sharing_a_vertex(), 0, 4, 2, Rng(5))
+        assert eliminations == []
 
-    def test_globally_linked_2d_reads_components_and_linkedness_at_once(self, eliminations):
+    def test_globally_linked_2d_reads_components_and_linkedness_at_once(self, eliminations,
+                                                                          monkeypatch):
+        games = []
+        pebble = rigidity._pebble
+        monkeypatch.setattr(rigidity, "_pebble", lambda *args: games.append(args) or pebble(*args))
         verdict = is_globally_linked_2d(wheel(5), 1, 3, Rng(3))
         assert verdict.reason == REASON_KAPPA and verdict.linked == {2: True}
-        assert len(eliminations) == 1
+        assert len(games) == 1 and eliminations == []
 
     def test_linked_gl_eliminates_at_most_trials_times_per_graph(self, eliminations):
         rep = explore_conjecture("linked-gl", 1,
@@ -113,11 +121,12 @@ class TestOneEliminationPerTrial:
 
 
 class TestDegenerateFirstTrial:
-    # trial 0 puts every vertex at one point: every column is zero there, so
-    # every pair looks linked, and the trial must be dropped for its short rank
+    # on the sampled route (d >= 3; at d <= 2 no trial is drawn) trial 0 puts
+    # every vertex at one point: every column is zero there, so every pair
+    # looks linked, and the trial must be dropped for its short rank
     def test_is_linked_drops_the_collapsed_trial(self):
         g = two_k4_sharing_a_vertex()
-        assert not is_linked(g, 0, 4, 2, DegenerateRng(5, [(0, 0)]))
+        assert not is_linked(g, 0, 4, 3, DegenerateRng(5, [(0, 0)]))
 
     def test_circuit_route_keeps_its_witness(self):
         # K5 minus an edge plus a pendant edge: the pair closes K5, a circuit in d=3
@@ -127,11 +136,11 @@ class TestDegenerateFirstTrial:
         assert is_globally_linked_2d(g, 0, 1, DegenerateRng(9, [(2, 0)])) == expect
 
     def test_a_short_trial_cannot_say_not_linked(self):
-        # K4 plus vertex 4 on 0 and 1 is rigid in d=2, so (2, 4) is linked;
-        # trial 0 puts vertex 4 on vertex 0, drops the row of (0, 4), and
-        # there (2, 4) is not linked
-        g = Graph(5, complete(4).edges + ((0, 4), (1, 4)))
-        assert is_linked(g, 2, 4, 2, DegenerateRng(3, [(0,)], period=8))
+        # K5 plus vertex 5 on 0, 1 and 2 is rigid in d=3, so (3, 5) is
+        # linked; trial 0 puts vertex 5 on vertex 0, drops the row of (0, 5),
+        # and there (3, 5) is not linked
+        g = Graph(6, complete(5).edges + ((0, 5), (1, 5), (2, 5)))
+        assert is_linked(g, 3, 5, 3, DegenerateRng(3, [(0,)], period=15))
 
     def test_a_circuit_from_collapsed_trials_certifies_nothing(self):
         # every d = 3 trial collapses, so the pair's circuit is {uv} alone and
@@ -245,14 +254,37 @@ class TestOneStepPerGraph:
                                  "unknown": 0, "counterexample_candidates": 0}
         per_graph = Counter(id(g) for g in factorizations if id(g) in corpus)
         assert max(per_graph.values()) <= 2 * rigidity.TRIALS
-        # the sweep factors each corpus graph at d = 3 for its own call and
-        # at d = 2 for the step, at most TRIALS times each; the step also
-        # factors the C - uv subgraphs, which are not corpus graphs
+        # the sweep factors each corpus graph at d = 3 for its own call, at
+        # most TRIALS times; the step's d = 2 questions, on G and on the
+        # C - uv subgraphs, go to the pebble game and factor nothing
         dims = list(zip(factorizations, factorizations.dims))
-        assert Counter(d for g, d in dims if id(g) in corpus) == {3: 1341, 2: 418}
-        assert Counter(factorizations.dims) == {3: 1341, 2: 596}
+        assert Counter(d for g, d in dims if id(g) in corpus) == {3: 1341}
+        assert Counter(factorizations.dims) == {3: 1341}
         per_graph_and_d = Counter((id(g), d) for g, d in dims if id(g) in corpus)
         assert max(per_graph_and_d.values()) <= rigidity.TRIALS
+
+    def test_linked_gl_d1_counts(self, factorizations, flows):
+        # d = 2 linkedness from the pebble game, and 1-D global linkedness
+        # from the d = 1 components: no factorization and no flow
+        rep = explore_conjecture("linked-gl", 1,
+                                 CorpusSpec(max_n=7, isomorph_reject=True), Rng(1729))
+        assert rep["counts"] == {"graphs": 1252, "cases": 16783, "confirmed": 16783,
+                                 "unknown": 0, "counterexample_candidates": 0}
+        assert factorizations == [] and flows == []
+
+    def test_kappa_step_builds_one_network_per_graph(self, monkeypatch):
+        # the matroid-connected branch asks every pair on one network
+        networks = []
+        split = linked._split_network
+        monkeypatch.setattr(linked, "_split_network",
+                            lambda g, vertex_cap: networks.append(g) or split(g, vertex_cap))
+        g = two_sum(wheel(5), complete(4))
+        pairs = [p for p in combinations(range(g.n), 2) if p not in g.edge_set]
+        verdicts = list(linked._globally_linked_2d(g, pairs, Rng(2)))
+        assert {v.reason for v in verdicts} == {REASON_KAPPA} and networks == [g]
+        assert [v.globally_linked for v in verdicts] == \
+            [YES if local_connectivity(g, u, v) >= 3 else NO for u, v in pairs]
+        assert {v.globally_linked for v in verdicts} == {YES, NO}
 
     def test_linked_gl_d2_asks_the_step_only_where_a_pair_is_linked(self, factorizations,
                                                                        monkeypatch):
@@ -365,14 +397,27 @@ class TestExplorer:
     # are the d + 1 trials, so every non-edge looks linked there
     COLLAPSED_UPPER = [(1 + gi, 0, t) for gi in range(100) for t in range(3)]  # 52 graphs
 
-    def test_linked_gl_d1_candidate_certificate(self):
+    def test_linked_gl_d1_candidate_certificate(self, monkeypatch):
+        # the paper proves d = 1, so only a stubbed d = 2 answer that calls
+        # every non-edge linked gives candidates: the non-edges that the
+        # blocks of the d = 1 components leave apart, as globally_linked_1d
+        real = linked._matroid
+
+        def every_pair_linked(g, d, trials, settled, pairs=()):
+            return real(g, d, trials, settled, pairs)[:3] + ({p: () for p in pairs},)
+
+        monkeypatch.setattr(linked, "_matroid", every_pair_linked)
         spec = CorpusSpec(max_n=5, isomorph_reject=True)
-        rep = explore_conjecture("linked-gl", 1, spec, DegenerateRng(4, self.COLLAPSED_UPPER))
-        assert rep["counts"] == {"graphs": 52, "cases": 400, "confirmed": 247, "unknown": 0,
-                                 "counterexample_candidates": 153}
+        rep = explore_conjecture("linked-gl", 1, spec, Rng(4))
+        assert rep["counts"] == {"graphs": 52, "cases": 420, "confirmed": 247, "unknown": 0,
+                                 "counterexample_candidates": 173}
         assert list(rep["candidates"][0].items()) == [
-            ("graph", {"n": 3, "edges": [[1, 2]]}), ("pair", [0, 1]),
+            ("graph", {"n": 2, "edges": []}), ("pair", [0, 1]),
             ("detail", "linked in dim 2 but not globally linked in dim 1")]
+        assert [(c["graph"]["edges"], c["pair"]) for c in rep["candidates"]] == [
+            ([list(e) for e in g.edges], [u, v]) for n in range(1, 6)
+            for g in nonisomorphic_graphs(n) for u, v in combinations(range(n), 2)
+            if not globally_linked_1d(g, u, v)]
 
     def test_linked_gl_d2_candidate_certificate(self):
         spec = CorpusSpec(max_n=5, isomorph_reject=True)
@@ -400,13 +445,17 @@ class TestExplorer:
         c = explore_conjecture(kind, dim, spec, rng)["counts"]
         assert c["cases"] == c["confirmed"] + c["unknown"] + c["counterexample_candidates"]
 
+    # dense graphs on 7 vertices, matroid-connected in d = 4; their
+    # deletions are tested on the sampled route at d = 3, where a degenerate
+    # stream can reach them
+    DENSE = CorpusSpec(mode="random", count=8, n=7, edge_prob=0.9)
+
     def test_redundant_mc_candidate_lists_the_edges_behind_its_verdict(self):
         # the deletion of each graph's first edge is tested on a degenerate
         # stream, so every case fails there, and only there
-        spec = CorpusSpec(max_n=5, isomorph_reject=True)
-        rng = DegenerateRng(4, [(1 + gi, 1, 0) for gi in range(100)])  # 52 graphs
-        rep = explore_conjecture("redundant-mc", 1, spec, rng)
-        assert rep["counts"]["cases"] > 0
+        rng = DegenerateRng(4, [(1 + gi, 1, 0) for gi in range(8)])
+        rep = explore_conjecture("redundant-mc", 3, self.DENSE, rng)
+        assert rep["counts"]["cases"] == 5
         assert rep["counts"]["counterexample_candidates"] == rep["counts"]["cases"]
         for cand in rep["candidates"]:
             assert cand["failing_edges"] == [cand["graph"]["edges"][0]]
@@ -433,10 +482,9 @@ class TestExplorer:
 
     def test_redundant_mc_candidates_match_the_per_edge_loop(self):
         # as in the test above, every first edge is tested on a degenerate stream
-        spec = CorpusSpec(max_n=5, isomorph_reject=True)
-        rng = DegenerateRng(4, [(1 + gi, 1, 0) for gi in range(100)])
-        rep = explore_conjecture("redundant-mc", 1, spec, rng)
-        expect = explore_edge_loops("redundant-mc", 1, spec, rng)
+        rng = DegenerateRng(4, [(1 + gi, 1, 0) for gi in range(8)])
+        rep = explore_conjecture("redundant-mc", 3, self.DENSE, rng)
+        expect = explore_edge_loops("redundant-mc", 3, self.DENSE, rng)
         assert rep["counts"] == expect["counts"] and rep["candidates"] == expect["candidates"]
         assert rep["counts"]["counterexample_candidates"] > 0
 
