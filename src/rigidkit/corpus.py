@@ -6,9 +6,12 @@ adjacency-matrix ordering). ``nonisomorphic_graphs`` yields one canonical
 representative per isomorphism class. It extends the (n-1)-vertex classes
 one vertex at a time and keeps a child only when the new vertex is the one
 the canonical form deletes, up to automorphism (McKay's canonical
-deletion), so only children that can be canonical are searched. Since
-every property this package computes is isomorphism-invariant, the reduced
-corpus gives the same coverage at a fraction of the cost.
+deletion), so only children that can be canonical are searched. The
+canonical-form search prunes with the automorphisms it finds on the way, so
+a symmetric graph costs a few paths of the search tree, not one leaf per
+automorphism. Since every property this package computes is
+isomorphism-invariant, the reduced corpus gives the same coverage at a
+fraction of the cost.
 """
 
 from __future__ import annotations
@@ -32,94 +35,199 @@ def _mask_to_graph(n: int, mask: int) -> Graph:
     return Graph(n, tuple(p for b, p in enumerate(pairs) if mask >> b & 1))
 
 
-def graph_to_adj_masks(g: Graph) -> tuple[int, ...]:
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return tuple(adj)
+def _refine_colors(nbrs) -> list[int]:
+    """Stable 1-dimensional color refinement of the graph with neighbour
+    lists ``nbrs``; colors are dense ranks.
 
-
-def _refine_colors(n: int, adj: tuple[int, ...]) -> list[int]:
-    """Stable 1-dimensional color refinement; colors are dense ranks."""
-    colors = [bin(a).count("1") for a in adj]
+    A vertex's signature is its color, then the sorted tuple of its
+    neighbours' colors, and the new colors rank the signatures. Vertices of
+    one color have one degree, so their tuples have one length, and then the
+    lesser tuple has more neighbours of the least color whose counts differ.
+    So the counts, as digits base n+1 with color 0 the most significant,
+    give an int that orders the tuples in reverse, and no tuple is sorted.
+    Once every color is distinct, another round cannot change them.
+    """
+    n = len(nbrs)
+    weight = [(n + 1) ** (n - 1 - c) for c in range(n)]
+    top = (n + 1) ** n
+    colors = [len(ns) for ns in nbrs]
     for _ in range(n):
-        sigs = []
-        for v in range(n):
-            neigh = sorted(colors[u] for u in range(n) if adj[v] >> u & 1)
-            sigs.append((colors[v], tuple(neigh)))
+        w = [weight[c] for c in colors]
+        sigs = [c * top - sum(map(w.__getitem__, ns)) for c, ns in zip(colors, nbrs)]
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranking[s] for s in sigs]
-        if new == colors:
-            break
+        if new == colors or len(ranking) == n:
+            return new
         colors = new
     return colors
 
 
-def _search(n: int, adj: tuple[int, ...], colors: list[int]
-            ) -> tuple[list[int], set[int]]:
-    """The canonical-form search: the lexicographically least chunk sequence
-    over all color-respecting orderings, and the set of vertices that its
-    optimal orderings place last.
+def _orbit(seeds, gens) -> set[int]:
+    """The union of the orbits of ``seeds`` under the group the permutations
+    ``gens`` generate."""
+    orbit = set(seeds)
+    stack = list(orbit)
+    while stack:
+        w = stack.pop()
+        for g in gens:
+            if g[w] not in orbit:
+                orbit.add(g[w])
+                stack.append(g[w])
+    return orbit
 
-    Chunk j holds vertex j's adjacency bits to the vertices placed before it.
-    The search visits every optimal ordering: it prunes only prefixes that
-    already exceed the best one. Two optimal orderings give the same graph,
-    so they differ by an automorphism, and the last vertices are one orbit.
+
+def _search(nbrs, colors: list[int]) -> tuple[list[int], set[int]]:
+    """The canonical-form search on the graph with neighbour lists ``nbrs``:
+    the lexicographically least chunk sequence over all color-respecting
+    orderings, and the set of vertices that its optimal orderings place last.
+
+    Chunk j holds vertex j's adjacency bits to the vertices placed before it;
+    ``bits[v]`` keeps the chunk vertex v would take, updated along v's
+    neighbours as vertices are placed and removed. Each node descends only
+    into its least chunk, because any larger one loses at that position.
+    Two optimal orderings give the same graph, so they differ by an
+    automorphism: every leaf that equals ``best`` yields one, the map from
+    the first optimal ordering ``first`` to it. The search prunes with the
+    automorphisms it finds (B. D. McKay, "Practical graph isomorphism",
+    1981; McKay and Piperno, "Practical graph isomorphism, II", 2014):
+    - after such a leaf, the search returns to the node where the leaf's
+      path leaves ``first``'s: the rest of that child's subtree is the image
+      of the subtree ``first`` came from, which is done;
+    - a candidate is skipped when an automorphism found so far that fixes
+      the placed prefix pointwise maps an explored sibling to it, since its
+      subtree is that sibling's image;
+    - before a node branches, the twins of its first candidate (the same
+      neighbours apart from each other) leave the tie group, and each swap
+      joins the automorphisms found: it fixes the prefix and maps the first
+      candidate's subtree onto the twin's. A node left with one candidate
+      places it as a forced one.
+    Every optimal ordering is thus the image of a visited one under the
+    automorphisms found, so they generate all of Aut(G), and the last
+    vertices of the optimal orderings are the orbit of ``first[-1]``.
     """
-    slot_colors = sorted(colors)
-    best: list[int] | None = None
-    lasts: set[int] = set()
+    n = len(nbrs)
+    members: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        members.setdefault(c, []).append(v)
+    cells = [members[c] for c in sorted(colors)]
+    used = [False] * n
+    bits = [0] * n
     placed: list[int] = []
     chunks: list[int] = []
-    used = [False] * n
+    best: list[int] = []
+    first: list[int] = []
+    gens: list[list[int]] = []
 
-    def dfs(pos: int) -> None:
-        nonlocal best, lasts
-        if pos == n:
-            if best is None or chunks < best:
-                best = list(chunks)
-                lasts = {placed[-1]}
-            elif chunks == best:
-                lasts.add(placed[-1])
-            return
-        grouped: dict[int, list[int]] = {}
-        for v in range(n):
-            if used[v] or colors[v] != slot_colors[pos]:
-                continue
-            chunk = 0
-            for i, w in enumerate(placed):
-                if adj[v] >> w & 1:
-                    chunk |= 1 << i
-            grouped.setdefault(chunk, []).append(v)
-        for chunk in sorted(grouped):
-            chunks.append(chunk)
-            if best is not None and chunks > best[:pos + 1]:
-                chunks.pop()
-                break  # ascending chunks: everything later is worse
-            for v in grouped[chunk]:
-                used[v] = True
-                placed.append(v)
-                dfs(pos + 1)
-                placed.pop()
-                used[v] = False
-            chunks.pop()
+    def unplace(stop: int) -> None:
+        while len(placed) > stop:
+            v = placed.pop()
+            used[v] = False
+            bit = 1 << len(placed)
+            for u in nbrs[v]:
+                bits[u] ^= bit
+        del chunks[stop:]
 
-    dfs(0)
-    if best is None:
+    def dfs(pos: int, tight: bool) -> int:
+        # Places the forced vertices from pos on, then branches over the
+        # least-chunk tie group left once the twins of its first candidate
+        # are dropped. tight: chunks == best[:pos]; otherwise
+        # chunks is less, or there is no best yet. Returns the level the
+        # search resumes at: the node branching there goes on, deeper ones
+        # unwind.
+        nonlocal best, first
+        start = pos
+        while True:
+            if pos == n:
+                if tight:
+                    perm = [0] * n
+                    for v, w in zip(first, placed):
+                        perm[v] = w
+                    gens.append(perm)
+                    back = 0
+                    while first[back] == placed[back]:
+                        back += 1
+                else:
+                    best, first, back = chunks[:], placed[:], n
+                unplace(start)
+                return back
+            cell = cells[pos]
+            if len(cell) == 1:
+                least = bits[cell[0]]
+                group = cell
+            else:
+                cands = [v for v in cell if not used[v]]
+                least = min([bits[v] for v in cands])
+                group = [v for v in cands if bits[v] == least]
+            if tight:
+                if least > best[pos]:
+                    unplace(start)
+                    return n
+                tight = least == best[pos]
+            if len(group) > 1:
+                u0, rest = group[0], group[1:]
+                group = [u0]
+                for v in rest:
+                    if set(nbrs[u0]) - {v} == set(nbrs[v]) - {u0}:
+                        swap = list(range(n))
+                        swap[u0], swap[v] = v, u0
+                        gens.append(swap)
+                    else:
+                        group.append(v)
+                if len(group) > 1:
+                    break
+            v = group[0]
+            used[v] = True
+            placed.append(v)
+            chunks.append(least)
+            bit = 1 << pos
+            for u in nbrs[v]:
+                bits[u] |= bit
+            pos += 1
+        chunks.append(least)
+        bit = 1 << pos
+        explored: list[int] = []
+        stab: list[list[int]] = []   # the gens that fix the prefix pointwise
+        seen = 0
+        done: set[int] = set()       # the orbits of explored under stab
+        for v in group:
+            if explored:
+                if len(gens) > seen:
+                    stab += [g for g in gens[seen:] if all(g[w] == w for w in placed)]
+                    seen = len(gens)
+                    done = _orbit(explored, stab)
+                if v in done:
+                    continue
+            used[v] = True
+            placed.append(v)
+            for u in nbrs[v]:
+                bits[u] |= bit
+            back = dfs(pos + 1, tight)
+            placed.pop()
+            used[v] = False
+            for u in nbrs[v]:
+                bits[u] ^= bit
+            if back < pos:
+                unplace(start)
+                return back
+            tight = True  # the subtree reached a leaf no worse than best
+            explored.append(v)
+            done |= _orbit((v,), stab)
+        unplace(start)
+        return n
+
+    dfs(0, False)
+    if not first:
         raise AssertionError("internal error: the search found no vertex order")
-    return best, lasts
+    return best, _orbit((first[-1],), gens)
 
 
 def canonical_chunks(g: Graph) -> tuple[int, ...]:
     """Canonical form: the lexicographically least chunk sequence over all
     color-respecting orderings; chunk j holds vertex j's adjacency bits to
     the vertices placed before it."""
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return ()
-    adj = graph_to_adj_masks(g)
-    return tuple(_search(n, adj, _refine_colors(n, adj))[0])
+    return tuple(_search(g.adjacency, _refine_colors(g.adjacency))[0])
 
 
 def canonical_key(g: Graph) -> tuple:
@@ -127,8 +235,8 @@ def canonical_key(g: Graph) -> tuple:
 
 
 def _chunks_to_graph(n: int, chunks: tuple[int, ...]) -> Graph:
-    # chunk j holds the pairs (i, j), i < j: the mask's slice from j(j-1)/2
-    return _mask_to_graph(n, sum(c << j * (j - 1) // 2 for j, c in enumerate(chunks)))
+    # bit i of chunk j is the pair (i, j)
+    return Graph(n, tuple((i, j) for j, c in enumerate(chunks) for i in range(j) if c >> i & 1))
 
 
 @lru_cache(maxsize=None)
@@ -144,10 +252,17 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     ordering of ``_search``. Deleting the canonical last vertex of a class
     gives one parent class, so every class is accepted from exactly one
     parent; masks of that parent that give isomorphic children are merged by
-    their canonical form. Two necessary conditions skip the search: x must
-    have maximum degree, read off the mask's popcount and the parent's
-    degrees, and x must have the largest refined color, because the last
-    slot takes the largest color (``_refine_colors`` ranks by degree first).
+    their canonical form. Two necessary conditions skip the search. First,
+    x must have maximum degree: with ``top`` the parent's maximum degree and
+    ``topmask`` its vertices of that degree, a mask is rejected in O(1) when
+    its popcount is below ``top``, or equals it and meets ``topmask``.
+    Second, x must have the largest refined color, because the last slot
+    takes the largest color (``_refine_colors`` ranks by degree first).
+    Each child's neighbour lists, which both ``_refine_colors`` and
+    ``_search`` read, are the parent's lists with x added. ``_search`` finds
+    the automorphism group as it goes and prunes the orderings it maps onto
+    visited ones, so it visits only a few of the optimal orderings, yet
+    still returns all of their last vertices as one orbit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -156,17 +271,19 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     x = n - 1
     parent_of: dict[tuple[int, ...], int] = {}
     for pi, parent in enumerate(nonisomorphic_graphs(x)):
-        padj = graph_to_adj_masks(parent)
-        pdeg = [bin(a).count("1") for a in padj]
+        pnbrs = parent.adjacency
+        top = max(len(ns) for ns in pnbrs)
+        topmask = sum(1 << v for v, ns in enumerate(pnbrs) if len(ns) == top)
         for mask in range(1 << x):
             deg = bin(mask).count("1")
-            if any(pdeg[v] + (mask >> v & 1) > deg for v in range(x)):
+            if deg < top or (deg == top and mask & topmask):
                 continue
-            adj = (*(a | (mask >> v & 1) << x for v, a in enumerate(padj)), mask)
-            colors = _refine_colors(n, adj)
+            nbrs = [(*ns, x) if mask >> v & 1 else ns for v, ns in enumerate(pnbrs)]
+            nbrs.append(tuple(v for v in range(x) if mask >> v & 1))
+            colors = _refine_colors(nbrs)
             if colors[x] != max(colors):
                 continue
-            chunks, lasts = _search(n, adj, colors)
+            chunks, lasts = _search(nbrs, colors)
             if x in lasts and parent_of.setdefault(tuple(chunks), pi) != pi:
                 raise AssertionError("internal error: a class came from two parents")
     return tuple(sorted((_chunks_to_graph(n, c) for c in parent_of),

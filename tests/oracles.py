@@ -3,9 +3,10 @@
 Everything here is deliberately dumb: rational arithmetic, Gauss-Jordan
 elimination, exhaustive enumeration, definition-level checks, and the
 library's earlier implementations of the rigidity matroid, the stress
-test, the edge-deletion predicates, the sparsifier, the isomorphism-class
-generator, the cut-vertex and cycle searches, the breadth-first flow
-kernel and the one-pair globally linked query. Beyond sampling
+test, the edge-deletion predicates, the sparsifier, the canonical-form
+search, the isomorphism-class generator, the cut-vertex and cycle
+searches, the breadth-first flow kernel and the one-pair globally linked
+query. Beyond sampling
 realizations and building their rows, the brute-force oracles share no code
 with the paths they verify; the earlier implementations reuse the library's
 primitives and differ from it in how they combine them.
@@ -913,6 +914,92 @@ def min_mixed_cut_all_pairs(g: Graph) -> MixedCut:
     if not cut.disconnects(g):
         raise AssertionError("internal error: decoded cut does not disconnect")
     return cut
+
+
+# ---------------------------------------------------------------------------
+# The canonical-form search before automorphism pruning: it visits every
+# optimal ordering and rebuilds each candidate's chunk from the adjacency
+# bit masks at every node.
+
+
+def graph_to_adj_masks(g: Graph) -> tuple[int, ...]:
+    """Vertex v's neighbours as the bits of one int."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def refine_colors_by_masks(n: int, adj: tuple[int, ...]) -> list[int]:
+    """Stable 1-dimensional color refinement; colors are dense ranks."""
+    colors = [bin(a).count("1") for a in adj]
+    for _ in range(n):
+        sigs = []
+        for v in range(n):
+            neigh = sorted(colors[u] for u in range(n) if adj[v] >> u & 1)
+            sigs.append((colors[v], tuple(neigh)))
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def search_every_optimal_ordering(n: int, adj: tuple[int, ...], colors: list[int]
+                                  ) -> tuple[list[int], set[int]]:
+    """The canonical-form search: the lexicographically least chunk sequence
+    over all color-respecting orderings, and the set of vertices that its
+    optimal orderings place last.
+
+    Chunk j holds vertex j's adjacency bits to the vertices placed before it.
+    The search visits every optimal ordering: it prunes only prefixes that
+    already exceed the best one. Two optimal orderings give the same graph,
+    so they differ by an automorphism, and the last vertices are one orbit.
+    """
+    slot_colors = sorted(colors)
+    best: list[int] | None = None
+    lasts: set[int] = set()
+    placed: list[int] = []
+    chunks: list[int] = []
+    used = [False] * n
+
+    def dfs(pos: int) -> None:
+        nonlocal best, lasts
+        if pos == n:
+            if best is None or chunks < best:
+                best = list(chunks)
+                lasts = {placed[-1]}
+            elif chunks == best:
+                lasts.add(placed[-1])
+            return
+        grouped: dict[int, list[int]] = {}
+        for v in range(n):
+            if used[v] or colors[v] != slot_colors[pos]:
+                continue
+            chunk = 0
+            for i, w in enumerate(placed):
+                if adj[v] >> w & 1:
+                    chunk |= 1 << i
+            grouped.setdefault(chunk, []).append(v)
+        for chunk in sorted(grouped):
+            chunks.append(chunk)
+            if best is not None and chunks > best[:pos + 1]:
+                chunks.pop()
+                break  # ascending chunks: everything later is worse
+            for v in grouped[chunk]:
+                used[v] = True
+                placed.append(v)
+                dfs(pos + 1)
+                placed.pop()
+                used[v] = False
+            chunks.pop()
+
+    dfs(0)
+    if best is None:
+        raise AssertionError("internal error: the search found no vertex order")
+    return best, lasts
 
 
 # ---------------------------------------------------------------------------

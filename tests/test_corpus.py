@@ -1,4 +1,6 @@
-from itertools import permutations
+from itertools import combinations, permutations
+
+from hypothesis import given, strategies as st
 
 from rigidkit import Graph, corpus
 from rigidkit.corpus import (
@@ -6,14 +8,19 @@ from rigidkit.corpus import (
     _search,
     all_graphs,
     canonical_key,
-    graph_to_adj_masks,
     nonisomorphic_graphs,
     random_graph,
     random_graph_with_edges,
 )
 from rigidkit.field import Rng
+from rigidkit.graph import complete, complete_bipartite, cycle
 
-from oracles import nonisomorphic_graphs_by_seen_dict
+from oracles import (
+    graph_to_adj_masks,
+    nonisomorphic_graphs_by_seen_dict,
+    refine_colors_by_masks,
+    search_every_optimal_ordering,
+)
 
 # numbers of graphs / connected graphs on n unlabeled vertices
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -35,12 +42,7 @@ def test_canonical_key_is_isomorphism_invariant():
     for i in range(20):
         n = 4 + i % 4
         g = random_graph(n, 0.5, rng.child(i))
-        perm = list(range(n))
-        for j in range(n - 1, 0, -1):
-            k = rng.next_u64() % (j + 1)
-            perm[j], perm[k] = perm[k], perm[j]
-        h = Graph(n, tuple((perm[a], perm[b]) for a, b in g.edges))
-        assert canonical_key(g) == canonical_key(h)
+        assert canonical_key(g) == canonical_key(_relabelled(g, rng))
 
 
 def test_canonical_key_separates_all_classes():
@@ -92,7 +94,7 @@ def _brute_optimal_orderings(g: Graph):
     """Every color-respecting ordering whose chunk sequence is least, with
     that sequence, by trying all permutations."""
     adj = graph_to_adj_masks(g)
-    colors = _refine_colors(g.n, adj)
+    colors = _refine_colors(g.adjacency)
     slots = sorted(colors)
     found = {}
     for order in permutations(range(g.n)):
@@ -111,13 +113,46 @@ def _brute_automorphisms(g: Graph):
             if all(tuple(sorted((p[a], p[b]))) in edges for a, b in g.edges)]
 
 
+def _relabelled(g: Graph, rng: Rng) -> Graph:
+    perm = list(range(g.n))
+    for j in range(g.n - 1, 0, -1):
+        k = rng.next_u64() % (j + 1)
+        perm[j], perm[k] = perm[k], perm[j]
+    return Graph(g.n, tuple((perm[a], perm[b]) for a, b in g.edges))
+
+
+def _symmetric_graphs():
+    """Graphs whose automorphism groups are large, so that the search's
+    automorphism pruning fires: K_n, the empty graph, C_n, K_{3,3}, K_{1,5}
+    and K_{2,2,2}."""
+    yield from (complete(n) for n in range(1, 8))
+    yield from (Graph(n) for n in range(1, 8))
+    yield from (cycle(n) for n in range(3, 8))
+    yield complete_bipartite(3, 3)
+    yield complete_bipartite(1, 5)
+    yield Graph(6, tuple(p for p in combinations(range(6), 2) if p not in {(0, 1), (2, 3), (4, 5)}))
+
+
+def _petersen() -> Graph:
+    outer = tuple((i, (i + 1) % 5) for i in range(5))
+    inner = tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
+    return Graph(10, outer + inner + tuple((i, 5 + i) for i in range(5)))
+
+
+def _cube() -> Graph:
+    return Graph(8, tuple((v, v | 1 << b) for v in range(8) for b in range(3) if not v >> b & 1))
+
+
+def _search_as_oracle(g: Graph):
+    adj = graph_to_adj_masks(g)
+    return search_every_optimal_ordering(g.n, adj, refine_colors_by_masks(g.n, adj))
+
+
 def test_last_vertices_of_the_search_are_the_canonical_orbit():
     rng = Rng(12)
-    for i in range(60):
-        n = 1 + i % 6
-        g = random_graph(n, (i % 5 + 1) / 6, rng.child(i))
-        adj = graph_to_adj_masks(g)
-        chunks, lasts = _search(n, adj, _refine_colors(n, adj))
+    randoms = [random_graph(1 + i % 6, (i % 5 + 1) / 6, rng.child(i)) for i in range(60)]
+    for g in randoms + list(_symmetric_graphs()):
+        chunks, lasts = _search(g.adjacency, _refine_colors(g.adjacency))
         best, orders = _brute_optimal_orderings(g)
         last = orders[0][-1]
         assert chunks == best
@@ -138,3 +173,54 @@ def test_building_the_corpus_to_six_vertices_takes_few_searches(monkeypatch):
     nonisomorphic_graphs.cache_clear()
     assert len(nonisomorphic_graphs(6)) == 156
     assert len(calls) <= 375
+
+
+def test_search_matches_the_unpruned_search_on_every_class_to_seven_vertices():
+    rng = Rng(25)
+    for n in range(1, 8):
+        for i, g in enumerate(nonisomorphic_graphs(n)):
+            h = _relabelled(g, rng.child(n).child(i))
+            adj = graph_to_adj_masks(h)
+            assert _refine_colors(h.adjacency) == refine_colors_by_masks(n, adj)
+            assert _search(h.adjacency, _refine_colors(h.adjacency)) == _search_as_oracle(h)
+
+
+@given(n=st.integers(1, 9), data=st.data())
+def test_search_matches_the_unpruned_search_on_drawn_graphs(n, data):
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, tuple(edges))
+    assert _refine_colors(g.adjacency) == refine_colors_by_masks(n, graph_to_adj_masks(g))
+    assert _search(g.adjacency, _refine_colors(g.adjacency)) == _search_as_oracle(g)
+
+
+def test_search_matches_the_unpruned_search_on_symmetric_graphs():
+    # each under several labellings: which automorphisms the search finds
+    # first, and so what it prunes, depends on the labelling
+    rng = Rng(31)
+    for gi, g in enumerate([*_symmetric_graphs(), cycle(8), _cube(), _petersen()]):
+        for i in range(8):
+            h = _relabelled(g, rng.child(gi).child(i))
+            assert _search(h.adjacency, _refine_colors(h.adjacency)) == _search_as_oracle(h)
+
+
+def test_the_degree_test_passes_exactly_the_masks_that_give_the_new_vertex_maximum_degree(
+        monkeypatch):
+    refined = []
+    real_refine = corpus._refine_colors
+
+    def counting(nbrs):
+        refined.append(nbrs)
+        return real_refine(nbrs)
+
+    monkeypatch.setattr(corpus, "_refine_colors", counting)
+    nonisomorphic_graphs.cache_clear()
+    nonisomorphic_graphs(6)
+    expect = 0
+    for n in range(2, 7):
+        for parent in nonisomorphic_graphs(n - 1):
+            degree = [parent.degree(v) for v in range(n - 1)]
+            expect += sum(all(d + (mask >> v & 1) <= bin(mask).count("1")
+                              for v, d in enumerate(degree))
+                          for mask in range(1 << n - 1))
+    assert len(refined) == expect
