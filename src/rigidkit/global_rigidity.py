@@ -13,18 +13,17 @@ combinatorial-2d or stress. One stream (``_tests``) then yields each proof
 that G is globally rigid on that route, with a test of every G - e.
 ``is_globally_rigid`` takes its first proof, and the deletion questions
 (minimal and redundant global rigidity) run one loop over all of them
-(``_edge_deletions``). On the stress and 2D routes the proofs are trials of
-``rigidity._trials`` (one realization p and one factorization of R(G,p)^T
-each), filtered by ``_proofs``. On the stress route a trial proves G with
-one random stress of G at p, tested on the (n - d - 1)-square principal
-block of its stress matrix that the affine frame of p leaves
-(``_certifies``), never on the whole n x n matrix. At p the stresses of
-G - e are the stresses of G that vanish on e, so every G - e is read off
-the factorization of G; the sparsifier reads the same proofs, and both of
-its greedy passes read every deletion off that stress space. At d = 2 the
-same trials are read through matroid duality instead: G is redundantly
-rigid when no column of the stress basis is zero, and G - e stays so
-unless its column is parallel to another.
+(``_edge_deletions``). Only the stress route draws: its proofs are trials
+of ``rigidity._trials`` (one realization p and one factorization of
+R(G,p)^T each), filtered by ``_proofs``. A trial proves G with one random
+stress of G at p, tested on the (n - d - 1)-square principal block of its
+stress matrix that the affine frame of p leaves (``_certifies``), never on
+the whole n x n matrix. At p the stresses of G - e are the stresses of G
+that vanish on e, so every G - e is read off the factorization of G; the
+sparsifier reads the same proofs, and both of its greedy passes read every
+deletion off that stress space. The 2D route draws nothing: pebble games
+find the 2-element cocircuits of a redundantly rigid G exactly
+(``_series_free``), and G - e is redundantly rigid unless e lies in one.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .rigidity import (
     Realization,
     _check_stress,
     _factor,
+    _pebble,
     _rng,
     _trials,
     rigid_rank_target,
@@ -152,8 +152,7 @@ class GlobalRigidityCertificate:
     the stress route the trial whose stress matrix reached rank n - d - 1,
     or that none did in ``TRIALS`` trials; on a failure of the 1D route
     "not 2-connected", and of the 2D route "not 3-connected" or, for a
-    3-connected G, that no trial proved it redundantly rigid in ``TRIALS``
-    trials; empty otherwise.
+    3-connected G, "not redundantly rigid"; empty otherwise.
     """
 
     globally_rigid: bool
@@ -216,18 +215,16 @@ def _certifies(g: Graph, real: Realization, stresses, rng: Rng, gone=frozenset()
     return len(_echelon(_stress_block(edges, values, rest), len(rest))) == len(rest)
 
 
-def _proofs(g: Graph, d: int, trials, proves):
+def _proofs(g: Graph, d: int, trials):
     """The trials of ``trials`` (``rigidity._trials`` of G) that prove G
-    globally rigid on one route, in order, each with its proof.
+    globally rigid on the stress route, in order.
 
     Trials short of the rigid rank are skipped, and a stress-free trial at
     the rigid rank ends the search: G is then independent, so not globally
-    rigid. Every other trial is asked ``proves(real, stresses, sub)``, with
-    the values of its stress map, for its proof or a false value: one
-    random stress (``_stress_proof``) on the stress route, the column
-    directions of the stress basis (``_planar_proof``) on the
-    combinatorial-2d route. Yields each proved trial as ``(t, real, pivots,
-    stresses, sub, proof)``: the factorization's pivot columns, its map
+    rigid. Every other trial proves G when one random combination of its
+    stresses of G at p, drawn on ``sub.child(1)``, has a stress matrix of
+    rank n - d - 1 (``_certifies``). Yields each proved trial as ``(t, real,
+    pivots, stresses, sub)``: the factorization's pivot columns, its map
     from each free column to that column's fundamental stress (together a
     basis of the stresses of G at p), and ``sub`` for the trial's further
     draws, from ``sub.child(2)`` on.
@@ -237,17 +234,8 @@ def _proofs(g: Graph, d: int, trials, proves):
             continue
         if not stresses:
             return
-        proof = proves(real, stresses.values(), sub)
-        if proof:
-            yield t, real, pivots, stresses, sub, proof
-
-
-def _stress_proof(g: Graph, real: Realization, stresses, sub: Rng) -> bool:
-    """The stress route's test of a trial for ``_proofs``: one random
-    combination of the ``stresses`` of G at ``real``, drawn on
-    ``sub.child(1)``, has a stress matrix of rank n - d - 1
-    (``_certifies``)."""
-    return _certifies(g, real, stresses, sub.child(1))
+        if _certifies(g, real, stresses.values(), sub.child(1)):
+            yield t, real, pivots, stresses, sub
 
 
 def _route(g: Graph, d: int, method: str) -> str:
@@ -266,19 +254,19 @@ def _route(g: Graph, d: int, method: str) -> str:
     return f"combinatorial-{d}d"
 
 
-def _tests(g: Graph, d: int, how: str, minimal: bool, trials):
+def _tests(g: Graph, d: int, how: str, trials):
     """The proofs that G is globally rigid on route ``how``, in order, each
     as ``(note, deleted)``: the certificate's note, and ``deleted(j)``,
     whether G - e_j is globally rigid: True or False where that is exact,
-    None where this proof leaves it open. ``trials`` (``_trials`` of G) are
-    read on the stress and 2D routes; ``minimal`` orders the 2D questions.
+    None where this proof leaves it open. Only the stress route reads
+    ``trials`` (``_trials`` of G), and only there is a test ever open.
 
     - complete-small: one proof when G is complete; no G - e is complete.
     - combinatorial-1d: one proof when G is 2-connected; G - e is tested by
       its own 2-connectivity.
-    - combinatorial-2d: when G is 3-connected, the proofs of
-      ``_planar_deletions``.
-    - stress: the trials of ``_proofs`` whose random stress reaches rank
+    - combinatorial-2d: one proof when G is 3-connected and redundantly
+      rigid (``_series_free``); G - e is tested by ``_planar_deletions``.
+    - stress: the trials of ``_proofs``, whose random stress reaches rank
       n - d - 1, each G - e tested by ``_stress_deletion``.
 
     When it yields nothing, the generator returns the note of the failure.
@@ -293,12 +281,13 @@ def _tests(g: Graph, d: int, how: str, minimal: bool, trials):
     elif how == "combinatorial-2d":
         if not is_k_connected(g, 3):
             return "not 3-connected"
-        for deleted in _planar_deletions(g, minimal, trials):
-            yield "", deleted
-        return f"not redundantly rigid in {TRIALS} trials"
+        free = _series_free(g)
+        if free is None:
+            return "not redundantly rigid"
+        yield "", _planar_deletions(g, free)
     else:
         target = g.n - d - 1
-        for t, real, _, stresses, sub, _ in _proofs(g, d, trials, partial(_stress_proof, g)):
+        for t, real, _, stresses, sub in _proofs(g, d, trials):
             yield (f"stress matrix reached rank {target} in trial {t}",
                    partial(_stress_deletion, g, real, list(stresses.values()), sub))
         return f"no stress matrix of rank {target} in {TRIALS} trials"
@@ -315,16 +304,17 @@ def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     and falls back to the randomized stress-matrix test for d >= 3. The
     verdict is the first proof of ``_tests`` on the trials
     ``_trials(g, d, rng)``, those the deletion families read with the same
-    ``rng``: on the stress route the first trial whose random stress
-    matrix reaches rank n - d - 1, where a trial short of the rigid rank
-    resamples and a stress-free one ends the test. It has one-sided error:
-    a True verdict is backed by an exact witness, a False verdict is wrong
-    with negligible probability.
+    ``rng``. The combinatorial routes draw nothing and are exact. On the
+    stress route it is the first trial whose random stress matrix reaches
+    rank n - d - 1, where a trial short of the rigid rank resamples and a
+    stress-free one ends the test. That route has one-sided error: a True
+    verdict is backed by an exact witness, a False verdict is wrong with
+    negligible probability.
     """
     how = _route(g, d, method)
     rng = _rng(rng)
     try:
-        note, _ = next(_tests(g, d, how, True, _trials(g, d, rng)))
+        note, _ = next(_tests(g, d, how, _trials(g, d, rng)))
     except StopIteration as failure:
         return GlobalRigidityCertificate(False, how, d, rng.seed, failure.value)
     return GlobalRigidityCertificate(True, how, d, rng.seed, note)
@@ -344,67 +334,60 @@ def _stress_deletion(g: Graph, real: Realization, stresses, sub: Rng, j: int) ->
     return _certifies(g, real, rest, sub.child(2 + j), {j}) or None
 
 
-def _planar_proof(stresses) -> list[tuple[int, ...]] | None:
-    """The combinatorial-2d route's test of a trial for ``_proofs``: the
-    direction of each column j of the stress basis W (the values of
-    ``stresses`` on edge j), scaled to lead with 1, so that two columns are
-    parallel exactly when their directions are equal; None at the first
-    zero column.
+def _series_free(g: Graph) -> set[int] | None:
+    """The indices of the edges of G in no 2-element cocircuit of the
+    rigidity matroid in dimension 2, or None when G is not redundantly
+    rigid there: exact, from pebble games (``rigidity._pebble``) alone.
 
-    W (one row per fundamental stress) spans the stresses of G at p, and
-    its columns represent the dual of the rigidity matroid at p. A trial at
-    the rigid rank 2n - 3 whose W has no zero column proves G redundantly
-    rigid: an edge on no stress is one whose deletion drops the rank. With
-    3-connectivity that proves G globally rigid.
+    A cocircuit meets every basis B, and one that meets B in x alone is
+    x's fundamental cocircuit: x and the edges whose fundamental circuit
+    holds x. So for e outside B, {e, x} is a cocircuit exactly when x lies
+    in the circuit of e and in no other. One game thus settles the edges
+    that one circuit covers, those outside B among them: such an edge is in
+    a 2-element cocircuit exactly when its circuit has another. A basis
+    edge that several circuits cover may still form one with another basis
+    edge, so the next game plays the settled edges first and the others
+    last. A redundantly rigid G has no bridge, so the last edge played
+    never joins the basis, and every game settles at least one more edge.
     """
-    directions = []
-    for column in zip(*stresses):
-        lead = next((x for x in column if x), 0)
-        if not lead:
-            return None
-        inv = pow(lead, -1, PRIME)
-        directions.append(tuple(x * inv % PRIME for x in column))
-    return directions
+    settled, series = set(), set()
+    while True:
+        order = sorted(range(g.m), key=lambda j: j not in settled)
+        pivots, own, _ = _pebble(g, 2, (), True, order)
+        covers = Counter(j for s in own for j in s)
+        if len(pivots) != rigid_rank_target(g.n, 2) or len(covers) < g.m:
+            return None  # not rigid, or an edge on no circuit is a bridge
+        for s in own:
+            lone = [j for j in s if covers[j] == 1]
+            if len(lone) > 1:
+                series.update(lone)
+        settled.update(j for j, c in covers.items() if c == 1)
+        if len(settled) == g.m:
+            return set(range(g.m)) - series
 
 
-def _planar_deletions(g: Graph, minimal: bool, trials):
-    """For a 3-connected G, the proofs of ``_proofs`` with ``_planar_proof``,
-    each as its test of G - e_j: True when G - e_j is 3-connected and
-    redundantly rigid, False when it is not 3-connected, None when that
-    trial leaves it open.
+def _planar_deletions(g: Graph, free):
+    """For a 3-connected and redundantly rigid G whose edges in no
+    2-element cocircuit have the indices ``free`` (``_series_free``), the
+    exact test of each G - e_j: whether it is 3-connected and redundantly
+    rigid, so globally rigid in dimension 2.
 
-    For G redundantly rigid, G - e - f drops the rank exactly when {e, f}
-    is a cocircuit, that is when columns e and f of W are parallel. So
-    G - e is redundantly rigid iff column e is parallel to no other column;
-    columns are compared by their directions, hashed. At a realization of
-    full rank every generic cocircuit stays one, so a non-parallel column
-    is exact, and a parallel one may be an accident of p: such an edge
-    stays open for the next proof.
-
-    An edge at a vertex of degree 3 leaves a vertex of degree 2 in G - e.
-    Otherwise kappa(G - e) >= kappa(G) - 1, so when G is 4-connected every
-    G - e is 3-connected; only when kappa(G) = 3 does a G - e that needs it
-    get its own ``is_k_connected(G - e, 3)``, and G's 4-connectivity is
-    asked only when an edge first needs it. Redundancy (``minimal`` false)
-    asks 3-connectivity first, minimality only for a column that is not
-    parallel to another.
+    G - e is rigid, and so is G - e - f unless {e, f} is a cocircuit, so
+    G - e is redundantly rigid exactly when j is in ``free``. An edge at a
+    vertex of degree 3 leaves a vertex of degree 2 in G - e. Otherwise
+    kappa(G - e) >= kappa(G) - 1, so when G is 4-connected every G - e is
+    3-connected; only when kappa(G) = 3 does a G - e get its own
+    ``is_k_connected(G - e, 3)``, and G's 4-connectivity is asked only when
+    an edge first needs it.
     """
     four_connected = cache(lambda: is_k_connected(g, 4))
 
-    @cache
-    def three_connected(j: int) -> bool:
-        return four_connected() or is_k_connected(g.delete_edge(g.edges[j]), 3)
-
-    def deleted(j: int) -> bool | None:
+    def deleted(j: int) -> bool:
         u, v = g.edges[j]
-        if min(g.degree(u), g.degree(v)) <= 3 or not (minimal or three_connected(j)):
-            return False
-        return None if seen[directions[j]] > 1 else three_connected(j)
+        return min(g.degree(u), g.degree(v)) > 3 and j in free and (
+            four_connected() or is_k_connected(g.delete_edge(g.edges[j]), 3))
 
-    for *_, directions in _proofs(g, 2, trials,
-                                  lambda real, stresses, sub: _planar_proof(stresses)):
-        seen = Counter(directions)
-        yield deleted
+    return deleted
 
 
 def _edge_deletions(g: Graph, d: int, how: str, minimal: bool, trials) -> tuple[bool, bool]:
@@ -416,12 +399,13 @@ def _edge_deletions(g: Graph, d: int, how: str, minimal: bool, trials) -> tuple[
     False settles "not redundant", and None leaves j open for the next
     proof. G is globally rigid exactly when some proof comes, as in
     ``is_globally_rigid`` on the same trials. A test says True or False
-    only where that is exact, so an edge left open can only make a wrong
-    "minimal" a "yes" and a wrong "redundant" a "no".
+    only where that is exact, so an edge left open, which only the stress
+    route leaves, can only make a wrong "minimal" a "yes" and a wrong
+    "redundant" a "no".
     """
     proved = False
     open_edges = list(range(g.m))
-    for _, deleted in _tests(g, d, how, minimal, trials):
+    for _, deleted in _tests(g, d, how, trials):
         proved = True
         still_open = []
         for j in open_edges:
@@ -442,10 +426,10 @@ def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
 
     One loop over the proofs of ``is_globally_rigid`` with the same ``rng``
     (``_edge_deletions``); the first G - e proved globally rigid ends it.
-    On the stress and 2D routes a G - e is proved only by an exact witness,
-    a stress of rank n - d - 1 or a column of the stress basis parallel to
-    no other, so a G - e can only be missed: a wrong answer can only be a
-    wrong "yes". At d = 1 and on at most d + 1 vertices it is exact.
+    Exact on the combinatorial routes (d <= 2 unless ``method="stress"``)
+    and on at most d + 1 vertices. On the stress route a G - e is proved
+    only by an exact witness, a stress of rank n - d - 1, so a G - e can
+    only be missed: a wrong answer can only be a wrong "yes".
     """
     how = _route(g, d, method)
     return _edge_deletions(g, d, how, True, _trials(g, d, _rng(rng)))[1]
@@ -457,11 +441,11 @@ def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
 
     One loop over the proofs of ``is_globally_rigid`` with the same ``rng``
     (``_edge_deletions``); the first G - e shown not globally rigid ends
-    it. On the stress and 2D routes every G - e must be proved globally
-    rigid by an exact witness within those proofs, a stress of rank
-    n - d - 1 or 3-connectivity and a column of the stress basis parallel
-    to no other, so a wrong answer can only be a wrong "no". At d = 1 and
-    on at most d + 1 vertices it is exact.
+    it. Exact on the combinatorial routes (d <= 2 unless
+    ``method="stress"``) and on at most d + 1 vertices. On the stress route
+    every G - e must be proved globally rigid by an exact witness within
+    those proofs, a stress of rank n - d - 1, so a wrong answer can only be
+    a wrong "no".
     """
     how = _route(g, d, method)
     return _edge_deletions(g, d, how, False, _trials(g, d, _rng(rng)))[1]
@@ -602,17 +586,16 @@ def _greedy_pass(g: Graph, real: Realization, stresses, gone, order, rng: Rng):
 def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> SparsifyResult:
     """Extract a minimally globally rigid spanning subgraph.
 
-    Each trial of ``_proofs`` with ``_stress_proof``, the stress route's
-    proofs, factors R(G,p)^T once and proves G globally rigid with one
-    random combination of the stresses read off it. Its
-    pivots are a maximal independent edge set E0, its kernel vectors the
-    fundamental stresses of the other (free) edges, a basis of the stresses
-    of G at p. Two greedy passes (``_greedy_pass``) then run on these
-    stress vectors at the same p. The first drops free edges in column
-    order (a drop removes just that edge's stress, the only one nonzero
-    there); the free edges it keeps are ``extra_edges``. With at most
-    n - d - 1 fundamental stresses G already meets the edge bound, and the
-    first pass keeps them all. The second drops edges in canonical
+    Each trial of ``_proofs``, the stress route's proofs, factors R(G,p)^T
+    once and proves G globally rigid with one random combination of the
+    stresses read off it. Its pivots are a maximal independent edge set E0,
+    its kernel vectors the fundamental stresses of the other (free) edges,
+    a basis of the stresses of G at p. Two greedy passes (``_greedy_pass``)
+    then run on these stress vectors at the same p. The first drops free
+    edges in column order (a drop removes just that edge's stress, the only
+    one nonzero there); the free edges it keeps are ``extra_edges``. With
+    at most n - d - 1 fundamental stresses G already meets the edge bound,
+    and the first pass keeps them all. The second drops edges in canonical
     order. Global rigidity is monotone under edge addition, so the result
     is minimally globally rigid, with at most (d+1)|V| - C(d+2, 2) edges.
 
@@ -630,7 +613,7 @@ def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> Sparsif
     trials = _trials(g, d, rng)
     if g.n < d + 2:
         raise GraphError("sparsifier needs at least d + 2 vertices")
-    for t, real, pivots, stresses, sub, _ in _proofs(g, d, trials, partial(_stress_proof, g)):
+    for t, real, pivots, stresses, sub in _proofs(g, d, trials):
         free = list(stresses) if len(stresses) > g.n - d - 1 else []
         first = _greedy_pass(g, real, stresses.values(), (), free, sub.child(2))
         if first is None:

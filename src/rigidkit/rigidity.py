@@ -276,7 +276,7 @@ def _matroid(g: Graph, d: int, trials, settled, pairs=()):
     if g.m == 0:
         return ((), None, None, {}) if settled is None else ((), (), (), {})
     if d <= 2:
-        found = _pebble(g, d, pairs, settled is not None)
+        found = _pebble(g, d, pairs, settled is not None, range(g.m))
     else:
         found = _sampled(g, d, trials, settled, pairs)
     return _answer(g, pairs, *found)
@@ -335,7 +335,7 @@ def _sampled(g: Graph, d: int, trials, settled, pairs):
     return kept[0][0], own, linked
 
 
-def _pebble(g: Graph, d: int, pairs, edge_circuits: bool):
+def _pebble(g: Graph, d: int, pairs, edge_circuits: bool, order):
     """The supports of ``_answer`` from the (k, l) = (d, d(d+1)/2) pebble
     game (Jacobs and Hendrickson 1997; Lee and Streinu 2008): the route of
     ``_matroid`` at d <= 2, where the rigidity matroid is the (1, 1)-sparsity
@@ -344,19 +344,19 @@ def _pebble(g: Graph, d: int, pairs, edge_circuits: bool):
     Every vertex holds k pebbles; a basis edge is directed out of the
     vertex whose pebble covers it. An edge uv is independent of the basis
     exactly when l + 1 pebbles can be gathered on u and v, each moved
-    along a directed path whose edges are then reversed. Edges go in in
-    canonical order, which gives the greedy basis of the pivot columns.
-    When the gathering fails, the vertices reachable from u and v form the
-    least tight set that holds them, so uv and the basis edges inside that
-    set form uv's fundamental circuit. Pairs are tested the same way
-    without going in; moving pebbles only reorients edges, so nothing needs
-    restoring. With ``edge_circuits`` false the non-basis edges' circuits
-    are not read.
+    along a directed path whose edges are then reversed. The edge indices
+    of ``order`` go in in that order, which gives the greedy basis of that
+    order: canonical order (``range(g.m)``) gives that of the pivot
+    columns. When the gathering fails, the vertices reachable from u and v
+    form the least tight set that holds them, so uv and the basis edges
+    inside that set form uv's fundamental circuit. Pairs are tested the
+    same way without going in; moving pebbles only reorients edges, so
+    nothing needs restoring. With ``edge_circuits`` false the non-basis
+    edges' circuits are not read.
     """
     k, l = d, d * (d + 1) // 2
     pebbles = [k] * g.n
-    out = [set() for _ in range(g.n)]
-    index = {e: j for j, e in enumerate(g.edges)}
+    out = [{} for _ in range(g.n)]  # out[y][z]: the index of basis edge yz
 
     def fetch(x, u, v) -> bool:
         """Move to x, one of u and v, a free pebble of another vertex
@@ -374,8 +374,7 @@ def _pebble(g: Graph, d: int, pairs, edge_circuits: bool):
                     pebbles[x] += 1
                     while z != x:
                         y = parent[z]
-                        out[y].remove(z)
-                        out[z].add(y)
+                        out[z][y] = out[y].pop(z)
                         z = y
                     return True
                 stack.append(z)
@@ -388,23 +387,23 @@ def _pebble(g: Graph, d: int, pairs, edge_circuits: bool):
             if not (pebbles[u] < k and fetch(u, u, v) or pebbles[v] < k and fetch(v, u, v)):
                 seen, stack = {u, v}, [u, v]
                 while stack:
-                    for z in out[stack.pop()] - seen:
+                    for z in out[stack.pop()].keys() - seen:
                         seen.add(z)
                         stack.append(z)
                 return seen
         return None
 
     def support(f, seen):
-        return sorted([f, *(index[(x, y) if x < y else (y, x)]
-                            for x in seen for y in out[x] & seen)])
+        return sorted([f, *(j for x in seen for y, j in out[x].items() if y in seen)])
 
     pivots, own = [], []
-    for j, (u, v) in enumerate(g.edges):
+    for j in order:
+        u, v = g.edges[j]
         seen = gather(u, v)
         if seen is None:
             # l + 1 = 2k at d <= 2: u and v hold k pebbles each
             pebbles[u] -= 1
-            out[u].add(v)
+            out[u][v] = j
             pivots.append(j)
         elif edge_circuits:
             own.append(support(j, seen))

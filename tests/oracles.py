@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 
 from rigidkit import Graph, GraphError
@@ -29,12 +29,13 @@ from rigidkit.global_rigidity import (
     SparsifyResult,
     Stress,
     _certifies,
-    _planar_proof,
     _proofs,
     _route,
-    _stress_proof,
+    _series_free,
     _without,
     is_globally_rigid,
+    is_minimally_globally_rigid,
+    is_redundantly_globally_rigid,
     minimally_globally_rigid_edge_bound,
     stress_matrix,
     subset_rank_reduce,
@@ -69,6 +70,7 @@ from rigidkit.rigidity import (
     _rows_for,
     _sampled,
     _trials,
+    generic_rank,
     is_matroid_connected,
     is_redundantly_rigid,
     rank_upper_bound,
@@ -1028,7 +1030,8 @@ def nonisomorphic_graphs_by_seen_dict(n: int) -> tuple[Graph, ...]:
 # ---------------------------------------------------------------------------
 # The planar test of G and the edge-deletion families before one loop served
 # every route: G's planar verdict from redundant rigidity on a trial source
-# of its own, and one deletion loop per route.
+# of its own, and one deletion loop per route; and the combinatorial-2d
+# route on trials, before pebble games found its 2-element cocircuits.
 
 
 def globally_rigid_2d_by_redundant_rigidity(g: Graph, rng: Rng) -> bool:
@@ -1037,8 +1040,36 @@ def globally_rigid_2d_by_redundant_rigidity(g: Graph, rng: Rng) -> bool:
     return is_k_connected(g, 3) and is_redundantly_rigid(g, 2, rng.child(0))
 
 
+def _planar_proof(stresses) -> list[tuple[int, ...]] | None:
+    """The direction of each column j of the stress basis W (the values of
+    ``stresses`` on edge j), scaled to lead with 1, so that two columns are
+    parallel exactly when their directions are equal; None at the first
+    zero column.
+
+    W (one row per fundamental stress) spans the stresses of G at p, and
+    its columns represent the dual of the rigidity matroid at p. A trial at
+    the rigid rank 2n - 3 whose W has no zero column proves G redundantly
+    rigid: an edge on no stress is one whose deletion drops the rank. With
+    3-connectivity that proves G globally rigid.
+    """
+    directions = []
+    for column in zip(*stresses):
+        lead = next((x for x in column if x), 0)
+        if not lead:
+            return None
+        inv = pow(lead, -1, PRIME)
+        directions.append(tuple(x * inv % PRIME for x in column))
+    return directions
+
+
 def _cocircuit_deletions(g: Graph, minimal: bool, trials) -> tuple[bool, bool]:
-    """The combinatorial-2d deletion families in a loop of their own."""
+    """The combinatorial-2d route on trials, before the pebble game found
+    the 2-element cocircuits exactly: G and both deletion families read
+    off the column directions of each trial's stress basis
+    (``_planar_proof``). For G redundantly rigid, G - e - f drops the rank
+    exactly when columns e and f are parallel, so a column parallel to no
+    other is exact, and a parallel one, which may be an accident of p,
+    leaves its edge open for the next trial."""
     if not is_k_connected(g, 3):
         return False, False
     four_connected = cache(lambda: is_k_connected(g, 4))
@@ -1090,7 +1121,7 @@ def edge_deletions_by_route(g: Graph, d: int, rng: Rng, method: str, minimal: bo
         return True, (not any(verdicts) if minimal else all(verdicts))
     proved = False
     open_edges = list(range(g.m))
-    for _, real, _, stresses, sub, _ in _proofs(g, d, trials, partial(_stress_proof, g)):
+    for _, real, _, stresses, sub in _proofs(g, d, trials):
         proved = True
         stresses = stresses.values()
         still_open = []
@@ -1110,6 +1141,47 @@ def edge_deletions_by_route(g: Graph, d: int, rng: Rng, method: str, minimal: bo
         if not open_edges:
             break
     return proved, proved and (minimal or not open_edges)
+
+
+def series_free_by_parallel_columns(g: Graph, rng: Rng) -> set[int] | None:
+    """``global_rigidity._series_free`` on the trial route: the edges whose
+    column of the stress basis is parallel to no other, at the first trial
+    of ``_trials(g, 2, rng)`` that proves G redundantly rigid; None when no
+    trial does."""
+    for _, _, pivots, stresses, _ in _trials(g, 2, rng):
+        directions = len(pivots) == rigid_rank_target(g.n, 2) and _planar_proof(stresses.values())
+        if directions:
+            seen = Counter(directions)
+            return {j for j, x in enumerate(directions) if seen[x] == 1}
+    return None
+
+
+def planar_route_mismatches(graphs, rng: Rng, method: str = "auto") -> list[Graph]:
+    """The graphs on which the exact planar route and the trial route
+    differ, graph i on ``rng.child(i)``: in the three verdicts at d = 2 on
+    ``method`` (global, minimal and redundant global rigidity, against
+    ``edge_deletions_by_route``), or in the edges in no 2-element cocircuit
+    (``_series_free`` against ``series_free_by_parallel_columns``)."""
+    mismatches = []
+    for i, g in enumerate(graphs):
+        sub = rng.child(i)
+        got = (bool(is_globally_rigid(g, 2, sub, method)),
+               is_minimally_globally_rigid(g, 2, sub, method),
+               is_redundantly_globally_rigid(g, 2, sub, method))
+        proved, minimal = edge_deletions_by_route(g, 2, sub, method, True, _trials(g, 2, sub))
+        _, redundant = edge_deletions_by_route(g, 2, sub, method, False, _trials(g, 2, sub))
+        if got != (proved, minimal, redundant) or \
+                _series_free(g) != series_free_by_parallel_columns(g, sub):
+            mismatches.append(g)
+    return mismatches
+
+
+def series_pairs_by_rank_drop(g: Graph) -> set[frozenset]:
+    """The 2-element cocircuits of a redundantly rigid G in dimension 2 by
+    definition: the edge pairs whose deletion drops the rank below 2n - 3,
+    one rank per pair."""
+    return {frozenset((e, f)) for e, f in combinations(g.edges, 2)
+            if generic_rank(g.delete_edge(e).delete_edge(f), 2) < rigid_rank_target(g.n, 2)}
 
 
 # ---------------------------------------------------------------------------

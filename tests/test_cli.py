@@ -148,6 +148,19 @@ class TestAnalyze:
         assert r["globally_rigid_method"] == "combinatorial-2d"
         assert tested.count(g) == 1
 
+    @pytest.mark.parametrize("method, factored", [("auto", 0), ("stress", 1)])
+    def test_2d_factors_only_on_the_stress_route(self, capsys, tmp_path, factorizations,
+                                                 method, factored):
+        # the matroid report plays the pebble game and the default global
+        # verdicts take the planar route: neither reads a trial
+        g = wheel(6)
+        path = write_graph(tmp_path, g)
+        code, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "2",
+                               "--method", method)
+        r = json.loads(out)["results"]
+        assert code == 0 and r["globally_rigid"] is True and r["minimally_globally_rigid"] is True
+        assert factorizations == [g] * factored
+
     def test_bad_dim_exits_3(self, capsys, tmp_path):
         path = write_graph(tmp_path, complete(4))
         code, _, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "9")
@@ -203,6 +216,13 @@ class TestExtract:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["n"] == 7 and result["verified"] is True
+
+    def test_grs2d_factors_nothing(self, capsys, tmp_path, factorizations):
+        # the verification of the extracted subgraph takes the planar route
+        path = write_graph(tmp_path, complete(8).delete_edge((0, 1)))
+        code, out, _ = run_cli(capsys, "extract", "--in", path, "--grs2d")
+        assert code == 0 and json.loads(out)["result"]["verified"] is True
+        assert factorizations == []
 
     def test_chain_grs2d_exits_5(self, capsys, tmp_path):
         path = write_graph(tmp_path, k4e_chain(3))

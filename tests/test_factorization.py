@@ -9,7 +9,6 @@ predicates and the sparsifier, and the resample and retry paths driven by a
 degenerate ``Rng``.
 """
 
-from functools import partial
 from itertools import combinations, count
 
 import pytest
@@ -22,6 +21,7 @@ from rigidkit import (
     NotGloballyRigidError,
     bridges,
     complete,
+    complete_bipartite,
     fundamental_circuit,
     icosahedron_braced,
     is_globally_rigid,
@@ -49,11 +49,10 @@ from rigidkit.global_rigidity import (
     _certifies,
     _edge_deletions,
     _greedy_pass,
-    _planar_proof,
     _proofs,
     _route,
+    _series_free,
     _stress_block,
-    _stress_proof,
     _without,
     stress_matrix,
 )
@@ -62,6 +61,7 @@ from rigidkit.rigidity import Realization, _trials
 import oracles
 from degenerate import DegenerateRng
 from oracles import (
+    _planar_proof,
     bridges_by_rank_drop,
     certifies_full_rank,
     edge_deletions_by_route,
@@ -71,10 +71,12 @@ from oracles import (
     greedy_pass_per_edge,
     matroid_components_by_probes,
     minimally_globally_rigid_per_edge,
+    planar_route_mismatches,
     rank_of_rows,
     redundantly_globally_rigid_per_edge,
     rigid_basis_incremental,
     sampled_matroid,
+    series_pairs_by_rank_drop,
     span_with_pair_columns,
     sparsify_three_realizations,
     stress_basis_per_edge,
@@ -349,8 +351,7 @@ class TestAgainstEdgeByEdge:
         assert is_redundantly_globally_rigid(g, d, rng.child(1), method="stress") == \
             redundantly_globally_rigid_per_edge(g, d, rng.child(1), method="stress")
         if is_globally_rigid(g, d, rng.child(2), method="stress"):
-            proofs = _proofs(g, d, _trials(g, d, rng.child(3)), partial(_stress_proof, g))
-            _, real, _, stresses, sub, _ = next(proofs)
+            _, real, _, stresses, sub = next(_proofs(g, d, _trials(g, d, rng.child(3))))
             dropped = _greedy_pass(g, real, stresses.values(), (), range(g.m), sub.child(2))
             pruned = Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in dropped))
             assert pruned == greedy_pass_per_edge(g, d, rng.child(3))
@@ -387,7 +388,7 @@ class TestAgainstEdgeByEdge:
             (rigid, is_minimally_globally_rigid(g, d, rng, method=method))
         assert _edge_deletions(g, d, how, False, _trials(g, d, rng)) == \
             (rigid, is_redundantly_globally_rigid(g, d, rng, method=method))
-        got = next(_proofs(g, d, _trials(g, d, rng), partial(_stress_proof, g)), None)
+        got = next(_proofs(g, d, _trials(g, d, rng)), None)
         expect = first_proof_by_stress_spaces(g, d, rng)
         assert (got is None) == (expect is None)
         if got is not None:
@@ -411,13 +412,15 @@ class TestAgainstEdgeByEdge:
 
 
 class TestCocircuitRoute:
-    """G - e at d = 2 from the columns of one stress basis of G."""
+    """G - e at d = 2 from the 2-element cocircuits of G: exact from pebble
+    games (``_series_free``), and on the trial route they replaced from
+    the columns of one stress basis of G (``oracles._planar_proof``)."""
 
     def test_a_two_edge_cocircuit_in_g_minus_e(self):
         # the wheel on five rim vertices plus the chord (0, 2) is globally
         # rigid, and G - (0, 1) is rigid but loses rigidity with one more
-        # edge: {(0, 1), f} is a cocircuit, so columns (0, 1) and f of the
-        # stress basis are parallel
+        # edge: {(0, 1), f} is a cocircuit, so (0, 1) is not series-free
+        # and columns (0, 1) and f of the stress basis are parallel
         g = wheel(5).add_edge(0, 2)
         h = g.delete_edge(0, 1)
         assert is_globally_rigid(g, 2, Rng(1))
@@ -425,9 +428,10 @@ class TestCocircuitRoute:
         assert not is_redundantly_globally_rigid(g, 2, Rng(4))
         assert not redundantly_globally_rigid_per_edge(g, 2, Rng(4))
         assert not is_minimally_globally_rigid(g, 2, Rng(5))  # G - (0, 2) is the wheel
+        j = g.edges.index((0, 1))
+        assert j not in _series_free(g)
         _, _, _, stresses, _ = next(_trials(g, 2, Rng(6)))
         directions = _planar_proof(stresses.values())
-        j = g.edges.index((0, 1))
         assert directions.count(directions[j]) > 1
 
     def test_kappa_three_and_a_redundantly_rigid_g_minus_e(self):
@@ -441,6 +445,7 @@ class TestCocircuitRoute:
         assert is_redundantly_rigid(h, 2, Rng(2)) and vertex_connectivity(h) == 2
         assert not is_redundantly_globally_rigid(g, 2, Rng(3))
         assert not redundantly_globally_rigid_per_edge(g, 2, Rng(3))
+        assert g.edges.index((0, 3)) in _series_free(g)
 
 
 def two_k5_on_a_triangle() -> Graph:
@@ -456,9 +461,70 @@ def k4_and_k5_on_an_edge() -> Graph:
     return Graph(7, tuple(edges | {(0, 3)}))
 
 
+@st.composite
+def planar_graphs_to_twelve(draw):
+    """Graphs on 4 to 12 vertices with 2n - 2 to 3n edges, labels drawn:
+    often rigid in dimension 2, sometimes redundantly, with and without
+    2-element cocircuits."""
+    n = draw(st.integers(4, 12))
+    pairs = list(combinations(range(n), 2))
+    m = draw(st.integers(2 * n - 2, min(len(pairs), 3 * n)))
+    return Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), min_size=m, max_size=m,
+                                        unique=True))))
+
+
+class TestSeriesFree:
+    """The exact planar route: ``_series_free`` against the 2-element
+    cocircuits by definition (``oracles.series_pairs_by_rank_drop``), and
+    the three d = 2 verdicts against the trial route it replaced
+    (``oracles.planar_route_mismatches``)."""
+
+    @staticmethod
+    def assert_matches_the_rank_drops(g) -> bool:
+        free = _series_free(g)
+        assert (free is None) == (not is_redundantly_rigid(g, 2))
+        if free is not None:
+            series = set().union(*series_pairs_by_rank_drop(g))
+            assert free == {j for j, e in enumerate(g.edges) if e not in series}
+        return free is not None
+
+    def test_matches_the_rank_drops_on_every_class_of_four_to_seven_vertices(self, graphs_by_n):
+        graphs = [g for n in range(4, 8) for g in graphs_by_n[n]]
+        assert len(graphs) == 1245
+        assert sum(self.assert_matches_the_rank_drops(g) for g in graphs) == 163
+
+    @settings(max_examples=40)
+    @given(g=st.one_of(planar_graphs_to_twelve(), planar_deletion_graphs()))
+    def test_matches_the_rank_drops(self, g):
+        self.assert_matches_the_rank_drops(g)
+
+    @pytest.mark.parametrize("method", ["auto", "combinatorial"])
+    def test_verdicts_match_the_trial_route_on_every_class_up_to_seven_vertices(
+            self, method, graphs_by_n):
+        graphs = [g for n in range(1, 8) for g in graphs_by_n[n]]
+        assert len(graphs) == 1252
+        assert planar_route_mismatches(graphs, Rng(7), method) == []
+
+    @pytest.mark.parametrize("method", ["auto", "combinatorial"])
+    @given(data=st.data())
+    def test_verdicts_match_the_trial_route(self, method, data):
+        g = data.draw(st.one_of(planar_graphs_to_twelve(), planar_deletion_graphs()))
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        assert planar_route_mismatches([g], rng, method) == []
+
+    @pytest.mark.parametrize("g", [complete(6), wheel(6), k4_and_k5_on_an_edge(),
+                                   complete_bipartite(3, 3)],
+                             ids=["K6", "wheel6", "K4-K5-on-an-edge", "K33"])
+    def test_the_planar_route_factors_nothing(self, g, factorizations, eliminations):
+        is_globally_rigid(g, 2, Rng(1))
+        is_minimally_globally_rigid(g, 2, Rng(2))
+        is_redundantly_globally_rigid(g, 2, Rng(3))
+        assert factorizations == [] and eliminations == []
+
+
 class TestOneDeletionLoop:
-    """One deletion loop on every route, and the planar test of G on the
-    trials the deletion families read."""
+    """One deletion loop on every route, against a loop per route; at
+    d = 2 the planar route against the trial route it replaced."""
 
     @pytest.mark.parametrize("d, method", [
         (1, "auto"), (1, "stress"), (1, "combinatorial"),
@@ -470,7 +536,9 @@ class TestOneDeletionLoop:
     def test_matches_the_loop_per_route(self, d, method, data, factorizations, flows,
                                         monkeypatch):
         # the same verdicts from the same trials, with the same
-        # factorizations, flows and stress-test draws
+        # factorizations, flows and stress-test draws; the planar route
+        # factors nothing where the trial route factored, and runs at most
+        # its flows: a 2-element cocircuit says "no" before any flow
         draws = []
         real_certifies = global_rigidity._certifies
 
@@ -491,7 +559,10 @@ class TestOneDeletionLoop:
             for log in (factorizations, flows, draws):
                 log.clear()
             assert got == edge_deletions_by_route(g, d, rng, method, minimal, _trials(g, d, rng))
-            assert work == (len(factorizations), len(flows), draws)
+            if _route(g, d, method) == "combinatorial-2d":
+                assert work[0] == 0 and work[1] <= len(flows) and work[2] == draws == []
+            else:
+                assert work == (len(factorizations), len(flows), draws)
 
     @settings(max_examples=60)
     @given(data=st.data())
@@ -506,15 +577,15 @@ class TestOneDeletionLoop:
         assert _edge_deletions(g, 2, cert.method, True, _trials(g, 2, rng))[0] == bool(cert)
 
     @pytest.mark.parametrize("graph, redundant, expect", [
-        (two_k5_on_a_triangle, False, (1, 6)),
-        (two_k5_on_a_triangle, True, (1, 54)),
-        (k4_and_k5_on_an_edge, False, (1, 6)),
-        (k4_and_k5_on_an_edge, True, (1, 10)),
+        (two_k5_on_a_triangle, False, (0, 6)),
+        (two_k5_on_a_triangle, True, (0, 54)),
+        (k4_and_k5_on_an_edge, False, (0, 6)),
+        (k4_and_k5_on_an_edge, True, (0, 10)),
     ], ids=["minimal-redundant-input", "redundant-redundant-input",
             "minimal-other-input", "redundant-other-input"])
     def test_kappa_three_counts(self, graph, redundant, expect, factorizations, flows):
-        # seed-fixed factorizations and flows of both families at d = 2, as
-        # the loop per route ran them
+        # factorizations and flows of both families at d = 2: the flows the
+        # loop per route ran on the trial route, and no factorization
         g = graph()
         assert vertex_connectivity(g) == 3
         flows.clear()
@@ -522,16 +593,21 @@ class TestOneDeletionLoop:
         assert family(g, 2, Rng(3)) == (redundant and g == two_k5_on_a_triangle())
         assert (len(factorizations), len(flows)) == expect
 
-    def test_planar_global_rigidity_skips_a_collapsed_trial(self, factorizations):
-        # trial 0 puts every vertex at one point, so trial 1 decides; with
-        # trial 1 collapsed too, trial 2
+    @pytest.mark.parametrize("bad, decides", [([(0, 0)], 1), ([(0, 0), (1, 0)], 2)],
+                             ids=["trial-0-collapsed", "trials-0-and-1-collapsed"])
+    def test_global_rigidity_in_2d_skips_a_collapsed_trial(self, bad, decides,
+                                                            factorizations):
+        # on the stress route trial 0 puts every vertex at one point, so
+        # trial 1 decides; with trial 1 collapsed too, trial 2. The planar
+        # route reads no trial.
         g = complete(6)
-        cert = is_globally_rigid(g, 2, DegenerateRng(5, [(0, 0)]))
-        assert cert and cert.method == "combinatorial-2d"
-        assert factorizations == [g, g]
+        cert = is_globally_rigid(g, 2, DegenerateRng(5, bad), method="stress")
+        assert cert and cert.note == f"stress matrix reached rank 3 in trial {decides}"
+        assert factorizations == [g] * (decides + 1)
         factorizations.clear()
-        assert is_globally_rigid(g, 2, DegenerateRng(5, [(0, 0), (1, 0)]))
-        assert factorizations == [g, g, g]
+        cert = is_globally_rigid(g, 2, DegenerateRng(5, bad))
+        assert cert and cert.method == "combinatorial-2d"
+        assert factorizations == []
 
 
 class TestStressBlock:
@@ -705,20 +781,29 @@ class TestOneFactorizationPerTrial:
         assert not is_redundantly_globally_rigid(complete(5), 3, Rng(5))
         assert len(factorizations) <= 2 * rigidity.TRIALS
 
-    def test_planar_redundancy_shares_its_factorizations(self, factorizations):
-        # one factorization of G answers every G - e; testing each G - e on
-        # its own factors each of them
+    def test_redundancy_in_2d_shares_its_factorizations(self, factorizations):
+        # on the stress route one factorization of G answers every G - e;
+        # testing each G - e on its own factors each of them. The planar
+        # route factors nothing.
         g = complete(6)
-        assert is_redundantly_globally_rigid(g, 2, Rng(5))
+        assert is_redundantly_globally_rigid(g, 2, Rng(5), method="stress")
         assert 1 <= len(factorizations) <= rigidity.TRIALS
         assert all(f == g for f in factorizations)
+        factorizations.clear()
+        assert is_redundantly_globally_rigid(g, 2, Rng(5))
+        assert factorizations == []
 
-    def test_planar_minimality_of_a_wheel_takes_one_factorization(self, factorizations):
-        # every edge meets a rim vertex of degree 3, so no G - e is
-        # 3-connected, whatever the parallel columns of the one stress say
+    def test_minimality_of_a_wheel_in_2d_takes_one_factorization(self, factorizations):
+        # on the stress route every G - e is stress-free at the rigid rank
+        # of G's one trial; on the planar route every edge meets a rim
+        # vertex of degree 3, so no G - e is 3-connected, and nothing is
+        # factored
         g = wheel(6)
-        assert is_minimally_globally_rigid(g, 2, Rng(5))
+        assert is_minimally_globally_rigid(g, 2, Rng(5), method="stress")
         assert factorizations == [g]
+        factorizations.clear()
+        assert is_minimally_globally_rigid(g, 2, Rng(5))
+        assert factorizations == []
 
     @pytest.mark.parametrize("g, d", [
         pytest.param(complete(11), 3, id="complete11"),
@@ -790,22 +875,35 @@ class TestDegenerateRealizations:
         assert is_redundantly_globally_rigid(complete(7), 3, DegenerateRng(5, [(0, 0)]))
         assert len(factorizations) == 2
 
-    def test_planar_redundancy_skips_a_collapsed_trial(self, factorizations):
+    def test_redundancy_in_2d_skips_a_collapsed_trial(self, factorizations):
         g = complete(6)
-        assert is_redundantly_globally_rigid(g, 2, DegenerateRng(5, [(0, 0)]))
+        rng = DegenerateRng(5, [(0, 0)])
+        assert is_redundantly_globally_rigid(g, 2, rng, method="stress")
         assert factorizations == [g, g]
-
-    def test_planar_redundancy_skips_a_trial_with_a_zero_column(self, factorizations):
-        # period 3 puts vertex 3 on vertex 0 and vertex 4 on vertex 1: trial
-        # 0 reaches the rigid rank 7, but no stress is nonzero on the edges
-        # at vertex 2, so it proves nothing and trial 1 decides
-        g = complete(5)
-        rng = DegenerateRng(5, [(0, 0)], period=3)
-        _, _, pivots, stresses, _ = next(_trials(g, 2, rng))
-        assert len(pivots) == 7 and _planar_proof(stresses.values()) is None
         factorizations.clear()
         assert is_redundantly_globally_rigid(g, 2, rng)
-        assert factorizations == [g, g]
+        assert factorizations == []
+
+    def test_redundancy_in_2d_reads_a_trial_with_a_zero_column(self, factorizations):
+        # period 3 puts vertex 3 on vertex 0 and vertex 4 on vertex 1: trial
+        # 0 reaches the rigid rank 7, but no stress is nonzero on the edges
+        # at vertex 2, which lies in the affine frame. On the stress route
+        # trial 0 still proves G, yet those edges are bridges at its p, so
+        # their G - e stay open and trial 1 settles them. The trial route
+        # proved nothing on trial 0; the planar route reads no trial.
+        g = complete(5)
+        rng = DegenerateRng(5, [(0, 0)], period=3)
+        _, real, pivots, stresses, _ = next(_trials(g, 2, rng))
+        assert len(pivots) == 7 and _planar_proof(stresses.values()) is None
+        assert 2 in real.frame
+        factorizations.clear()
+        assert is_globally_rigid(g, 2, rng, method="stress").note == \
+            "stress matrix reached rank 2 in trial 0"
+        assert is_redundantly_globally_rigid(g, 2, rng, method="stress")
+        assert factorizations == [g, g, g]
+        factorizations.clear()
+        assert is_redundantly_globally_rigid(g, 2, rng)
+        assert factorizations == []
 
     def test_stress_basis_rejects_a_degenerate_realization(self):
         g = complete(5)
