@@ -6,7 +6,10 @@ adjacency-matrix ordering). ``nonisomorphic_graphs`` yields one canonical
 representative per isomorphism class. It extends the (n-1)-vertex classes
 one vertex at a time and keeps a child only when the new vertex is the one
 the canonical form deletes, up to automorphism (McKay's canonical
-deletion), so only children that can be canonical are searched. The
+augmentation), so only children that can be canonical are searched. A
+parent is extended by one neighbour set per orbit of its automorphism
+group, because the others give the same children up to isomorphism; so
+every class is searched for once, and no duplicates are merged. The
 canonical-form search prunes with the automorphisms it finds on the way, so
 a symmetric graph costs a few paths of the search tree, not one leaf per
 automorphism. Since every property this package computes is
@@ -76,10 +79,26 @@ def _orbit(seeds, gens) -> set[int]:
     return orbit
 
 
-def _search(nbrs, colors: list[int]) -> tuple[list[int], set[int]]:
+def _mask_orbit(mask: int, gens) -> set[int]:
+    """The orbit of the vertex set ``mask`` (bit v for vertex v) under the
+    group the permutations ``gens`` generate."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        s = stack.pop()
+        for g in gens:
+            image = sum(1 << w for v, w in enumerate(g) if s >> v & 1)
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
+
+
+def _search(nbrs, colors: list[int]) -> tuple[list[int], set[int], list[list[int]]]:
     """The canonical-form search on the graph with neighbour lists ``nbrs``:
     the lexicographically least chunk sequence over all color-respecting
-    orderings, and the set of vertices that its optimal orderings place last.
+    orderings, the set of vertices that its optimal orderings place last,
+    and permutations that generate the automorphism group.
 
     Chunk j holds vertex j's adjacency bits to the vertices placed before it;
     ``bits[v]`` keeps the chunk vertex v would take, updated along v's
@@ -102,8 +121,9 @@ def _search(nbrs, colors: list[int]) -> tuple[list[int], set[int]]:
       candidate's subtree onto the twin's. A node left with one candidate
       places it as a forced one.
     Every optimal ordering is thus the image of a visited one under the
-    automorphisms found, so they generate all of Aut(G), and the last
-    vertices of the optimal orderings are the orbit of ``first[-1]``.
+    automorphisms found, so they generate all of Aut(G) (an automorphism
+    preserves the refined colors), and the last vertices of the optimal
+    orderings are the orbit of ``first[-1]``.
     """
     n = len(nbrs)
     members: dict[int, list[int]] = {}
@@ -218,7 +238,7 @@ def _search(nbrs, colors: list[int]) -> tuple[list[int], set[int]]:
     dfs(0, False)
     if not first:
         raise AssertionError("internal error: the search found no vertex order")
-    return best, _orbit((first[-1],), gens)
+    return best, _orbit((first[-1],), gens), gens
 
 
 def canonical_chunks(g: Graph) -> tuple[int, ...]:
@@ -244,21 +264,27 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism, canonically labeled,
     ordered by edge count and then edge list.
 
-    Generated by canonical deletion (B. D. McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998). Each child is a canonical
-    (n-1)-vertex parent plus a new vertex x joined to the parent vertices of
-    a mask. It is accepted only when x lies in the orbit of the vertex that
-    the canonical order places last, that is when x is last in some optimal
-    ordering of ``_search``. Deleting the canonical last vertex of a class
-    gives one parent class, so every class is accepted from exactly one
-    parent; masks of that parent that give isomorphic children are merged by
-    their canonical form. Two necessary conditions skip the search. First,
-    x must have maximum degree: with ``top`` the parent's maximum degree and
-    ``topmask`` its vertices of that degree, a mask is rejected in O(1) when
-    its popcount is below ``top``, or equals it and meets ``topmask``.
-    Second, x must have the largest refined color, because the last slot
-    takes the largest color (``_refine_colors`` ranks by degree first).
-    Each child's neighbour lists, which both ``_refine_colors`` and
+    Generated by canonical augmentation (B. D. McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998). Each child is a
+    canonical (n-1)-vertex parent P plus a new vertex x joined to the parent
+    vertices of a mask. It is accepted only when x lies in the orbit of the
+    vertex that the canonical order places last, that is when x is last in
+    some optimal ordering of ``_search``. Deleting the canonical last vertex
+    of a class gives one parent class, so every class is accepted from
+    exactly one parent. Two accepted children of P are isomorphic exactly
+    when an automorphism of P maps one mask onto the other, since an
+    isomorphism between them can be chosen to fix x. So one search of P
+    gives generators of Aut(P), and only the least mask of each Aut(P)-orbit
+    is searched: every class is reached once, and a class reached twice
+    raises an internal error, which also runs under ``python -O``.
+
+    Two necessary conditions, both Aut(P)-invariant, skip the search.
+    First, x must have maximum degree: with ``top`` the parent's maximum
+    degree and ``topmask`` its vertices of that degree, a mask is rejected
+    in O(1) when its popcount is below ``top``, or equals it and meets
+    ``topmask``. Second, x must have the largest refined color, because the
+    last slot takes the largest color (``_refine_colors`` ranks by degree
+    first). Each child's neighbour lists, which both ``_refine_colors`` and
     ``_search`` read, are the parent's lists with x added. ``_search`` finds
     the automorphism group as it goes and prunes the orderings it maps onto
     visited ones, so it visits only a few of the optimal orderings, yet
@@ -269,24 +295,29 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
     x = n - 1
-    parent_of: dict[tuple[int, ...], int] = {}
-    for pi, parent in enumerate(nonisomorphic_graphs(x)):
+    found: set[tuple[int, ...]] = set()
+    for parent in nonisomorphic_graphs(x):
         pnbrs = parent.adjacency
+        gens = _search(pnbrs, _refine_colors(pnbrs))[2]
         top = max(len(ns) for ns in pnbrs)
         topmask = sum(1 << v for v, ns in enumerate(pnbrs) if len(ns) == top)
+        done: set[int] = set()  # the masks of the Aut(P)-orbits met so far
         for mask in range(1 << x):
             deg = bin(mask).count("1")
-            if deg < top or (deg == top and mask & topmask):
+            if deg < top or (deg == top and mask & topmask) or mask in done:
                 continue
+            done |= _mask_orbit(mask, gens)
             nbrs = [(*ns, x) if mask >> v & 1 else ns for v, ns in enumerate(pnbrs)]
             nbrs.append(tuple(v for v in range(x) if mask >> v & 1))
             colors = _refine_colors(nbrs)
             if colors[x] != max(colors):
                 continue
-            chunks, lasts = _search(nbrs, colors)
-            if x in lasts and parent_of.setdefault(tuple(chunks), pi) != pi:
-                raise AssertionError("internal error: a class came from two parents")
-    return tuple(sorted((_chunks_to_graph(n, c) for c in parent_of),
+            chunks, lasts, _ = _search(nbrs, colors)
+            if x in lasts:
+                if tuple(chunks) in found:
+                    raise AssertionError("internal error: a class was reached twice")
+                found.add(tuple(chunks))
+    return tuple(sorted((_chunks_to_graph(n, c) for c in found),
                         key=lambda g: (g.m, g.edges)))
 
 

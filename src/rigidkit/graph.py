@@ -553,23 +553,30 @@ def _dfs(g: Graph) -> tuple[list[int], list[int], list[int]]:
     """One iterative depth-first search over every component (Tarjan 1972):
     each vertex's tree parent (-1 at a root), its depth, and its lowpoint,
     the least depth that its subtree reaches by one non-tree edge. Every
-    non-tree edge joins a vertex to one of its ancestors."""
+    non-tree edge joins a vertex to one of its ancestors. The neighbour
+    lists are built here, in ``adjacency`` order, rather than read from
+    the cached ``adjacency``, so that a sweep over a cached corpus does not
+    keep one per graph."""
     parent = [-1] * g.n
     depth = [-1] * g.n
     low = [0] * g.n
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     for root in range(g.n):
         if depth[root] >= 0:
             continue
         depth[root] = 0
         # an explicit stack: recursion would overflow on deep graphs
-        stack = [(root, -1, iter(g.adjacency[root]))]
+        stack = [(root, -1, iter(nbrs[root]))]
         while stack:
             u, p, it = stack[-1]
             for w in it:
                 if depth[w] < 0:
                     parent[w] = u
                     depth[w] = low[w] = depth[u] + 1
-                    stack.append((w, u, iter(g.adjacency[w])))
+                    stack.append((w, u, iter(nbrs[w])))
                     break
                 if w != p and depth[w] < low[u]:
                     low[u] = depth[w]
@@ -587,6 +594,24 @@ def articulation_points(g: Graph) -> set[int]:
     children = Counter(p for p in parent if p >= 0 and depth[p] == 0)
     return {p for p, k in children.items() if k >= 2} | {
         p for c, p in enumerate(parent) if p >= 0 and 0 < depth[p] <= low[c]}
+
+
+def _blocks(g: Graph) -> list[int]:
+    """The blocks (maximal 2-connected subgraphs and bridges) of G, read
+    off ``_dfs``: bit c of ``blocks[w]`` is set when w lies in the block of
+    the tree edge pc that opens it, which it does when low[c] >= depth[p].
+    Every other tree edge pc joins p's block. Two vertices share a block
+    exactly when their masks meet; for a non-edge uv that means
+    kappa(u, v) >= 2."""
+    parent, depth, low = _dfs(g)
+    bit, blocks = [0] * g.n, [0] * g.n  # bit[c]: the block of c's tree edge
+    for c in sorted(range(g.n), key=depth.__getitem__):
+        p = parent[c]
+        if p >= 0:
+            bit[c] = 1 << c if low[c] >= depth[p] else bit[p]
+            blocks[c] |= bit[c]
+            blocks[p] |= bit[c]
+    return blocks
 
 
 def is_k_connected(g: Graph, k: int) -> bool:

@@ -12,8 +12,8 @@ query and the explorer both call it. Linkedness is exact at d <= 2, where
 the pebble game answers it, and one-sided at d >= 3: there G is factored
 once per trial, and at a trial of generic rank "not linked" is exact and
 only "linked" can be wrong. In dimension 1 a non-edge is globally linked
-exactly when a 2-connected block holds both ends, read off the d = 1
-matroid components once per graph.
+exactly when a 2-connected block holds both ends, read off one lowpoint
+depth-first search per graph (``graph._blocks``).
 
 The conjecture explorer is a table: each kind names a generator that yields
 the cases of one graph as confirmed, unknown or a candidate's certificate,
@@ -28,9 +28,9 @@ from functools import cache
 
 from . import corpus
 from .field import Rng
-from .graph import Graph, GraphError, _split_network, local_connectivity
+from .graph import Graph, GraphError, _blocks, _split_network, local_connectivity
 from .rigidity import (_check_dimension, _connects, _matroid, _rng, _splitting_edges, _trials,
-                       bridges, is_matroid_connected, matroid_components)
+                       bridges, is_matroid_connected)
 
 YES = "yes"
 NO = "no"
@@ -166,10 +166,11 @@ def _corpus_graphs(spec: CorpusSpec, rng: Rng):
 
 def _linked_gl(g: Graph, dim: int, sub: Rng):
     """Every edge, and every non-edge linked in dimension dim + 1, is a case:
-    globally linked in dimension dim or not. Exact at dim 1, the blocks of
-    the d = 1 components, the 2-D step at dim 2, unknown above."""
-    extra = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-             if (u, v) not in g.edge_set]
+    globally linked in dimension dim or not. Exact at dim 1, by the blocks
+    of G (``graph._blocks``), the 2-D step at dim 2, unknown above."""
+    # a local set: the cached edge_set would stay alive with the corpus
+    present = set(g.edges)
+    extra = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in present]
     trials = _trials(g, dim + 1, sub.child(0), extra, edge_stresses=False)
     circuits = _matroid(g, dim + 1, trials, None, extra)[3]
     pairs = [p for p in extra if p in circuits]
@@ -180,12 +181,9 @@ def _linked_gl(g: Graph, dim: int, sub: Rng):
     if not pairs:
         return
     if dim == 1:
-        # a non-edge uv has kappa(u, v) >= 2 exactly when u and v share a
-        # 2-connected block: a d = 1 component of two or more edges
-        blocks = [{w for e in c for w in e}
-                  for c in matroid_components(g, 1, sub.child(1)) if len(c) > 1]
+        blocks = _blocks(g)
         for u, v in pairs:
-            yield YES if any(u in b and v in b for b in blocks) else {
+            yield YES if blocks[u] & blocks[v] else {
                 "pair": [u, v], "detail": "linked in dim 2 but not globally linked in dim 1"}
     else:
         for verdict in _globally_linked_2d(g, pairs, sub.child(1), circuits):

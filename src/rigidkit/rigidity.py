@@ -3,7 +3,8 @@
 ``_matroid`` answers every matroid query and takes its route by d alone. At
 d <= 2 the matroid is the graphic matroid and the (2, 3)-sparsity matroid
 (Laman), and the pebble game (``_pebble``) answers exactly, drawing and
-factoring nothing. At d >= 3 the answers are sampled, as follows.
+factoring nothing; it reads linked pairs off the tight sets it finds. At
+d >= 3 the answers are sampled, as follows.
 
 "Generic" coordinates are replaced by uniform random field elements. Every
 randomized quantity here has one-sided error: a random realization can only
@@ -256,12 +257,14 @@ def _classes(m: int, supports) -> list[list[int]]:
 
 def _matroid(g: Graph, d: int, trials, settled, pairs=()):
     """Basis, bridges and components of the rigidity matroid, and the vertex
-    pairs of ``pairs`` (non-edges) linked in G, each with its circuit in
-    G + pair: exact at d <= 2, one-sided at d >= 3.
+    pairs of ``pairs`` (non-edges) linked in G, at d >= 3 each with its
+    circuit in G + pair: exact at d <= 2, one-sided at d >= 3.
 
     The route depends on d alone. At d <= 2 the pebble game (``_pebble``)
     answers exactly and ``trials`` is never iterated, so nothing is drawn
-    or factored. At d >= 3 everything is read off ``trials`` (``_trials``
+    or factored; a pair inside a tight set already found, and with
+    ``settled=None`` a dependent edge inside one, is settled without a
+    gathering. At d >= 3 everything is read off ``trials`` (``_trials``
     of G with ``pairs`` as its ``extra`` columns; ``_sampled``), with
     ``settled`` the test that stops them early. Both routes give supports
     in column indices, which one tail turns into the answer.
@@ -271,7 +274,9 @@ def _matroid(g: Graph, d: int, trials, settled, pairs=()):
     stresses alone (``_trials`` with ``edge_stresses`` false).
 
     Returns ``(basis, bridges, components, circuits)``, ``circuits`` mapping
-    each linked pair to the sorted edges of its circuit, the pair included.
+    each linked pair to the sorted edges of its circuit, the pair included,
+    at d >= 3, and to None at d <= 2, where the pebble game reads the linked
+    pairs off tight sets and no pair circuit.
     """
     if g.m == 0:
         return ((), None, None, {}) if settled is None else ((), (), (), {})
@@ -287,11 +292,13 @@ def _answer(g: Graph, pairs, pivots, own, linked):
     column j and pair i column m + i. ``pivots`` are the basis columns,
     ``own`` the supports of the edge circuits (None when not asked for) and
     ``linked`` maps the column of each linked pair to its circuit's
-    support. The edges no support covers are the bridges, and ``_classes``
-    groups the rest into components."""
+    support, or to None where no support is read (``_pebble``). The edges
+    no support covers are the bridges, and ``_classes`` groups the rest
+    into components."""
     edges = g.edges + tuple(pairs)
     basis = tuple(g.edges[j] for j in pivots)
-    circuits = {edges[f]: tuple(sorted({edges[j] for j in s})) for f, s in linked.items()}
+    circuits = {edges[f]: s if s is None else tuple(sorted({edges[j] for j in s}))
+                for f, s in linked.items()}
     if own is None:
         return basis, None, None, circuits
     covered = {j for supp in own for j in supp}
@@ -348,15 +355,22 @@ def _pebble(g: Graph, d: int, pairs, edge_circuits: bool, order):
     of ``order`` go in in that order, which gives the greedy basis of that
     order: canonical order (``range(g.m)``) gives that of the pivot
     columns. When the gathering fails, the vertices reachable from u and v
-    form the least tight set that holds them, so uv and the basis edges
-    inside that set form uv's fundamental circuit. Pairs are tested the
-    same way without going in; moving pebbles only reorients edges, so
-    nothing needs restoring. With ``edge_circuits`` false the non-basis
-    edges' circuits are not read.
+    form the least tight set that holds them (k|T| - l basis edges inside
+    T), so uv and the basis edges inside it form uv's fundamental circuit.
+    A tight set stays tight as later edges go in, and every pair inside it
+    is linked, so ``tight[x]`` keeps the union of the tight sets found that
+    hold x. Pairs are tested without going in, and a pair inside a known
+    tight set without a gathering; moving pebbles only reorients edges, so
+    nothing needs restoring. Linked pairs map to None: no pair support is
+    read. With ``edge_circuits`` false the non-basis edges' circuits are not
+    read, and an edge inside a known tight set is dependent without a
+    gathering.
     """
     k, l = d, d * (d + 1) // 2
     pebbles = [k] * g.n
     out = [{} for _ in range(g.n)]  # out[y][z]: the index of basis edge yz
+    # read only by pairs and by edges settled without a gathering
+    tight = [0] * g.n if pairs or not edge_circuits else None
 
     def fetch(x, u, v) -> bool:
         """Move to x, one of u and v, a free pebble of another vertex
@@ -382,7 +396,8 @@ def _pebble(g: Graph, d: int, pairs, edge_circuits: bool, order):
 
     def gather(u, v):
         """None once u and v hold l + 1 pebbles, else the vertices
-        reachable from them."""
+        reachable from them, a tight set, which joins ``tight`` when that
+        is kept."""
         while pebbles[u] + pebbles[v] <= l:
             if not (pebbles[u] < k and fetch(u, u, v) or pebbles[v] < k and fetch(v, u, v)):
                 seen, stack = {u, v}, [u, v]
@@ -390,15 +405,18 @@ def _pebble(g: Graph, d: int, pairs, edge_circuits: bool, order):
                     for z in out[stack.pop()].keys() - seen:
                         seen.add(z)
                         stack.append(z)
+                if tight is not None:
+                    mask = sum(1 << x for x in seen)
+                    for x in seen:
+                        tight[x] |= mask
                 return seen
         return None
-
-    def support(f, seen):
-        return sorted([f, *(j for x in seen for y, j in out[x].items() if y in seen)])
 
     pivots, own = [], []
     for j in order:
         u, v = g.edges[j]
+        if not edge_circuits and tight[u] >> v & 1:
+            continue
         seen = gather(u, v)
         if seen is None:
             # l + 1 = 2k at d <= 2: u and v hold k pebbles each
@@ -406,12 +424,9 @@ def _pebble(g: Graph, d: int, pairs, edge_circuits: bool, order):
             out[u][v] = j
             pivots.append(j)
         elif edge_circuits:
-            own.append(support(j, seen))
-    linked = {}
-    for f, (u, v) in enumerate(pairs, g.m):
-        seen = gather(u, v)
-        if seen is not None:
-            linked[f] = support(f, seen)
+            own.append(sorted([j, *(i for x in seen for y, i in out[x].items() if y in seen)]))
+    linked = {f: None for f, (u, v) in enumerate(pairs, g.m)
+              if tight[u] >> v & 1 or gather(u, v) is not None}
     return pivots, own if edge_circuits else None, linked
 
 
@@ -449,18 +464,22 @@ def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
                         ) -> tuple[tuple[int, int], ...]:
     """The unique circuit inside basis + e.
 
-    One ``_matroid`` call on the graph of the basis with e as its pair: the
-    basis must come out independent, and e linked to it. Exact at d <= 2,
-    one-sided at d >= 3: there the trials carry e's stress alone, and the
+    Exact at d <= 2: one pebble game (``_pebble``) on basis + e plays the
+    basis first and e last, and e's circuit is its edge circuit there. At
+    d >= 3 one ``_matroid`` call on the graph of the basis with e as its
+    pair, which is one-sided: the trials carry e's stress alone, and the
     circuit is the union of the supports of e's fundamental stress over the
     trials of full rank, each inside the generic circuit, so a member may
-    be missed, never a non-member included.
+    be missed, never a non-member included. Either way the basis must come
+    out independent, and e dependent on it.
 
     Raises:
         GraphError: when the edges are not in the graph, when e lies in the
-        basis, when no trial finds the basis independent, or when a trial of
-        full rank finds e independent of it (then basis + e has no circuit).
+        basis, when the basis is not independent (at d >= 3: no trial finds
+        it so), or when e is independent of it (at d >= 3: a trial of full
+        rank finds it so; then basis + e has no circuit).
     """
+    _check_dimension(d)
     basis = tuple(basis)
     e = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
     basis_set = set(basis)
@@ -470,14 +489,22 @@ def fundamental_circuit(g: Graph, d: int, basis, e, rng: Rng | None = None
         raise GraphError(f"edge {e} not in graph")
     if not basis_set <= g.edge_set:
         raise GraphError("basis contains edges outside the graph")
-    h = Graph(g.n, basis)
-    trials = _trials(h, d, _rng(rng), [e], edge_stresses=False)
-    found, _, _, circuits = _matroid(h, d, trials, None, [e])
+    if d <= 2:
+        h = Graph(g.n, (*basis, e))
+        j = h.edges.index(e)
+        pivots, own, _ = _pebble(h, d, (), True, sorted(range(h.m), key=j.__eq__))
+        found = [i for i in pivots if i != j]
+        circuit = None if j in pivots else tuple(h.edges[i] for i in own[-1])
+    else:
+        h = Graph(g.n, basis)
+        trials = _trials(h, d, _rng(rng), [e], edge_stresses=False)
+        found, _, _, circuits = _matroid(h, d, trials, None, [e])
+        circuit = circuits.get(e)
     if len(found) < len(basis):
         raise GraphError("the given edge set is not independent")
-    if e not in circuits:
+    if circuit is None:
         raise GraphError("edge is independent of the basis; not spanned, so no circuit")
-    return circuits[e]
+    return circuit
 
 
 def matroid_components(g: Graph, d: int, rng: Rng | None = None

@@ -4,9 +4,9 @@ Everything here is deliberately dumb: rational arithmetic, Gauss-Jordan
 elimination, exhaustive enumeration, definition-level checks, and the
 library's earlier implementations of the rigidity matroid, the stress
 test, the edge-deletion predicates, the sparsifier, the canonical-form
-search, the isomorphism-class generator, the cut-vertex and cycle
-searches, the breadth-first flow kernel and the one-pair globally linked
-query. Beyond sampling
+search, two isomorphism-class generators, the pebble game with pair
+circuits, the cut-vertex and cycle searches, the breadth-first flow kernel
+and the one-pair globally linked query. Beyond sampling
 realizations and building their rows, the brute-force oracles share no code
 with the paths they verify; the earlier implementations reuse the library's
 primitives and differ from it in how they combine them.
@@ -20,7 +20,7 @@ from functools import cache
 from itertools import combinations
 
 from rigidkit import Graph, GraphError
-from rigidkit.corpus import _chunks_to_graph, canonical_chunks
+from rigidkit.corpus import _chunks_to_graph, _refine_colors, _search, canonical_chunks
 from rigidkit.field import PRIME, FieldMatrix, Rng, _echelon, _kernel, nullspace_basis
 from rigidkit.global_rigidity import (
     NonGenericRealizationError,
@@ -1025,6 +1025,137 @@ def nonisomorphic_graphs_by_seen_dict(n: int) -> tuple[Graph, ...]:
             if chunks not in seen:
                 seen[chunks] = _chunks_to_graph(n, chunks)
     return tuple(sorted(seen.values(), key=lambda g: (g.m, g.edges)))
+
+
+def nonisomorphic_graphs_by_merging_every_mask(n: int) -> tuple[Graph, ...]:
+    """``corpus.nonisomorphic_graphs`` before it took each parent's masks
+    up to the parent's automorphisms: canonical deletion over every mask
+    that passes the degree and color tests, the children that one parent
+    reaches from several masks merged by their canonical form."""
+    if n == 1:
+        return (Graph(1),)
+    x = n - 1
+    parent_of: dict[tuple[int, ...], int] = {}
+    for pi, parent in enumerate(nonisomorphic_graphs_by_merging_every_mask(x)):
+        pnbrs = parent.adjacency
+        top = max(len(ns) for ns in pnbrs)
+        topmask = sum(1 << v for v, ns in enumerate(pnbrs) if len(ns) == top)
+        for mask in range(1 << x):
+            deg = bin(mask).count("1")
+            if deg < top or (deg == top and mask & topmask):
+                continue
+            nbrs = [(*ns, x) if mask >> v & 1 else ns for v, ns in enumerate(pnbrs)]
+            nbrs.append(tuple(v for v in range(x) if mask >> v & 1))
+            colors = _refine_colors(nbrs)
+            if colors[x] != max(colors):
+                continue
+            chunks, lasts, _ = _search(nbrs, colors)
+            if x in lasts and parent_of.setdefault(tuple(chunks), pi) != pi:
+                raise AssertionError("internal error: a class came from two parents")
+    return tuple(sorted((_chunks_to_graph(n, c) for c in parent_of),
+                        key=lambda g: (g.m, g.edges)))
+
+
+# ---------------------------------------------------------------------------
+# The pebble game as the library played it before it read linked pairs off
+# tight sets: every pair gathered on its own, and each linked pair given its
+# circuit, which fundamental_circuit read at d <= 2.
+
+
+def pebble_with_pair_circuits(g: Graph, d: int, pairs, edge_circuits: bool, order):
+    """``rigidity._pebble`` with a gathering for every edge and pair and
+    with pair supports: when the gathering on a pair fails, the pair and
+    the basis edges inside the vertices reached form its circuit."""
+    k, l = d, d * (d + 1) // 2
+    pebbles = [k] * g.n
+    out = [{} for _ in range(g.n)]
+
+    def fetch(x, u, v) -> bool:
+        parent = {x: x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for z in out[y]:
+                if z in parent:
+                    continue
+                parent[z] = y
+                if pebbles[z] and z != u and z != v:
+                    pebbles[z] -= 1
+                    pebbles[x] += 1
+                    while z != x:
+                        y = parent[z]
+                        out[z][y] = out[y].pop(z)
+                        z = y
+                    return True
+                stack.append(z)
+        return False
+
+    def gather(u, v):
+        while pebbles[u] + pebbles[v] <= l:
+            if not (pebbles[u] < k and fetch(u, u, v) or pebbles[v] < k and fetch(v, u, v)):
+                seen, stack = {u, v}, [u, v]
+                while stack:
+                    for z in out[stack.pop()].keys() - seen:
+                        seen.add(z)
+                        stack.append(z)
+                return seen
+        return None
+
+    def support(f, seen):
+        return sorted([f, *(j for x in seen for y, j in out[x].items() if y in seen)])
+
+    pivots, own = [], []
+    for j in order:
+        u, v = g.edges[j]
+        seen = gather(u, v)
+        if seen is None:
+            pebbles[u] -= 1
+            out[u][v] = j
+            pivots.append(j)
+        elif edge_circuits:
+            own.append(support(j, seen))
+    linked = {}
+    for f, (u, v) in enumerate(pairs, g.m):
+        seen = gather(u, v)
+        if seen is not None:
+            linked[f] = support(f, seen)
+    return pivots, own if edge_circuits else None, linked
+
+
+def matroid_with_pair_circuits(g: Graph, d: int, settled, pairs=()):
+    """``rigidity._matroid`` at d <= 2 on ``pebble_with_pair_circuits``:
+    each linked pair maps to the sorted edges of its circuit."""
+    if g.m == 0:
+        return ((), None, None, {}) if settled is None else ((), (), (), {})
+    return _answer(g, pairs, *pebble_with_pair_circuits(g, d, pairs, settled is not None,
+                                                        range(g.m)))
+
+
+def fundamental_circuit_by_pair_circuit(g: Graph, d: int, basis, e):
+    """``fundamental_circuit`` at d <= 2 as the circuit of the pair e in
+    the graph of the basis (``matroid_with_pair_circuits``)."""
+    e = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
+    found, _, _, circuits = matroid_with_pair_circuits(Graph(g.n, basis), d, None, [e])
+    if len(found) < len(tuple(basis)):
+        raise GraphError("the given edge set is not independent")
+    if e not in circuits:
+        raise GraphError("edge is independent of the basis; not spanned, so no circuit")
+    return circuits[e]
+
+
+def linked_pair_mismatches(graphs, d: int, rng: Rng) -> list[Graph]:
+    """The graphs on which the pebble game and the sampled route differ,
+    graph i on ``rng.child(i)``: in the basis, or in which non-edges are
+    linked in dimension d <= 2 (``rigidity._matroid`` against
+    ``sampled_matroid``, both with ``settled=None``)."""
+    mismatches = []
+    for i, g in enumerate(graphs):
+        pairs = [p for p in combinations(range(g.n), 2) if p not in g.edge_set]
+        basis, _, _, linked = _matroid(g, d, _trials(g, d, rng.child(i)), None, pairs)
+        expect, _, _, circuits = sampled_matroid(g, d, rng.child(i), None, pairs)
+        if (basis, set(linked)) != (expect, set(circuits)):
+            mismatches.append(g)
+    return mismatches
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from rigidkit.graph import complete, complete_bipartite, cycle
 
 from oracles import (
     graph_to_adj_masks,
+    nonisomorphic_graphs_by_merging_every_mask,
     nonisomorphic_graphs_by_seen_dict,
     refine_colors_by_masks,
     search_every_optimal_ordering,
@@ -90,6 +91,13 @@ def test_canonical_deletion_matches_the_seen_dict_generator():
         assert nonisomorphic_graphs(n) == nonisomorphic_graphs_by_seen_dict(n)
 
 
+def test_one_mask_per_orbit_matches_merging_every_mask():
+    for n in range(1, 8):
+        got = nonisomorphic_graphs(n)
+        assert got == nonisomorphic_graphs_by_merging_every_mask(n)
+        assert len(got) == GRAPH_COUNTS[n]
+
+
 def _brute_optimal_orderings(g: Graph):
     """Every color-respecting ordering whose chunk sequence is least, with
     that sequence, by trying all permutations."""
@@ -111,6 +119,19 @@ def _brute_automorphisms(g: Graph):
     edges = g.edge_set
     return [p for p in permutations(range(g.n))
             if all(tuple(sorted((p[a], p[b]))) in edges for a, b in g.edges)]
+
+
+def _generated_group(n: int, gens) -> set[tuple[int, ...]]:
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[w] for w in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return group
 
 
 def _relabelled(g: Graph, rng: Rng) -> Graph:
@@ -152,16 +173,21 @@ def test_last_vertices_of_the_search_are_the_canonical_orbit():
     rng = Rng(12)
     randoms = [random_graph(1 + i % 6, (i % 5 + 1) / 6, rng.child(i)) for i in range(60)]
     for g in randoms + list(_symmetric_graphs()):
-        chunks, lasts = _search(g.adjacency, _refine_colors(g.adjacency))
+        chunks, lasts, gens = _search(g.adjacency, _refine_colors(g.adjacency))
         best, orders = _brute_optimal_orderings(g)
         last = orders[0][-1]
+        automorphisms = _brute_automorphisms(g)
         assert chunks == best
         assert lasts == {order[-1] for order in orders}
-        assert lasts == {p[last] for p in _brute_automorphisms(g)}
+        assert lasts == {p[last] for p in automorphisms}
+        assert _generated_group(g.n, gens) == set(automorphisms)
 
 
 def test_building_the_corpus_to_six_vertices_takes_few_searches(monkeypatch):
-    # the seen-dict generator ran one search per child: 1306 up to n = 6
+    # the seen-dict generator ran one search per child: 1306 up to n = 6;
+    # searching every mask that passes the degree and color tests took 375;
+    # one mask per orbit of the parent's automorphisms takes 207, plus one
+    # search per parent (52) for the generators
     calls = []
     real_search = corpus._search
 
@@ -172,7 +198,7 @@ def test_building_the_corpus_to_six_vertices_takes_few_searches(monkeypatch):
     monkeypatch.setattr(corpus, "_search", counting)
     nonisomorphic_graphs.cache_clear()
     assert len(nonisomorphic_graphs(6)) == 156
-    assert len(calls) <= 375
+    assert len(calls) <= 259
 
 
 def test_search_matches_the_unpruned_search_on_every_class_to_seven_vertices():
@@ -182,7 +208,7 @@ def test_search_matches_the_unpruned_search_on_every_class_to_seven_vertices():
             h = _relabelled(g, rng.child(n).child(i))
             adj = graph_to_adj_masks(h)
             assert _refine_colors(h.adjacency) == refine_colors_by_masks(n, adj)
-            assert _search(h.adjacency, _refine_colors(h.adjacency)) == _search_as_oracle(h)
+            assert _search(h.adjacency, _refine_colors(h.adjacency))[:2] == _search_as_oracle(h)
 
 
 @given(n=st.integers(1, 9), data=st.data())
@@ -191,7 +217,7 @@ def test_search_matches_the_unpruned_search_on_drawn_graphs(n, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = Graph(n, tuple(edges))
     assert _refine_colors(g.adjacency) == refine_colors_by_masks(n, graph_to_adj_masks(g))
-    assert _search(g.adjacency, _refine_colors(g.adjacency)) == _search_as_oracle(g)
+    assert _search(g.adjacency, _refine_colors(g.adjacency))[:2] == _search_as_oracle(g)
 
 
 def test_search_matches_the_unpruned_search_on_symmetric_graphs():
@@ -201,11 +227,13 @@ def test_search_matches_the_unpruned_search_on_symmetric_graphs():
     for gi, g in enumerate([*_symmetric_graphs(), cycle(8), _cube(), _petersen()]):
         for i in range(8):
             h = _relabelled(g, rng.child(gi).child(i))
-            assert _search(h.adjacency, _refine_colors(h.adjacency)) == _search_as_oracle(h)
+            assert _search(h.adjacency, _refine_colors(h.adjacency))[:2] == _search_as_oracle(h)
 
 
 def test_the_degree_test_passes_exactly_the_masks_that_give_the_new_vertex_maximum_degree(
         monkeypatch):
+    # one refinement per parent, for the search that finds its automorphisms,
+    # and one per orbit of the parent's automorphisms on the masks that pass
     refined = []
     real_refine = corpus._refine_colors
 
@@ -220,7 +248,11 @@ def test_the_degree_test_passes_exactly_the_masks_that_give_the_new_vertex_maxim
     for n in range(2, 7):
         for parent in nonisomorphic_graphs(n - 1):
             degree = [parent.degree(v) for v in range(n - 1)]
-            expect += sum(all(d + (mask >> v & 1) <= bin(mask).count("1")
-                              for v, d in enumerate(degree))
-                          for mask in range(1 << n - 1))
+            passing = [mask for mask in range(1 << n - 1)
+                       if all(d + (mask >> v & 1) <= bin(mask).count("1")
+                              for v, d in enumerate(degree))]
+            orbits = {frozenset(sum(1 << p[v] for v in range(n - 1) if mask >> v & 1)
+                                for p in _brute_automorphisms(parent))
+                      for mask in passing}
+            expect += 1 + len(orbits)
     assert len(refined) == expect

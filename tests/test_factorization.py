@@ -66,10 +66,12 @@ from oracles import (
     certifies_full_rank,
     edge_deletions_by_route,
     first_proof_by_stress_spaces,
+    fundamental_circuit_by_pair_circuit,
     fundamental_circuit_by_probes,
     globally_rigid_2d_by_redundant_rigidity,
     greedy_pass_per_edge,
     matroid_components_by_probes,
+    matroid_with_pair_circuits,
     minimally_globally_rigid_per_edge,
     planar_route_mismatches,
     rank_of_rows,
@@ -242,7 +244,13 @@ class TestAgainstQueryByQuery:
         rng = Rng(data.draw(st.integers(0, 2**32)))
         basis, _, _, circuits = rigidity._matroid(
             g, d, _trials(g, d, rng.child(0), pairs), stop_at_the_rank_bound, pairs)
-        assert (len(basis), circuits) == span_with_pair_columns(g, d, rng.child(1), pairs)
+        rank, expect = span_with_pair_columns(g, d, rng.child(1), pairs)
+        if d <= 2:
+            # the pebble game reads linked pairs off tight sets, without
+            # their circuits; the game with pair circuits still gives them
+            assert matroid_with_pair_circuits(g, d, stop_at_the_rank_bound, pairs)[3] == expect
+            expect = dict.fromkeys(expect)
+        assert (len(basis), circuits) == (rank, expect)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @given(data=st.data())
@@ -276,20 +284,31 @@ class TestAgainstQueryByQuery:
 class TestPebbleGame:
     """At d <= 2 ``rigidity._matroid`` plays the pebble game and reads no
     trial; the sampled route (``oracles.sampled_matroid``) at a fixed seed
-    is its oracle: basis, bridges, components and every non-edge's circuit."""
+    is its oracle: basis, bridges, components and the linked non-edges. The
+    game reads linked pairs off tight sets, without their circuits; the
+    game with pair circuits (``oracles.matroid_with_pair_circuits``) still
+    gives every linked non-edge's circuit, and ``fundamental_circuit``
+    equals its pair circuit."""
 
     @staticmethod
     def assert_matches_the_sampled_route(g, d):
         pairs = [p for p in combinations(range(g.n), 2) if p not in g.edge_set]
+        expect = sampled_matroid(g, d, Rng(1729), rigidity._connects, pairs)
+        assert matroid_with_pair_circuits(g, d, rigidity._connects, pairs) == expect
+        basis, brs, comps, circuits = expect
+        linked = dict.fromkeys(circuits)
         got = rigidity._matroid(g, d, unread(), rigidity._connects, pairs)
-        assert got == sampled_matroid(g, d, Rng(1729), rigidity._connects, pairs)
-        basis, _, _, circuits = got
-        assert rigidity._matroid(g, d, unread(), None, pairs) == (basis, None, None, circuits)
+        assert got == (basis, brs, comps, linked)
+        assert rigidity._matroid(g, d, unread(), None, pairs) == (basis, None, None, linked)
         assert sampled_matroid(g, d, Rng(1729), None, pairs) == (basis, None, None, circuits)
+        for e in g.edges:
+            if e not in set(basis):
+                assert fundamental_circuit(g, d, basis, e) == \
+                    fundamental_circuit_by_pair_circuit(g, d, basis, e)
 
     @pytest.mark.parametrize("d", [1, 2])
     @settings(max_examples=60)
-    @given(g=any_graphs())
+    @given(g=any_graphs(max_n=12))
     def test_matches_the_sampled_route(self, d, g):
         self.assert_matches_the_sampled_route(g, d)
 
@@ -299,6 +318,20 @@ class TestPebbleGame:
         assert len(graphs) == 208
         for g in graphs:
             self.assert_matches_the_sampled_route(g, d)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_linked_pairs_match_the_sampled_route_on_every_class_with_seven_vertices(self, d):
+        graphs = nonisomorphic_graphs(7)
+        assert len(graphs) == 1044
+        for g in graphs:
+            pairs = [p for p in combinations(range(g.n), 2) if p not in g.edge_set]
+            basis, _, _, circuits = sampled_matroid(g, d, Rng(1729), None, pairs)
+            assert rigidity._matroid(g, d, unread(), None, pairs) == \
+                (basis, None, None, dict.fromkeys(circuits))
+            for e in g.edges:
+                if e not in set(basis):
+                    assert fundamental_circuit(g, d, basis, e) == \
+                        fundamental_circuit_by_pair_circuit(g, d, basis, e)
 
     @pytest.mark.parametrize("d, circuit", [(1, ((0, 1), (0, 2), (1, 2))), (2, complete(4).edges)])
     def test_matroid_queries_eliminate_nothing(self, d, circuit, eliminations):

@@ -32,8 +32,8 @@ from rigidkit import (
     wheel,
 )
 from rigidkit import graph as graph_module
-from rigidkit.graph import articulation_points, find_cycle
-from rigidkit.corpus import random_graph, random_graph_with_edges
+from rigidkit.graph import _blocks, articulation_points, find_cycle
+from rigidkit.corpus import all_graphs, random_graph, random_graph_with_edges
 from rigidkit.field import Rng
 from oracles import (
     articulation_points_by_own_dfs,
@@ -692,7 +692,30 @@ class TestFindCycle:
 
 class TestOneDepthFirstSearch:
     """``articulation_points`` and ``find_cycle`` read one ``_dfs``; they
-    must agree with the DFS loop that each of them ran on its own before."""
+    must agree with the DFS loop that each of them ran on its own before.
+    ``_blocks`` reads it too: a non-edge shares a block exactly when two
+    internally disjoint paths join its ends."""
+
+    @staticmethod
+    def checked_non_edges(g):
+        blocks = _blocks(g)
+        assert all(blocks[u] & blocks[v] for u, v in g.edges)
+        for u, v in combinations(range(g.n), 2):
+            if not g.has_edge(u, v):
+                assert bool(blocks[u] & blocks[v]) == (local_connectivity(g, u, v, limit=2) >= 2)
+                yield u, v
+
+    def test_blocks_match_two_disjoint_paths_on_small_graphs(self, graphs_by_n):
+        # every labeled graph with n <= 5, every class with n = 6 and n = 7
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)] + \
+            list(graphs_by_n[6]) + list(graphs_by_n[7])
+        assert sum(1 for g in graphs for _ in self.checked_non_edges(g)) == 17457
+
+    @settings(max_examples=150)
+    @given(cut_query_graphs())
+    def test_blocks_match_two_disjoint_paths_on_drawn_graphs(self, g):
+        for _ in self.checked_non_edges(g):
+            pass
 
     @settings(max_examples=150)
     @given(cut_query_graphs())

@@ -400,11 +400,11 @@ class TestExplorer:
     def test_linked_gl_d1_candidate_certificate(self, monkeypatch):
         # the paper proves d = 1, so only a stubbed d = 2 answer that calls
         # every non-edge linked gives candidates: the non-edges that the
-        # blocks of the d = 1 components leave apart, as globally_linked_1d
+        # blocks of G leave apart, as globally_linked_1d
         real = linked._matroid
 
         def every_pair_linked(g, d, trials, settled, pairs=()):
-            return real(g, d, trials, settled, pairs)[:3] + ({p: () for p in pairs},)
+            return real(g, d, trials, settled, pairs)[:3] + (dict.fromkeys(pairs),)
 
         monkeypatch.setattr(linked, "_matroid", every_pair_linked)
         spec = CorpusSpec(max_n=5, isomorph_reject=True)
