@@ -78,17 +78,18 @@ def cmd_analyze(args) -> dict:
     g = _load_graph(args.infile)
     d = args.dim
     rng = Rng(args.seed).child(1)
-    # the matroid report and the global verdicts read the same trials, so
-    # trial t is factored once however far each of them reads
+    # at d >= 3 the matroid report and the global verdicts read the same
+    # trials, so trial t is factored once however far each of them reads;
+    # at d <= 2 neither reads a trial
     matroid_trials, proof_trials = tee(_trials(g, d, rng))
     report_m = _report(g, d, matroid_trials)
-    how = _route(g, d, args.method)
+    how = _route(g, d)
     globally_rigid, minimal = _edge_deletions(g, d, how, True, proof_trials)
     bound = minimally_globally_rigid_edge_bound(g.n, d) if g.n >= d + 2 else None
     print(f"analyze: n={g.n} m={g.m} dim={d} "
           f"globally_rigid={globally_rigid} ({how})", file=sys.stderr)
     return _header(
-        "analyze", g, dim=d, seed=args.seed, method=args.method,
+        "analyze", g, dim=d, seed=args.seed,
         results={
             "generic_rank": report_m.rank,
             "rigid": _rigid_at_rank(g.n, d, report_m.rank),
@@ -130,7 +131,7 @@ def cmd_sparsify(args) -> dict:
 def cmd_extract(args) -> dict:
     g = _load_graph(args.infile)
     if args.grs2d:
-        got = globally_rigid_subgraph_2d(g, Rng(args.seed), verify=True)
+        got = globally_rigid_subgraph_2d(g, verify=True)
         if got is None:
             raise ExtractionError("premise violated: " + (
                 f"|V| = {g.n} < 7" if g.n < 7 else f"|E| = {g.m} < {5 * g.n - 14} = 5|V| - 14"))
@@ -199,9 +200,8 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rigidkit {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(subs, "analyze", cmd_analyze, "rigidity / global rigidity / matroid report",
-                 "--in", "--dim", "--seed")
-    p.add_argument("--method", choices=["auto", "stress", "combinatorial"], default="auto")
+    _command(subs, "analyze", cmd_analyze, "rigidity / global rigidity / matroid report",
+             "--in", "--dim", "--seed")
 
     _command(subs, "sparsify", cmd_sparsify, "minimally globally rigid spanning subgraph",
              "--in", "--dim", "--seed")

@@ -183,23 +183,24 @@ def replay_trace(g: Graph, trace: ExtractionTrace) -> Graph:
     return cur
 
 
-def globally_rigid_subgraph_2d(g: Graph, rng: Rng | None = None, verify: bool = True):
+def globally_rigid_subgraph_2d(g: Graph, verify: bool = True):
     """A redundantly globally rigid planar-dimension subgraph of a dense
     graph, with the trace of its extraction: ``(sub, trace)``.
 
     Guaranteed for |V| >= 7 and |E| >= 5|V| - 14: the mixed 6-connected
     subgraph extracted under that premise is redundantly globally rigid in
-    dimension 2. Returns None exactly when the density premise fails.
+    dimension 2. Returns None exactly when the density premise fails. With
+    ``verify`` the subgraph is checked on the exact planar route
+    (``is_redundantly_globally_rigid`` at d = 2), which draws nothing.
     """
-    rng = _rng(rng)
     if g.n < 7 or g.m < 5 * g.n - 14:
         return None
     sub, trace = mixed_k_connected_subgraph(g, 6)
     if sub.n < 7:
         raise AssertionError("internal error: mixed 6-connected output below 7 vertices")
-    if verify and not is_redundantly_globally_rigid(sub, 2, rng.child(0)):
+    if verify and not is_redundantly_globally_rigid(sub, 2):
         raise AssertionError(
-            "randomized fault: extracted subgraph failed redundant global rigidity")
+            "internal error: extracted subgraph failed redundant global rigidity")
     return sub, trace
 
 
@@ -256,7 +257,7 @@ def estimate_grn(g: Graph, d_max: int, rng: Rng | None = None) -> GrnEstimate:
         if mader is not None and mader[0].n >= d + 2:
             candidates.append(mader)
         if d == 2:
-            piped = globally_rigid_subgraph_2d(g, sub.child(0), verify=False)
+            piped = globally_rigid_subgraph_2d(g, verify=False)
             if piped is not None:
                 candidates.append((piped[0], piped[1].vertices))
         if d == 1:

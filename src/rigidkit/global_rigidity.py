@@ -8,8 +8,9 @@ for d <= 2 (2-connectivity, and 3-connectivity plus redundant rigidity),
 a randomized subset-rank reducer for matrix pencils, and the sparsifier
 that extracts a minimally globally rigid spanning subgraph.
 
-The route is decided once (``_route``): complete-small, combinatorial-1d,
-combinatorial-2d or stress. One stream (``_tests``) then yields each proof
+The route is decided once, from n and d alone (``_route``): complete-small
+on at most d + 1 vertices, combinatorial-1d or combinatorial-2d at d <= 2,
+and stress at d >= 3. One stream (``_tests``) then yields each proof
 that G is globally rigid on that route, with a test of every G - e.
 ``is_globally_rigid`` takes its first proof, and the deletion questions
 (minimal and redundant global rigidity) run one loop over all of them
@@ -146,13 +147,13 @@ def stress_matrix(g: Graph, stress: Stress) -> FieldMatrix:
 
 @dataclass(frozen=True)
 class GlobalRigidityCertificate:
-    """Verdict plus the path and seed that produced it.
+    """Verdict plus the path (``_route``) and seed that produced it.
 
     ``note`` says why, where a route has more to say than its verdict: on
-    the stress route the trial whose stress matrix reached rank n - d - 1,
-    or that none did in ``TRIALS`` trials; on a failure of the 1D route
-    "not 2-connected", and of the 2D route "not 3-connected" or, for a
-    3-connected G, "not redundantly rigid"; empty otherwise.
+    the stress route (d >= 3) the trial whose stress matrix reached rank
+    n - d - 1, or that none did in ``TRIALS`` trials; on a failure of the
+    1D route "not 2-connected", and of the 2D route "not 3-connected" or,
+    for a 3-connected G, "not redundantly rigid"; empty otherwise.
     """
 
     globally_rigid: bool
@@ -238,20 +239,14 @@ def _proofs(g: Graph, d: int, trials):
             yield t, real, pivots, stresses, sub
 
 
-def _route(g: Graph, d: int, method: str) -> str:
-    """The path ``is_globally_rigid`` takes for these arguments, which it
-    validates: "complete-small", "combinatorial-1d", "combinatorial-2d" or
-    "stress". The dimension is checked where the trials are built
-    (``rigidity._trials``)."""
-    if method not in ("auto", "stress", "combinatorial"):
-        raise ValueError(f"unknown method {method!r}")
+def _route(g: Graph, d: int) -> str:
+    """The path ``is_globally_rigid`` takes, from n and d alone:
+    "complete-small" on at most d + 1 vertices, else "combinatorial-1d" or
+    "combinatorial-2d" at d <= 2 and "stress" at d >= 3. The dimension is
+    checked where the trials are built (``rigidity._trials``)."""
     if g.n <= d + 1:
         return "complete-small"
-    if method == "combinatorial" and d > 2:
-        raise ValueError("no combinatorial characterization is available for d >= 3")
-    if method == "stress" or (method == "auto" and d > 2):
-        return "stress"
-    return f"combinatorial-{d}d"
+    return f"combinatorial-{d}d" if d <= 2 else "stress"
 
 
 def _tests(g: Graph, d: int, how: str, trials):
@@ -294,15 +289,13 @@ def _tests(g: Graph, d: int, how: str, trials):
     return ""
 
 
-def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
-                      method: str = "auto") -> GlobalRigidityCertificate:
+def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> GlobalRigidityCertificate:
     """Global rigidity in dimension d, with a certificate of the deciding path.
 
     Graphs on at most d + 1 vertices are globally rigid iff complete. For
-    d = 1 the combinatorial path is 2-connectivity, for d = 2 it is
-    3-connectivity plus redundant rigidity; ``method="auto"`` prefers those
-    and falls back to the randomized stress-matrix test for d >= 3. The
-    verdict is the first proof of ``_tests`` on the trials
+    d = 1 the route is 2-connectivity, for d = 2 it is 3-connectivity plus
+    redundant rigidity, and for d >= 3 the randomized stress-matrix test
+    (``_route``). The verdict is the first proof of ``_tests`` on the trials
     ``_trials(g, d, rng)``, those the deletion families read with the same
     ``rng``. The combinatorial routes draw nothing and are exact. On the
     stress route it is the first trial whose random stress matrix reaches
@@ -311,7 +304,7 @@ def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
     verdict is backed by an exact witness, a False verdict is wrong with
     negligible probability.
     """
-    how = _route(g, d, method)
+    how = _route(g, d)
     rng = _rng(rng)
     try:
         note, _ = next(_tests(g, d, how, _trials(g, d, rng)))
@@ -420,35 +413,30 @@ def _edge_deletions(g: Graph, d: int, how: str, minimal: bool, trials) -> tuple[
     return proved, proved and (minimal or not open_edges)
 
 
-def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
-                                method: str = "auto") -> bool:
+def is_minimally_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
     """Globally rigid, and no longer so after any single edge deletion.
 
     One loop over the proofs of ``is_globally_rigid`` with the same ``rng``
     (``_edge_deletions``); the first G - e proved globally rigid ends it.
-    Exact on the combinatorial routes (d <= 2 unless ``method="stress"``)
-    and on at most d + 1 vertices. On the stress route a G - e is proved
-    only by an exact witness, a stress of rank n - d - 1, so a G - e can
-    only be missed: a wrong answer can only be a wrong "yes".
+    Exact at d <= 2 and on at most d + 1 vertices. On the stress route
+    (d >= 3) a G - e is proved only by an exact witness, a stress of rank
+    n - d - 1, so a G - e can only be missed: a wrong answer can only be a
+    wrong "yes".
     """
-    how = _route(g, d, method)
-    return _edge_deletions(g, d, how, True, _trials(g, d, _rng(rng)))[1]
+    return _edge_deletions(g, d, _route(g, d), True, _trials(g, d, _rng(rng)))[1]
 
 
-def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None,
-                                  method: str = "auto") -> bool:
+def is_redundantly_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> bool:
     """Globally rigid after deleting any single edge.
 
     One loop over the proofs of ``is_globally_rigid`` with the same ``rng``
     (``_edge_deletions``); the first G - e shown not globally rigid ends
-    it. Exact on the combinatorial routes (d <= 2 unless
-    ``method="stress"``) and on at most d + 1 vertices. On the stress route
-    every G - e must be proved globally rigid by an exact witness within
-    those proofs, a stress of rank n - d - 1, so a wrong answer can only be
-    a wrong "no".
+    it. Exact at d <= 2 and on at most d + 1 vertices. On the stress route
+    (d >= 3) every G - e must be proved globally rigid by an exact witness
+    within those proofs, a stress of rank n - d - 1, so a wrong answer can
+    only be a wrong "no".
     """
-    how = _route(g, d, method)
-    return _edge_deletions(g, d, how, False, _trials(g, d, _rng(rng)))[1]
+    return _edge_deletions(g, d, _route(g, d), False, _trials(g, d, _rng(rng)))[1]
 
 
 def is_globally_k_d_rigid(g: Graph, k: int, d: int, rng: Rng | None = None) -> bool:

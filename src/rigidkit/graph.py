@@ -31,7 +31,7 @@ def _canon_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
     canon = []
     for e in edges:
         u, v = e
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (type(u) is int and type(v) is int):  # bools are not labels
             raise GraphError(f"edge endpoints must be ints, got {e!r}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
@@ -53,6 +53,8 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise GraphError(f"vertex count must be an int, got {self.n!r}")
         if self.n < 0:
             raise GraphError("vertex count must be nonnegative")
         object.__setattr__(self, "edges", _canon_edges(self.n, self.edges))

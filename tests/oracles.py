@@ -26,12 +26,14 @@ from rigidkit.global_rigidity import (
     NonGenericRealizationError,
     NotGloballyRigidError,
     RankNotAchievableError,
+    GlobalRigidityCertificate,
     SparsifyResult,
     Stress,
     _certifies,
     _proofs,
     _route,
     _series_free,
+    _tests,
     _without,
     is_globally_rigid,
     is_minimally_globally_rigid,
@@ -67,12 +69,14 @@ from rigidkit.rigidity import (
     _edge_row,
     _factor,
     _matroid,
+    _rng,
     _rows_for,
     _sampled,
     _trials,
     generic_rank,
     is_matroid_connected,
     is_redundantly_rigid,
+    is_rigid,
     rank_upper_bound,
     rigid_rank_target,
     sample_realization,
@@ -554,25 +558,74 @@ def span_with_pair_columns(g: Graph, d: int, rng: Rng, pairs=()) -> tuple[int, d
 
 
 # ---------------------------------------------------------------------------
+# The randomized stress test at every d. ``_route`` takes it at d >= 3 only;
+# at d <= 2 it stays the reference for the exact characterizations, reached
+# through the route argument of ``_tests`` and ``_edge_deletions``.
+
+
+def stress_route(g: Graph, d: int) -> str:
+    """The route of the stress test at any d: "stress", or "complete-small"
+    on at most d + 1 vertices, where every route is a completeness check."""
+    return "complete-small" if g.n <= d + 1 else "stress"
+
+
+def stress_certificate(g: Graph, d: int, rng: Rng | None = None) -> GlobalRigidityCertificate:
+    """``is_globally_rigid`` on ``stress_route``: the certificate of the
+    first proof of ``_tests`` on ``_trials(g, d, rng)``."""
+    how = stress_route(g, d)
+    rng = _rng(rng)
+    try:
+        note, _ = next(_tests(g, d, how, _trials(g, d, rng)))
+    except StopIteration as failure:
+        return GlobalRigidityCertificate(False, how, d, rng.seed, failure.value)
+    return GlobalRigidityCertificate(True, how, d, rng.seed, note)
+
+
+# ---------------------------------------------------------------------------
 # Reference implementations the library used before it read every G - e off
 # one stress space per realization: one full global rigidity test per
-# deleted edge, each on its own realizations.
+# deleted edge, each on its own realizations, by ``test``
+# (``is_globally_rigid`` or ``stress_certificate``).
 
 
-def minimally_globally_rigid_per_edge(g: Graph, d: int, rng: Rng, method: str = "auto") -> bool:
+def minimally_globally_rigid_per_edge(g: Graph, d: int, rng: Rng,
+                                      test=is_globally_rigid) -> bool:
     """Globally rigid, and no G - e is, one test per graph."""
-    if not is_globally_rigid(g, d, rng.child(0), method=method):
+    if not test(g, d, rng.child(0)):
         return False
-    return not any(is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
-                   for i, e in enumerate(g.edges))
+    return not any(test(g.delete_edge(e), d, rng.child(1 + i)) for i, e in enumerate(g.edges))
 
 
-def redundantly_globally_rigid_per_edge(g: Graph, d: int, rng: Rng, method: str = "auto") -> bool:
+def redundantly_globally_rigid_per_edge(g: Graph, d: int, rng: Rng,
+                                        test=is_globally_rigid) -> bool:
     """Globally rigid, and so is every G - e, one test per graph."""
-    if not is_globally_rigid(g, d, rng.child(0), method=method):
+    if not test(g, d, rng.child(0)):
         return False
-    return all(is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
-               for i, e in enumerate(g.edges))
+    return all(test(g.delete_edge(e), d, rng.child(1 + i)) for i, e in enumerate(g.edges))
+
+
+def main_theorem_check(graphs, d: int, rng: Rng):
+    """The paper's main theorem on ``graphs`` in dimension d. Each graph on
+    at least d + 2 vertices that ``is_minimally_globally_rigid`` accepts
+    (graph i on ``rng.child(i).child(0)``) must have at most (d+1)n -
+    C(d+2, 2) edges, reach that bound only as K_{d+2}, and on n >= d + 3
+    vertices not be rigid in dimension d + 1 (``is_rigid`` on
+    ``rng.child(i).child(1)``). Returns the accepted graphs, those of them
+    at the bound, and those that break a clause."""
+    accepted, at_bound, broken = [], [], []
+    for i, g in enumerate(graphs):
+        sub = rng.child(i)
+        if g.n < d + 2 or not is_minimally_globally_rigid(g, d, sub.child(0)):
+            continue
+        accepted.append(g)
+        bound = minimally_globally_rigid_edge_bound(g.n, d)
+        if g.m == bound:
+            at_bound.append(g)
+        small_complete = g.n == d + 2 and g.is_complete()
+        if g.m > bound or (g.m == bound and not small_complete) or \
+                (g.n >= d + 3 and is_rigid(g, d + 1, sub.child(1))):
+            broken.append(g)
+    return accepted, at_bound, broken
 
 
 def greedy_pass_per_edge(h: Graph, d: int, rng: Rng) -> Graph:
@@ -1237,17 +1290,18 @@ def _cocircuit_deletions(g: Graph, minimal: bool, trials) -> tuple[bool, bool]:
     return proved, proved and (minimal or not open_edges)
 
 
-def edge_deletions_by_route(g: Graph, d: int, rng: Rng, method: str, minimal: bool,
+def edge_deletions_by_route(g: Graph, d: int, rng: Rng, how: str, minimal: bool,
                             trials) -> tuple[bool, bool]:
-    """``global_rigidity._edge_deletions`` with a loop per route: the stress
-    loop, the cocircuit loop, and per-graph tests on the other routes."""
-    how = _route(g, d, method)
+    """``global_rigidity._edge_deletions`` on route ``how`` with a loop per
+    route: the stress loop, the cocircuit loop, and per-graph tests
+    (``is_globally_rigid``, whose route G - e shares) on the other
+    routes."""
     if how == "combinatorial-2d":
         return _cocircuit_deletions(g, minimal, trials)
     if how != "stress":
-        if not is_globally_rigid(g, d, rng.child(0), method=method):
+        if not is_globally_rigid(g, d, rng.child(0)):
             return False, False
-        verdicts = (is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i), method=method)
+        verdicts = (is_globally_rigid(g.delete_edge(e), d, rng.child(1 + i))
                     for i, e in enumerate(g.edges))
         return True, (not any(verdicts) if minimal else all(verdicts))
     proved = False
@@ -1287,20 +1341,21 @@ def series_free_by_parallel_columns(g: Graph, rng: Rng) -> set[int] | None:
     return None
 
 
-def planar_route_mismatches(graphs, rng: Rng, method: str = "auto") -> list[Graph]:
+def planar_route_mismatches(graphs, rng: Rng) -> list[Graph]:
     """The graphs on which the exact planar route and the trial route
-    differ, graph i on ``rng.child(i)``: in the three verdicts at d = 2 on
-    ``method`` (global, minimal and redundant global rigidity, against
+    differ, graph i on ``rng.child(i)``: in the three verdicts at d = 2
+    (global, minimal and redundant global rigidity, against
     ``edge_deletions_by_route``), or in the edges in no 2-element cocircuit
     (``_series_free`` against ``series_free_by_parallel_columns``)."""
     mismatches = []
     for i, g in enumerate(graphs):
         sub = rng.child(i)
-        got = (bool(is_globally_rigid(g, 2, sub, method)),
-               is_minimally_globally_rigid(g, 2, sub, method),
-               is_redundantly_globally_rigid(g, 2, sub, method))
-        proved, minimal = edge_deletions_by_route(g, 2, sub, method, True, _trials(g, 2, sub))
-        _, redundant = edge_deletions_by_route(g, 2, sub, method, False, _trials(g, 2, sub))
+        how = _route(g, 2)
+        got = (bool(is_globally_rigid(g, 2, sub)),
+               is_minimally_globally_rigid(g, 2, sub),
+               is_redundantly_globally_rigid(g, 2, sub))
+        proved, minimal = edge_deletions_by_route(g, 2, sub, how, True, _trials(g, 2, sub))
+        _, redundant = edge_deletions_by_route(g, 2, sub, how, False, _trials(g, 2, sub))
         if got != (proved, minimal, redundant) or \
                 _series_free(g) != series_free_by_parallel_columns(g, sub):
             mismatches.append(g)

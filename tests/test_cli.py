@@ -148,18 +148,26 @@ class TestAnalyze:
         assert r["globally_rigid_method"] == "combinatorial-2d"
         assert tested.count(g) == 1
 
-    @pytest.mark.parametrize("method, factored", [("auto", 0), ("stress", 1)])
-    def test_2d_factors_only_on_the_stress_route(self, capsys, tmp_path, factorizations,
-                                                 method, factored):
-        # the matroid report plays the pebble game and the default global
-        # verdicts take the planar route: neither reads a trial
+    def test_2d_factors_nothing(self, capsys, tmp_path, factorizations):
+        # the matroid report plays the pebble game and the global verdicts
+        # take the planar route: neither reads a trial
         g = wheel(6)
         path = write_graph(tmp_path, g)
-        code, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "2",
-                               "--method", method)
+        code, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", "2")
         r = json.loads(out)["results"]
         assert code == 0 and r["globally_rigid"] is True and r["minimally_globally_rigid"] is True
-        assert factorizations == [g] * factored
+        assert factorizations == []
+
+    @pytest.mark.parametrize("d, route", [(1, "combinatorial-1d"), (2, "combinatorial-2d"),
+                                          (3, "stress")])
+    def test_the_report_names_the_route_once(self, capsys, tmp_path, d, route):
+        # the route follows from n and d, so the report has no top-level
+        # "method" beside the route it names in its results
+        path = write_graph(tmp_path, complete(6))
+        code, out, _ = run_cli(capsys, "analyze", "--in", path, "--dim", str(d))
+        report = json.loads(out)
+        assert code == 0 and "method" not in report
+        assert report["results"]["globally_rigid_method"] == route
 
     def test_bad_dim_exits_3(self, capsys, tmp_path):
         path = write_graph(tmp_path, complete(4))
@@ -321,6 +329,8 @@ EXIT_ROWS = {
                      "No such file"),
     "argparse": (["explore", "--conjecture", "p-equals-np", "--dim", "1", "--max-n", "4"],
                  None, 3, "invalid choice"),
+    "no-method-flag": (["analyze", "--dim", "2", "--method", "stress"],
+                       complete(4).serialize(), 3, "unrecognized arguments: --method stress"),
     "no-command": ([], None, 3, "required"),
     "dim-range": (["analyze", "--dim", "9"], complete(4).serialize(), 3, "--dim must lie"),
     "max-n-range": (["explore", "--conjecture", "bridge", "--dim", "1", "--max-n", "10"],

@@ -82,7 +82,9 @@ from oracles import (
     span_with_pair_columns,
     sparsify_three_realizations,
     stress_basis_per_edge,
+    stress_certificate,
     stress_matrix_by_definition,
+    stress_route,
 )
 
 
@@ -377,50 +379,51 @@ class TestAgainstEdgeByEdge:
     @settings(max_examples=25)
     @given(data=st.data())
     def test_deletion_families_match_the_per_edge_oracles(self, d, data):
+        # on the stress route at every d (dense graphs have n >= d + 2)
         g = data.draw(dense_graphs(d))
         rng = Rng(data.draw(st.integers(0, 2**32)))
-        assert is_minimally_globally_rigid(g, d, rng.child(0), method="stress") == \
-            minimally_globally_rigid_per_edge(g, d, rng.child(0), method="stress")
-        assert is_redundantly_globally_rigid(g, d, rng.child(1), method="stress") == \
-            redundantly_globally_rigid_per_edge(g, d, rng.child(1), method="stress")
-        if is_globally_rigid(g, d, rng.child(2), method="stress"):
+        assert _edge_deletions(g, d, "stress", True, _trials(g, d, rng.child(0)))[1] == \
+            minimally_globally_rigid_per_edge(g, d, rng.child(0), stress_certificate)
+        assert _edge_deletions(g, d, "stress", False, _trials(g, d, rng.child(1)))[1] == \
+            redundantly_globally_rigid_per_edge(g, d, rng.child(1), stress_certificate)
+        if stress_certificate(g, d, rng.child(2)):
             _, real, _, stresses, sub = next(_proofs(g, d, _trials(g, d, rng.child(3))))
             dropped = _greedy_pass(g, real, stresses.values(), (), range(g.m), sub.child(2))
             pruned = Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in dropped))
             assert pruned == greedy_pass_per_edge(g, d, rng.child(3))
-            assert is_minimally_globally_rigid(pruned, d, rng.child(4), method="stress")
-            assert minimally_globally_rigid_per_edge(pruned, d, rng.child(4), method="stress")
+            assert _edge_deletions(pruned, d, "stress", True, _trials(pruned, d, rng.child(4)))[1]
+            assert minimally_globally_rigid_per_edge(pruned, d, rng.child(4), stress_certificate)
 
-    @pytest.mark.parametrize("method", ["auto", "combinatorial"])
     @settings(max_examples=100)
     @given(data=st.data())
-    def test_planar_deletion_families_match_the_per_edge_oracles(self, method, data):
+    def test_planar_deletion_families_match_the_per_edge_oracles(self, data):
         # the cocircuit route against one combinatorial test per G - e
         g = data.draw(planar_deletion_graphs())
         rng = Rng(data.draw(st.integers(0, 2**32)))
-        assert is_minimally_globally_rigid(g, 2, rng.child(0), method=method) == \
-            minimally_globally_rigid_per_edge(g, 2, rng.child(0), method=method)
-        assert is_redundantly_globally_rigid(g, 2, rng.child(1), method=method) == \
-            redundantly_globally_rigid_per_edge(g, 2, rng.child(1), method=method)
+        assert is_minimally_globally_rigid(g, 2, rng.child(0)) == \
+            minimally_globally_rigid_per_edge(g, 2, rng.child(0))
+        assert is_redundantly_globally_rigid(g, 2, rng.child(1)) == \
+            redundantly_globally_rigid_per_edge(g, 2, rng.child(1))
 
-    @pytest.mark.parametrize("d, method", [
-        (1, "auto"), (1, "stress"), (1, "combinatorial"),
-        (2, "auto"), (2, "stress"), (2, "combinatorial"),
-        (3, "auto"), (3, "stress"),
-    ])
+    @pytest.mark.parametrize("d, certificate", [
+        (1, is_globally_rigid), (1, stress_certificate),
+        (2, is_globally_rigid), (2, stress_certificate),
+        (3, is_globally_rigid),
+    ], ids=lambda x: getattr(x, "__name__", None))
     @settings(max_examples=20)
     @given(data=st.data())
-    def test_one_proof_loop_matches_the_separate_tests(self, d, method, data):
+    def test_one_proof_loop_matches_the_separate_tests(self, d, certificate, data):
         # G's verdict comes from the trials the family verdict runs on, and
         # those are the trials the stress test found before
         g = data.draw(dense_graphs(d))
         rng = Rng(data.draw(st.integers(0, 2**32)))
-        rigid = bool(is_globally_rigid(g, d, rng, method=method))
-        how = _route(g, d, method)
-        assert _edge_deletions(g, d, how, True, _trials(g, d, rng)) == \
-            (rigid, is_minimally_globally_rigid(g, d, rng, method=method))
-        assert _edge_deletions(g, d, how, False, _trials(g, d, rng)) == \
-            (rigid, is_redundantly_globally_rigid(g, d, rng, method=method))
+        cert = certificate(g, d, rng)
+        verdicts = [_edge_deletions(g, d, cert.method, minimal, _trials(g, d, rng))
+                    for minimal in (True, False)]
+        assert [proved for proved, _ in verdicts] == [bool(cert)] * 2
+        if certificate is is_globally_rigid:
+            assert [family for _, family in verdicts] == \
+                [is_minimally_globally_rigid(g, d, rng), is_redundantly_globally_rigid(g, d, rng)]
         got = next(_proofs(g, d, _trials(g, d, rng)), None)
         expect = first_proof_by_stress_spaces(g, d, rng)
         assert (got is None) == (expect is None)
@@ -531,19 +534,17 @@ class TestSeriesFree:
     def test_matches_the_rank_drops(self, g):
         self.assert_matches_the_rank_drops(g)
 
-    @pytest.mark.parametrize("method", ["auto", "combinatorial"])
     def test_verdicts_match_the_trial_route_on_every_class_up_to_seven_vertices(
-            self, method, graphs_by_n):
+            self, graphs_by_n):
         graphs = [g for n in range(1, 8) for g in graphs_by_n[n]]
         assert len(graphs) == 1252
-        assert planar_route_mismatches(graphs, Rng(7), method) == []
+        assert planar_route_mismatches(graphs, Rng(7)) == []
 
-    @pytest.mark.parametrize("method", ["auto", "combinatorial"])
     @given(data=st.data())
-    def test_verdicts_match_the_trial_route(self, method, data):
+    def test_verdicts_match_the_trial_route(self, data):
         g = data.draw(st.one_of(planar_graphs_to_twelve(), planar_deletion_graphs()))
         rng = Rng(data.draw(st.integers(0, 2**32)))
-        assert planar_route_mismatches([g], rng, method) == []
+        assert planar_route_mismatches([g], rng) == []
 
     @pytest.mark.parametrize("g", [complete(6), wheel(6), k4_and_k5_on_an_edge(),
                                    complete_bipartite(3, 3)],
@@ -559,14 +560,12 @@ class TestOneDeletionLoop:
     """One deletion loop on every route, against a loop per route; at
     d = 2 the planar route against the trial route it replaced."""
 
-    @pytest.mark.parametrize("d, method", [
-        (1, "auto"), (1, "stress"), (1, "combinatorial"),
-        (2, "auto"), (2, "stress"), (2, "combinatorial"),
-        (3, "auto"), (3, "stress"),
-    ])
+    @pytest.mark.parametrize("d, route", [
+        (1, _route), (1, stress_route), (2, _route), (2, stress_route), (3, _route),
+    ], ids=lambda x: getattr(x, "__name__", None))
     @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_matches_the_loop_per_route(self, d, method, data, factorizations, flows,
+    def test_matches_the_loop_per_route(self, d, route, data, factorizations, flows,
                                         monkeypatch):
         # the same verdicts from the same trials, with the same
         # factorizations, flows and stress-test draws; the planar route
@@ -584,15 +583,16 @@ class TestOneDeletionLoop:
         g = data.draw(st.one_of(planar_deletion_graphs() if d == 2 else dense_graphs(d),
                                 tiny_graphs(d)))
         rng = Rng(data.draw(st.integers(0, 2**32)))
+        how = route(g, d)
         for minimal in (True, False):
             for log in (factorizations, flows, draws):
                 log.clear()
-            got = _edge_deletions(g, d, _route(g, d, method), minimal, _trials(g, d, rng))
+            got = _edge_deletions(g, d, how, minimal, _trials(g, d, rng))
             work = (len(factorizations), len(flows), list(draws))
             for log in (factorizations, flows, draws):
                 log.clear()
-            assert got == edge_deletions_by_route(g, d, rng, method, minimal, _trials(g, d, rng))
-            if _route(g, d, method) == "combinatorial-2d":
+            assert got == edge_deletions_by_route(g, d, rng, how, minimal, _trials(g, d, rng))
+            if how == "combinatorial-2d":
                 assert work[0] == 0 and work[1] <= len(flows) and work[2] == draws == []
             else:
                 assert work == (len(factorizations), len(flows), draws)
@@ -634,7 +634,7 @@ class TestOneDeletionLoop:
         # trial 1 decides; with trial 1 collapsed too, trial 2. The planar
         # route reads no trial.
         g = complete(6)
-        cert = is_globally_rigid(g, 2, DegenerateRng(5, bad), method="stress")
+        cert = stress_certificate(g, 2, DegenerateRng(5, bad))
         assert cert and cert.note == f"stress matrix reached rank 3 in trial {decides}"
         assert factorizations == [g] * (decides + 1)
         factorizations.clear()
@@ -764,7 +764,7 @@ class TestBlockStressTest:
     def test_the_stress_test_eliminates_a_frame_and_a_block(self, eliminations):
         # one factorization of R(K6, p)^T (18 x 15), the 4 x 6 frame matrix
         # and the 2 x 2 block, where the full stress matrix was 6 x 6
-        assert is_globally_rigid(complete(6), 3, Rng(7), method="stress")
+        assert is_globally_rigid(complete(6), 3, Rng(7))
         assert eliminations == [(18, 15), (4, 6), (2, 2)]
 
 
@@ -819,7 +819,7 @@ class TestOneFactorizationPerTrial:
         # testing each G - e on its own factors each of them. The planar
         # route factors nothing.
         g = complete(6)
-        assert is_redundantly_globally_rigid(g, 2, Rng(5), method="stress")
+        assert _edge_deletions(g, 2, "stress", False, _trials(g, 2, Rng(5)))[1]
         assert 1 <= len(factorizations) <= rigidity.TRIALS
         assert all(f == g for f in factorizations)
         factorizations.clear()
@@ -832,7 +832,7 @@ class TestOneFactorizationPerTrial:
         # vertex of degree 3, so no G - e is 3-connected, and nothing is
         # factored
         g = wheel(6)
-        assert is_minimally_globally_rigid(g, 2, Rng(5), method="stress")
+        assert _edge_deletions(g, 2, "stress", True, _trials(g, 2, Rng(5)))[1]
         assert factorizations == [g]
         factorizations.clear()
         assert is_minimally_globally_rigid(g, 2, Rng(5))
@@ -896,7 +896,7 @@ class TestDegenerateRealizations:
     def test_stress_test_without_a_rigid_trial_says_not_rigid(self, factorizations):
         # a wrong "no" is the documented direction of the stress test
         rng = DegenerateRng(5, [(0, 0), (1, 0), (2, 0)])
-        assert not is_globally_rigid(complete(6), 3, rng, method="stress")
+        assert not is_globally_rigid(complete(6), 3, rng)
         assert len(factorizations) == rigidity.TRIALS
 
     def test_minimality_skips_a_collapsed_shared_trial(self, factorizations):
@@ -911,7 +911,7 @@ class TestDegenerateRealizations:
     def test_redundancy_in_2d_skips_a_collapsed_trial(self, factorizations):
         g = complete(6)
         rng = DegenerateRng(5, [(0, 0)])
-        assert is_redundantly_globally_rigid(g, 2, rng, method="stress")
+        assert _edge_deletions(g, 2, "stress", False, _trials(g, 2, rng))[1]
         assert factorizations == [g, g]
         factorizations.clear()
         assert is_redundantly_globally_rigid(g, 2, rng)
@@ -930,9 +930,8 @@ class TestDegenerateRealizations:
         assert len(pivots) == 7 and _planar_proof(stresses.values()) is None
         assert 2 in real.frame
         factorizations.clear()
-        assert is_globally_rigid(g, 2, rng, method="stress").note == \
-            "stress matrix reached rank 2 in trial 0"
-        assert is_redundantly_globally_rigid(g, 2, rng, method="stress")
+        assert stress_certificate(g, 2, rng).note == "stress matrix reached rank 2 in trial 0"
+        assert _edge_deletions(g, 2, "stress", False, _trials(g, 2, rng))[1]
         assert factorizations == [g, g, g]
         factorizations.clear()
         assert is_redundantly_globally_rigid(g, 2, rng)

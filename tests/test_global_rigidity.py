@@ -30,7 +30,8 @@ from rigidkit import (
 from rigidkit.field import PRIME, FieldMatrix, Rng, rank
 from rigidkit.rigidity import Realization
 from rigidkit.corpus import random_graph
-from rigidkit.global_rigidity import Stress
+from rigidkit.global_rigidity import Stress, _route
+from oracles import main_theorem_check, stress_certificate
 
 
 class TestStressBasis:
@@ -117,7 +118,7 @@ class TestGloballyRigid:
         assert cert and cert.method == "combinatorial-2d"
 
     def test_k34_d2_stress_path(self):
-        cert = is_globally_rigid(complete_bipartite(3, 4), 2, method="stress")
+        cert = stress_certificate(complete_bipartite(3, 4), 2)
         assert cert and cert.method == "stress"
 
     def test_braced_icosahedron_d3(self):
@@ -140,46 +141,46 @@ class TestGloballyRigid:
         for i in range(30):
             g = random_graph(4 + i % 5, 0.6, rng.child(i))
             for d in (1, 2):
-                s = is_globally_rigid(g, d, rng.child(100 + i), method="stress")
-                c = is_globally_rigid(g, d, rng.child(200 + i), method="combinatorial")
+                s = stress_certificate(g, d, rng.child(100 + i))
+                c = is_globally_rigid(g, d, rng.child(200 + i))
                 assert bool(s) == bool(c), (g, d)
 
-    @pytest.mark.parametrize("g, d, method, verdict, route, note", [
-        (complete(3), 2, "auto", True, "complete-small", ""),
-        (path(3), 2, "auto", False, "complete-small", ""),
-        (cycle(5), 1, "auto", True, "combinatorial-1d", ""),
-        (path(4), 1, "combinatorial", False, "combinatorial-1d", "not 2-connected"),
-        (complete_bipartite(3, 4), 2, "auto", True, "combinatorial-2d", ""),
-        (cycle(4), 2, "auto", False, "combinatorial-2d", "not 3-connected"),
+    @pytest.mark.parametrize("g, d, query, verdict, route, note", [
+        (complete(3), 2, is_globally_rigid, True, "complete-small", ""),
+        (path(3), 2, is_globally_rigid, False, "complete-small", ""),
+        (cycle(5), 1, is_globally_rigid, True, "combinatorial-1d", ""),
+        (path(4), 1, is_globally_rigid, False, "combinatorial-1d", "not 2-connected"),
+        (complete_bipartite(3, 4), 2, is_globally_rigid, True, "combinatorial-2d", ""),
+        (cycle(4), 2, is_globally_rigid, False, "combinatorial-2d", "not 3-connected"),
         # 3-connected but minimally rigid
-        (complete_bipartite(3, 3), 2, "combinatorial", False, "combinatorial-2d",
+        (complete_bipartite(3, 3), 2, is_globally_rigid, False, "combinatorial-2d",
          "not redundantly rigid"),
-        (icosahedron_braced(), 3, "auto", True, "stress",
+        (icosahedron_braced(), 3, is_globally_rigid, True, "stress",
          "stress matrix reached rank 8 in trial 0"),
-        (complete(4), 1, "stress", True, "stress", "stress matrix reached rank 2 in trial 0"),
+        (complete(4), 1, stress_certificate, True, "stress",
+         "stress matrix reached rank 2 in trial 0"),
         # short of the rigid rank in every trial
-        (cycle(5), 2, "stress", False, "stress", "no stress matrix of rank 2 in 3 trials"),
+        (cycle(5), 2, stress_certificate, False, "stress",
+         "no stress matrix of rank 2 in 3 trials"),
         # at the rigid rank but stress-free
-        (complete_bipartite(3, 3), 2, "stress", False, "stress",
+        (complete_bipartite(3, 3), 2, stress_certificate, False, "stress",
          "no stress matrix of rank 3 in 3 trials"),
-    ], ids=lambda x: x if isinstance(x, str) else None)
-    def test_certificate_per_route(self, g, d, method, verdict, route, note):
-        # the whole certificate, on a success and on a failure of each route
-        cert = is_globally_rigid(g, d, Rng(7), method=method)
+    ], ids=lambda x: x if isinstance(x, str) else getattr(x, "__name__", None))
+    def test_certificate_per_route(self, g, d, query, verdict, route, note):
+        # the whole certificate, on a success and on a failure of each route;
+        # the stress route at d <= 2 is the tests' reference
+        cert = query(g, d, Rng(7))
         assert (cert.globally_rigid, cert.method, cert.dimension, cert.seed, cert.note) == \
             (verdict, route, d, 7, note)
 
-    @pytest.mark.parametrize("query", [
-        is_globally_rigid, is_minimally_globally_rigid, is_redundantly_globally_rigid,
-    ], ids=lambda f: f.__name__)
-    def test_unknown_method_outranks_a_bad_dimension(self, query):
-        # the method is validated before the trials check the dimension
-        with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            query(complete(4), 0, Rng(7), method="bogus")
-
-    def test_combinatorial_rejected_for_d3(self):
-        with pytest.raises(ValueError):
-            is_globally_rigid(complete(6), 3, method="combinatorial")
+    @pytest.mark.parametrize("g, d, route", [
+        (complete(4), 3, "complete-small"), (Graph(4), 3, "complete-small"),
+        (complete(5), 1, "combinatorial-1d"), (complete(5), 2, "combinatorial-2d"),
+        (complete(5), 3, "stress"), (Graph(9), 6, "stress"),
+    ], ids=lambda x: x if isinstance(x, str) else None)
+    def test_the_route_follows_n_and_d(self, g, d, route):
+        assert _route(g, d) == route
+        assert is_globally_rigid(g, d, Rng(7)).method == route
 
     def test_hendrickson_necessity_spot(self):
         rng = Rng(91)
@@ -257,6 +258,17 @@ class TestMinimallyGloballyRigid:
         assert minimally_globally_rigid_edge_bound(4, 2) == 6
         assert minimally_globally_rigid_edge_bound(12, 3) == 38
         assert minimally_globally_rigid_edge_bound(7, 2) == 15
+
+    @pytest.mark.parametrize("d, accepted", [(1, 13), (2, 18), (3, 8)])
+    def test_main_theorem_on_every_class_up_to_seven_vertices(self, d, accepted, graphs_by_n):
+        # every minimally globally rigid class on d + 2 <= n <= 7 vertices
+        # has at most (d+1)n - C(d+2, 2) edges, as many only as K_{d+2},
+        # and is not rigid in dimension d + 1 once n >= d + 3; the seed
+        # pins the stress route's draws at d = 3 and the rigidity test's at
+        # d + 1 >= 3
+        graphs = [g for n in range(d + 2, 8) for g in graphs_by_n[n]]
+        got, at_bound, broken = main_theorem_check(graphs, d, Rng(d))
+        assert (len(got), at_bound, broken) == (accepted, [complete(d + 2)], [])
 
 
 class TestSubsetRankReduce:

@@ -72,6 +72,14 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             Graph(2, ((0, 2),))
 
+    @pytest.mark.parametrize("build", [lambda: Graph(2, [(True, False)]), lambda: Graph(True)],
+                             ids=["bool endpoints", "bool vertex count"])
+    def test_rejects_bools(self, build):
+        # a bool passes isinstance(x, int), but it serializes as "True" or
+        # "False", which parse_edge_list cannot read back
+        with pytest.raises(GraphError, match="must be (an int|ints)"):
+            build()
+
     def test_delete_vertex_relabels(self):
         g = path(4).delete_vertex(1)
         assert g.n == 3 and g.edges == ((1, 2),)
@@ -130,6 +138,18 @@ class TestParse:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = Graph(n, tuple(p for b, p in enumerate(pairs) if mask >> b & 1))
         assert parse_edge_list(g.serialize()) == g
+
+    @given(st.integers(0, 4) | st.booleans(),
+           st.lists(st.tuples(st.integers(0, 3) | st.booleans(),
+                              st.integers(0, 3) | st.booleans()), max_size=6))
+    def test_every_accepted_graph_round_trips(self, n, edges):
+        # whatever the constructor accepts, labels included, reads back
+        try:
+            g = Graph(n, edges)
+        except GraphError:
+            return
+        text = g.serialize()
+        assert parse_edge_list(text) == g and parse_edge_list(text).serialize() == text
 
     @pytest.mark.parametrize("text,line", [
         ("", 1),
