@@ -26,18 +26,6 @@ from .field import Rng
 from .graph import Graph
 
 
-def _pair_order(n: int) -> list[tuple[int, int]]:
-    # column-major: (0,1), (0,2), (1,2), (0,3), ... so that placing vertex j
-    # fixes the next j bits of the mask; this gives the prefix property the
-    # canonical-form search prunes on.
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
-def _mask_to_graph(n: int, mask: int) -> Graph:
-    pairs = _pair_order(n)
-    return Graph(n, tuple(p for b, p in enumerate(pairs) if mask >> b & 1))
-
-
 def _refine_colors(nbrs) -> list[int]:
     """Stable 1-dimensional color refinement of the graph with neighbour
     lists ``nbrs``; colors are dense ranks.
@@ -322,11 +310,14 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
 
 
 def all_graphs(n: int):
-    """Every labeled graph on n vertices, ascending by edge mask."""
+    """Every labeled graph on n vertices, ascending by edge mask. Bit
+    j(j-1)/2 + i of the mask is the pair (i, j), i < j, so the mask's bits
+    are the chunks of ``_chunks_to_graph`` in turn: chunk j, vertex j's
+    bits to the vertices before it, is the next j bits."""
     if n < 1:
         raise ValueError("n must be >= 1")
     for mask in range(1 << (n * (n - 1) // 2)):
-        yield _mask_to_graph(n, mask)
+        yield _chunks_to_graph(n, tuple(mask >> j * (j - 1) // 2 & (1 << j) - 1 for j in range(n)))
 
 
 def random_graph(n: int, edge_prob: float, rng: Rng) -> Graph:

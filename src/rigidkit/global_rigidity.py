@@ -20,11 +20,15 @@ R(G,p)^T each), filtered by ``_proofs``. A trial proves G with one random
 stress of G at p, tested on the (n - d - 1)-square principal block of its
 stress matrix that the affine frame of p leaves (``_certifies``), never on
 the whole n x n matrix. At p the stresses of G - e are the stresses of G
-that vanish on e, so every G - e is read off the factorization of G; the
-sparsifier reads the same proofs, and both of its greedy passes read every
-deletion off that stress space. The 2D route draws nothing: pebble games
-find the 2-element cocircuits of a redundantly rigid G exactly
-(``_series_free``), and G - e is redundantly rigid unless e lies in one.
+that vanish on e, so every G - e is read off the factorization of G; at
+d >= 3 the sparsifier reads the same proofs, and both of its greedy passes
+read every deletion off that stress space. The 1D and 2D routes draw
+nothing: pebble games find the 2-element cocircuits of a redundantly rigid
+G exactly (``_series_free``), and G - e is redundantly rigid unless e lies
+in one. Their test of every G - e (``_exact_deletions``) also drives the
+sparsifier at d <= 2, which covers G by fundamental circuits from one
+pebble game and deletes edges while that exact test allows, so every
+answer at d <= 2 is exact.
 """
 
 from __future__ import annotations
@@ -257,10 +261,8 @@ def _tests(g: Graph, d: int, how: str, trials):
     ``trials`` (``_trials`` of G), and only there is a test ever open.
 
     - complete-small: one proof when G is complete; no G - e is complete.
-    - combinatorial-1d: one proof when G is 2-connected; G - e is tested by
-      its own 2-connectivity.
-    - combinatorial-2d: one proof when G is 3-connected and redundantly
-      rigid (``_series_free``); G - e is tested by ``_planar_deletions``.
+    - combinatorial-1d and -2d: one proof when G is (d + 1)-connected and
+      ``_exact_deletions`` finds it globally rigid, with that test of G - e.
     - stress: the trials of ``_proofs``, whose random stress reaches rank
       n - d - 1, each G - e tested by ``_stress_deletion``.
 
@@ -269,24 +271,35 @@ def _tests(g: Graph, d: int, how: str, trials):
     if how == "complete-small":
         if g.is_complete():
             yield "", lambda j: False
-    elif how == "combinatorial-1d":
-        if not is_k_connected(g, 2):
-            return "not 2-connected"
-        yield "", lambda j: is_k_connected(g.delete_edge(g.edges[j]), 2)
-    elif how == "combinatorial-2d":
-        if not is_k_connected(g, 3):
-            return "not 3-connected"
-        free = _series_free(g)
-        if free is None:
-            return "not redundantly rigid"
-        yield "", _planar_deletions(g, free)
-    else:
+    elif how == "stress":
         target = g.n - d - 1
         for t, real, _, stresses, sub in _proofs(g, d, trials):
             yield (f"stress matrix reached rank {target} in trial {t}",
                    partial(_stress_deletion, g, real, list(stresses.values()), sub))
         return f"no stress matrix of rank {target} in {TRIALS} trials"
+    else:
+        if not is_k_connected(g, d + 1):
+            return f"not {d + 1}-connected"
+        deleted = _exact_deletions(g, d)
+        if deleted is None:
+            return "not redundantly rigid"
+        yield "", deleted
     return ""
+
+
+def _exact_deletions(g: Graph, d: int):
+    """For a (d + 1)-connected G on n >= d + 2 vertices at d <= 2: None
+    when G is not globally rigid in dimension d, that is, at d = 2, not
+    redundantly rigid; else the exact test ``deleted(j)``, whether G - e_j
+    is globally rigid. At d = 1 that is G - e's own 2-connectivity, at
+    d = 2 ``_planar_deletions`` on the edges ``_series_free`` finds. A
+    deletion the test accepts leaves a G - e that meets this premise, so the
+    sparsifier builds the next test on it directly.
+    """
+    if d == 1:
+        return lambda j: is_k_connected(g.delete_edge(g.edges[j]), 2)
+    free = _series_free(g)
+    return None if free is None else _planar_deletions(g, free)
 
 
 def is_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> GlobalRigidityCertificate:
@@ -522,9 +535,11 @@ class SparsifyResult:
     """Output of the globally rigid sparsifier.
 
     ``graph`` is the final minimally globally rigid spanning subgraph;
-    ``extra_edges`` are the non-basis edges kept by the first greedy pass,
-    before the minimization pass. The log records per-stage counts;
-    ``log["retries"]`` counts the trials skipped before the certifying one.
+    ``extra_edges`` are its edges outside the input's basis B: at d <= 2
+    every edge of ``graph`` outside B, at d >= 3 the non-basis edges that
+    the first greedy pass kept, before the minimization pass. The log
+    records per-stage counts; ``log["retries"]`` counts the trials skipped
+    before the certifying one, always 0 at d <= 2, which draws no trial.
     """
 
     extra_edges: tuple[tuple[int, int], ...]
@@ -539,7 +554,7 @@ def minimally_globally_rigid_edge_bound(n: int, d: int) -> int:
     return (d + 1) * n - (d + 2) * (d + 1) // 2
 
 
-def _greedy_pass(g: Graph, real: Realization, stresses, gone, order, rng: Rng):
+def _greedy_pass(g: Graph, real: Realization, stresses, gone, order, rng: Rng) -> list[int]:
     """Drop the edge indices in ``order`` from H = G minus the edge indices
     in ``gone`` while H stays globally rigid at ``real``; return the drops.
 
@@ -547,22 +562,8 @@ def _greedy_pass(g: Graph, real: Realization, stresses, gone, order, rng: Rng):
     span its stresses there. Each candidate j gets one draw on the stresses
     of the current graph that vanish on j (``_without``), which an accepted
     deletion keeps. The pass draws no realization and factors nothing.
-
-    At d = 1 each candidate is tested by 2-connectivity instead: that check
-    is linear time, where a draw costs an n x n rank. Returns None when H
-    is not 2-connected, which a certificate at a generic ``real`` rules out.
     """
     dropped = []
-    if real.d == 1:
-        h = Graph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in gone))
-        if not is_k_connected(h, 2):
-            return None
-        for j in order:
-            candidate = h.delete_edge(g.edges[j])
-            if is_k_connected(candidate, 2):
-                h = candidate
-                dropped.append(j)
-        return dropped
     for j in order:
         rest = _without(stresses, j)
         if rest and _certifies(g, real, rest, rng.child(j), {*gone, *dropped, j}):
@@ -571,56 +572,108 @@ def _greedy_pass(g: Graph, real: Realization, stresses, gone, order, rng: Rng):
     return dropped
 
 
+def _sparsify_by_stresses(g: Graph, d: int, trials):
+    """The stress route of ``sparsify_globally_rigid`` (d >= 3), on
+    ``trials`` (``_trials`` of G). Returns the basis size, the extra edges,
+    the result, the deletions of the minimization pass and the trials
+    skipped before the one that proved G."""
+    for t, real, pivots, stresses, sub in _proofs(g, d, trials):
+        free = list(stresses) if len(stresses) > g.n - d - 1 else []
+        first = _greedy_pass(g, real, stresses.values(), (), free, sub.child(2))
+        chosen = [f for f in stresses if f not in first]
+        live = [j for j in range(g.m) if j not in first]
+        second = _greedy_pass(g, real, [stresses[f] for f in chosen], first, live, sub.child(3))
+        pruned = Graph(g.n, tuple(g.edges[j] for j in live if j not in second))
+        return len(pivots), tuple(g.edges[f] for f in chosen), pruned, len(second), t
+    raise NotGloballyRigidError(f"input is not globally rigid in dimension {d}")
+
+
+def _sparsify_exactly(g: Graph, d: int, how: str):
+    """The combinatorial routes of ``sparsify_globally_rigid`` (d <= 2),
+    exact and draw-free, with the return value of ``_sparsify_by_stresses``
+    and 0 trials skipped.
+
+    G passes the route's test (``_tests``), or its note is the error. One
+    pebble game (``rigidity._pebble``) gives the basis B and the
+    fundamental circuit of every other edge. The cover H is B plus the
+    first circuit through each basis edge, that is every circuit that
+    meets a basis edge no earlier kept one meets. A globally rigid G has no
+    bridge, so every basis edge lies on some circuit, and H is rigid and
+    bridgeless: redundantly rigid at d = 2, 2-edge-connected at d = 1.
+    When H passes the route's test too, so is (d + 1)-connected, it
+    replaces G. Each edge of H, in canonical order, is then deleted when
+    the route's exact test (``_exact_deletions``) accepts it; the test is
+    rebuilt only after a deletion.
+    """
+    try:
+        _, deleted = next(_tests(g, d, how, ()))
+    except StopIteration as failure:
+        raise NotGloballyRigidError(
+            f"input is not globally rigid in dimension {d}: {failure.value}") from None
+    pivots, own, _ = _pebble(g, d, (), True, range(g.m))
+    first = {j: circuit for circuit in reversed(own) for j in circuit}  # the earliest wins
+    kept = set(pivots).union(*(first[j] for j in pivots))
+    h = Graph(g.n, tuple(g.edges[j] for j in kept))
+    proof = next(_tests(h, d, how, ()), None) if h.m < g.m else None  # H = G: G's test stands
+    h, deleted = (h, proof[1]) if proof else (g, deleted)
+    edges = h.edges
+    for e in edges:
+        if deleted(h.edges.index(e)):
+            h = h.delete_edge(e)
+            deleted = _exact_deletions(h, d)
+    extra_edges = tuple(sorted(h.edge_set - {g.edges[j] for j in pivots}))
+    return len(pivots), extra_edges, h, len(edges) - h.m, 0
+
+
 def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> SparsifyResult:
     """Extract a minimally globally rigid spanning subgraph.
 
-    Each trial of ``_proofs``, the stress route's proofs, factors R(G,p)^T
-    once and proves G globally rigid with one random combination of the
-    stresses read off it. Its pivots are a maximal independent edge set E0,
-    its kernel vectors the fundamental stresses of the other (free) edges,
-    a basis of the stresses of G at p. Two greedy passes (``_greedy_pass``)
-    then run on these stress vectors at the same p. The first drops free
-    edges in column order (a drop removes just that edge's stress, the only
-    one nonzero there); the free edges it keeps are ``extra_edges``. With
-    at most n - d - 1 fundamental stresses G already meets the edge bound,
-    and the first pass keeps them all. The second drops edges in canonical
-    order. Global rigidity is monotone under edge addition, so the result
-    is minimally globally rigid, with at most (d+1)|V| - C(d+2, 2) edges.
+    At d <= 2 (``_sparsify_exactly``) the route of ``is_globally_rigid``
+    decides the input, and the rest is read off one pebble game and the
+    route's exact test of each G - e, with no draw: a rigid and bridgeless
+    cover of G by fundamental circuits, then one greedy pass over its edges
+    in canonical order.
 
-    For d >= 2 each candidate gets one draw, and every accepted deletion is
-    proved by an exact stress of rank n - d - 1; a wrong rejection only
-    keeps an extra edge. For d = 1 the passes test each candidate by
-    2-connectivity, and a trial whose G is not 2-connected is skipped.
+    At d >= 3 each trial of ``_proofs``, the stress route's proofs, factors
+    R(G,p)^T once and proves G globally rigid with one random combination
+    of the stresses read off it. Its pivots are a maximal independent edge
+    set B, its kernel vectors the fundamental stresses of the other (free)
+    edges, a basis of the stresses of G at p. Two greedy passes
+    (``_greedy_pass``) then run on these stress vectors at the same p. The
+    first drops free edges in column order (a drop removes just that edge's
+    stress, the only one nonzero there); the free edges it keeps are
+    ``extra_edges``. With at most n - d - 1 fundamental stresses G already
+    meets the edge bound, and the first pass keeps them all. The second
+    drops edges in canonical order. Each candidate gets one draw, and every
+    accepted deletion is proved by an exact stress of rank n - d - 1; a
+    wrong rejection only keeps an extra edge.
+
+    Global rigidity is monotone under edge addition, so an edge rejected
+    once stays rejected, and the result is minimally globally rigid, with
+    at most (d+1)|V| - C(d+2, 2) edges.
 
     Raises:
         GraphError: when d < 1 or G has fewer than d + 2 vertices.
-        NotGloballyRigidError: when no trial proves G globally rigid. At
-        every d this "no" may be wrong, with negligible probability.
+        NotGloballyRigidError: when G is not globally rigid, with the
+        route's note at d <= 2. At d >= 3 no trial proved G, and this "no"
+        may be wrong, with negligible probability.
     """
     rng = _rng(rng)
     trials = _trials(g, d, rng)
     if g.n < d + 2:
         raise GraphError("sparsifier needs at least d + 2 vertices")
-    for t, real, pivots, stresses, sub in _proofs(g, d, trials):
-        free = list(stresses) if len(stresses) > g.n - d - 1 else []
-        first = _greedy_pass(g, real, stresses.values(), (), free, sub.child(2))
-        if first is None:
-            continue
-        chosen = [f for f in stresses if f not in first]
-        live = [j for j in range(g.m) if j not in first]
-        second = _greedy_pass(g, real, [stresses[f] for f in chosen], first, live, sub.child(3))
-        pruned = Graph(g.n, tuple(g.edges[j] for j in live if j not in second))
-        bound = minimally_globally_rigid_edge_bound(g.n, d)
-        if pruned.m > bound:
-            raise AssertionError("internal error: sparsifier exceeded the edge bound")
-        log = {
-            "basis_size": len(pivots),
-            "generators_before": len(stresses),
-            "generators_after": len(chosen),
-            "minimization_removed": len(second),
-            "edge_bound": bound,
-            "retries": t,
-        }
-        return SparsifyResult(extra_edges=tuple(g.edges[f] for f in chosen), graph=pruned,
-                              log=log, seed=rng.seed)
-    raise NotGloballyRigidError(f"input is not globally rigid in dimension {d}")
+    how = _route(g, d)
+    basis_size, extra_edges, pruned, removed, retries = (
+        _sparsify_by_stresses(g, d, trials) if how == "stress" else _sparsify_exactly(g, d, how))
+    bound = minimally_globally_rigid_edge_bound(g.n, d)
+    if pruned.m > bound:
+        raise AssertionError("internal error: sparsifier exceeded the edge bound")
+    log = {
+        "basis_size": basis_size,
+        "generators_before": g.m - basis_size,
+        "generators_after": len(extra_edges),
+        "minimization_removed": removed,
+        "edge_bound": bound,
+        "retries": retries,
+    }
+    return SparsifyResult(extra_edges=extra_edges, graph=pruned, log=log, seed=rng.seed)

@@ -148,6 +148,8 @@ class CorpusSpec:
             raise ValueError(f"unknown corpus mode {self.mode!r}")
         if self.mode == "exhaustive" and self.max_n < 1:
             raise ValueError("exhaustive corpus needs max_n >= 1")
+        if self.mode == "exhaustive" and self.max_n > 7 and not self.isomorph_reject:
+            raise ValueError("exhaustive corpus without isomorph rejection needs max_n <= 7")
         if self.mode == "random" and (self.count < 1 or self.n < 1):
             raise ValueError("random corpus needs count >= 1 and n >= 1")
         if self.mode == "random" and self.isomorph_reject:

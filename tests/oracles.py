@@ -39,6 +39,7 @@ from rigidkit.global_rigidity import (
     is_minimally_globally_rigid,
     is_redundantly_globally_rigid,
     minimally_globally_rigid_edge_bound,
+    sparsify_globally_rigid,
     stress_matrix,
     subset_rank_reduce,
 )
@@ -626,6 +627,41 @@ def main_theorem_check(graphs, d: int, rng: Rng):
                 (g.n >= d + 3 and is_rigid(g, d + 1, sub.child(1))):
             broken.append(g)
     return accepted, at_bound, broken
+
+
+def exact_sparsifier_faults(graphs, d: int):
+    """``sparsify_globally_rigid`` at d <= 2, where every predicate it is
+    checked by is exact, on each of ``graphs`` with at least d + 2
+    vertices. It must raise ``NotGloballyRigidError`` exactly when
+    ``is_globally_rigid`` says no, and otherwise return a spanning subgraph
+    of G that ``is_minimally_globally_rigid`` accepts, within the edge
+    bound and at it only as K_{d+2}, with ``extra_edges`` among its edges.
+    Returns the number of graphs sparsified and a (graph, fault) pair for
+    each broken clause."""
+    sparsified, faults = 0, []
+    for g in graphs:
+        if g.n < d + 2:
+            continue
+        rigid = bool(is_globally_rigid(g, d))
+        try:
+            result = sparsify_globally_rigid(g, d)
+        except NotGloballyRigidError:
+            if rigid:
+                faults.append((g, "refused a globally rigid input"))
+            continue
+        sparsified += 1
+        h, bound = result.graph, minimally_globally_rigid_edge_bound(g.n, d)
+        clauses = {
+            "sparsified an input that is not globally rigid": not rigid,
+            "not a spanning subgraph": h.n != g.n or not h.edge_set <= g.edge_set,
+            "not minimally globally rigid": not is_minimally_globally_rigid(h, d),
+            "over the edge bound": h.m > bound,
+            "at the edge bound but not K_{d+2}": h.m == bound and not (
+                h.n == d + 2 and h.is_complete()),
+            "extra edges outside the output": not set(result.extra_edges) <= h.edge_set,
+        }
+        faults += [(g, clause) for clause, broken in clauses.items() if broken]
+    return sparsified, faults
 
 
 def greedy_pass_per_edge(h: Graph, d: int, rng: Rng) -> Graph:

@@ -203,7 +203,7 @@ class TestSparsify:
     def test_flexible_input_exits_4(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle(4))
         code, _, err = run_cli(capsys, "sparsify", "--in", path, "--dim", "2")
-        assert code == 4 and "not globally rigid" in err
+        assert code == 4 and "not globally rigid in dimension 2: not 3-connected" in err
 
     def test_collapsed_realizations_exit_4(self, capsys, tmp_path, monkeypatch):
         # trial t draws its realization from rng.child(t).child(0) and the
@@ -335,6 +335,8 @@ EXIT_ROWS = {
     "dim-range": (["analyze", "--dim", "9"], complete(4).serialize(), 3, "--dim must lie"),
     "max-n-range": (["explore", "--conjecture", "bridge", "--dim", "1", "--max-n", "10"],
                     None, 3, "--max-n must lie"),
+    "labeled-max-n": (["explore", "--conjecture", "bridge", "--dim", "1", "--max-n", "8"],
+                      None, 3, "without isomorph rejection needs max_n <= 7"),
     "k-range": (["extract", "--k", "0"], complete(4).serialize(), 3, "--k must be >= 1"),
     "graph-error": (["sparsify", "--dim", "2"], complete(3).serialize(), 3,
                     "at least d + 2 vertices"),

@@ -57,6 +57,14 @@ def test_representatives_cover_all_labeled_graphs_n4():
     assert len(list(all_graphs(4))) == 2**6
 
 
+def test_all_graphs_mask_layout():
+    # bit b of the mask is the b-th pair in column-major order; explore's
+    # per-graph seeds follow this order
+    pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    assert list(all_graphs(4)) == [
+        Graph(4, tuple(p for b, p in enumerate(pairs) if mask >> b & 1)) for mask in range(64)]
+
+
 def test_all_graphs_ascending_edge_count_start():
     first = next(iter(all_graphs(3)))
     assert first.m == 0

@@ -65,6 +65,7 @@ from oracles import (
     bridges_by_rank_drop,
     certifies_full_rank,
     edge_deletions_by_route,
+    exact_sparsifier_faults,
     first_proof_by_stress_spaces,
     fundamental_circuit_by_pair_circuit,
     fundamental_circuit_by_probes,
@@ -197,6 +198,13 @@ def g13_52() -> Graph:
     rng = Rng(13)
     return next(g for g in (random_graph_with_edges(13, 52, rng.child(i)) for i in count())
                 if g.min_degree() >= 5)
+
+
+def g40_160() -> Graph:
+    """A G(40, 160) that is globally rigid in dimension 2."""
+    rng = Rng(40)
+    return next(g for g in (random_graph_with_edges(40, 160, rng.child(i)) for i in count())
+                if is_globally_rigid(g, 2))
 
 
 class TestAgainstQueryByQuery:
@@ -433,13 +441,19 @@ class TestAgainstEdgeByEdge:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @given(data=st.data())
     def test_sparsifier_matches_its_oracle(self, d, data):
-        g = data.draw(dense_graphs(d))
+        # both refuse the same inputs. At d = 3 the stress route gives the
+        # earlier sparsifier's output; at d <= 2, on up to 12 vertices, the
+        # exact route's output passes the exact predicates
+        g = data.draw(dense_graphs(d) if d == 3 else st.one_of(dense_graphs(d), small_graphs(d)))
         rng = Rng(data.draw(st.integers(0, 2**32)))
         try:
             expect = sparsify_three_realizations(g, d, rng.child(0))
         except NotGloballyRigidError:
             with pytest.raises(NotGloballyRigidError):
                 sparsify_globally_rigid(g, d, rng.child(1))
+            return
+        if d <= 2:
+            assert exact_sparsifier_faults([g], d) == (1, [])
             return
         got = sparsify_globally_rigid(g, d, rng.child(1))
         assert got.graph == expect.graph
@@ -846,8 +860,9 @@ class TestOneFactorizationPerTrial:
         pytest.param(complete(9), 2, id="complete9-2d"),
     ])
     def test_sparsify_factors_g_once(self, g, d, factorizations, monkeypatch):
-        # the stress test of G and both greedy passes share it, and no
-        # stress matrix pencil is combined on the way
+        # at d >= 3 the stress test of G and both greedy passes share it,
+        # and no stress matrix pencil is combined on the way; the exact
+        # route at d <= 2 factors nothing
         def pencil(*args, **kwargs):
             raise AssertionError("the sparsifier combined a matrix pencil")
 
@@ -856,13 +871,32 @@ class TestOneFactorizationPerTrial:
         result = sparsify_globally_rigid(g, d, Rng(7))
         assert result.log["minimization_removed"] > 0
         assert result.graph.m <= minimally_globally_rigid_edge_bound(g.n, d)
-        assert factorizations == [g]
+        assert factorizations == ([g] if d >= 3 else [])
+
+    @pytest.mark.parametrize("g, d", [
+        pytest.param(complete(8), 1, id="complete8-1d"),
+        pytest.param(complete(9), 2, id="complete9-2d"),
+        pytest.param(g40_160(), 2, id="G40,160-2d"),
+    ])
+    def test_sparsify_draws_nothing_below_three_dimensions(self, g, d, factorizations,
+                                                           eliminations, monkeypatch):
+        # no realization, factorization, elimination or stress test
+        def drawn(*args, **kwargs):
+            raise AssertionError("the sparsifier drew at d <= 2")
+
+        monkeypatch.setattr(rigidity, "sample_realization", drawn)
+        monkeypatch.setattr(global_rigidity, "_certifies", drawn)
+        monkeypatch.setattr(global_rigidity, "_without", drawn)
+        result = sparsify_globally_rigid(g, d, Rng(7))
+        assert factorizations == [] and eliminations == []
+        assert result.log["retries"] == 0
+        assert exact_sparsifier_faults([g], d) == (1, [])
 
     def test_sparsify_keeps_stresses_within_the_bound(self):
         # two fundamental stresses, at most n - d - 1 = 2: the first pass
         # keeps both, as the edge bound already holds for G
-        result = sparsify_globally_rigid(complete(5).delete_edge((0, 1)), 2, Rng(1729))
-        assert result.extra_edges == ((2, 4), (3, 4))
+        result = sparsify_globally_rigid(complete(6).delete_edge((0, 1)), 3, Rng(1729))
+        assert result.extra_edges == ((3, 5), (4, 5))
         assert result.log["generators_before"] == result.log["generators_after"] == 2
 
 
@@ -974,27 +1008,6 @@ class TestDegenerateRealizations:
         assert result.log["retries"] == 1
         assert calls[:2] == [set(), set()] and factorizations == [g, g]
         assert is_minimally_globally_rigid(result.graph, 3, Rng(70))
-
-    def test_sparsify_skips_a_cut_vertex_trial(self, monkeypatch):
-        # at d = 1 the greedy pass gives up on a kept graph with a cut vertex
-        g = complete(6)
-        expect = sparsify_globally_rigid(g, 1, Rng(8))
-        calls = []
-        real_connected = global_rigidity.is_k_connected
-        monkeypatch.setattr(global_rigidity, "is_k_connected",
-                            lambda h, k: bool(calls.append(h)) or (len(calls) > 1
-                                                                  and real_connected(h, k)))
-        result = sparsify_globally_rigid(g, 1, Rng(8))
-        assert expect.log["retries"] == 0 and result.log["retries"] == 1
-        assert calls[0] == calls[1]  # the same kept graph, one trial later
-        assert result.graph == expect.graph
-        assert is_minimally_globally_rigid(result.graph, 1, Rng(80))
-
-    def test_greedy_pass_rejects_a_cut_vertex(self):
-        # two triangles sharing vertex 2: globally rigid on no realization in 1D
-        g = Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))
-        real = sample_realization(g, 1, Rng(9))
-        assert _greedy_pass(g, real, [], (), range(g.m), Rng(10)) is None
 
     def test_sparsify_gives_up_with_a_documented_error(self, factorizations):
         # every trial places all vertices at one point; a wrong "no" is the

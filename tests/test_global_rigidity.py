@@ -31,7 +31,7 @@ from rigidkit.field import PRIME, FieldMatrix, Rng, rank
 from rigidkit.rigidity import Realization
 from rigidkit.corpus import random_graph
 from rigidkit.global_rigidity import Stress, _route
-from oracles import main_theorem_check, stress_certificate
+from oracles import exact_sparsifier_faults, main_theorem_check, stress_certificate
 
 
 class TestStressBasis:
@@ -370,6 +370,26 @@ class TestSparsifier:
     def test_rejects_flexible_input(self):
         with pytest.raises(NotGloballyRigidError):
             sparsify_globally_rigid(cycle(4), 2, Rng(6))
+
+    @pytest.mark.parametrize("g, d, note", [
+        (cycle(4), 2, "not 3-connected"),
+        (complete_bipartite(3, 3), 2, "not redundantly rigid"),
+        (Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))), 1, "not 2-connected"),
+    ])
+    def test_refusal_names_the_route_note(self, g, d, note):
+        # the exact routes say why the input is not globally rigid
+        with pytest.raises(NotGloballyRigidError,
+                           match=f"^input is not globally rigid in dimension {d}: {note}$"):
+            sparsify_globally_rigid(g, d)
+
+    @pytest.mark.parametrize("d, sparsified", [(1, 538), (2, 151)])
+    def test_exact_route_on_every_class_up_to_seven_vertices(self, graphs_by_n, d, sparsified):
+        # refuses exactly the classes that are not globally rigid, and
+        # returns a minimally globally rigid spanning subgraph within the
+        # bound for the others
+        graphs = [g for n in range(1, 8) for g in graphs_by_n[n]]
+        assert len(graphs) == 1252
+        assert exact_sparsifier_faults(graphs, d) == (sparsified, [])
 
     def test_rejects_tiny_input(self):
         with pytest.raises(GraphError):

@@ -521,6 +521,14 @@ class TestExplorer:
         with pytest.raises(ValueError, match="exhaustive corpora only"):
             CorpusSpec(mode="random", count=5, n=5, isomorph_reject=True)
 
+    @pytest.mark.parametrize("max_n", [8, 9])
+    def test_labeled_corpus_refuses_more_than_seven_vertices(self, max_n):
+        # 2^28 labeled graphs on 8 vertices: a sweep that would not finish
+        with pytest.raises(ValueError, match="needs max_n <= 7"):
+            CorpusSpec(max_n=max_n)
+        CorpusSpec(max_n=7)
+        CorpusSpec(max_n=max_n, isomorph_reject=True)
+
     def test_labeled_sweep_matches_class_sweep(self):
         # isomorph rejection changes the work, never the verdicts
         a = explore_conjecture("linked-gl", 1, CorpusSpec(max_n=4), Rng(7))
