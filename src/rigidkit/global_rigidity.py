@@ -26,9 +26,9 @@ read every deletion off that stress space. The 1D and 2D routes draw
 nothing: pebble games find the 2-element cocircuits of a redundantly rigid
 G exactly (``_series_free``), and G - e is redundantly rigid unless e lies
 in one. Their test of every G - e (``_exact_deletions``) also drives the
-sparsifier at d <= 2, which covers G by fundamental circuits from one
-pebble game and deletes edges while that exact test allows, so every
-answer at d <= 2 is exact.
+sparsifier at d <= 2, which runs the stress route's two greedy passes with
+that exact test in place of the stresses, so every answer at d <= 2 is
+exact.
 """
 
 from __future__ import annotations
@@ -534,12 +534,14 @@ def subset_rank_reduce(mats, r: int, rng: Rng | None = None
 class SparsifyResult:
     """Output of the globally rigid sparsifier.
 
-    ``graph`` is the final minimally globally rigid spanning subgraph;
-    ``extra_edges`` are its edges outside the input's basis B: at d <= 2
-    every edge of ``graph`` outside B, at d >= 3 the non-basis edges that
-    the first greedy pass kept, before the minimization pass. The log
-    records per-stage counts; ``log["retries"]`` counts the trials skipped
-    before the certifying one, always 0 at d <= 2, which draws no trial.
+    ``graph`` is the final minimally globally rigid spanning subgraph.
+    ``extra_edges`` are the input's non-basis edges that the first greedy
+    pass kept, all of them when that pass is skipped. At d <= 2 they are
+    read off ``graph`` after both passes, so they are its edges outside
+    the basis B. At d >= 3 they are read before the second pass, which may
+    still delete some of them. The log records per-stage counts;
+    ``log["retries"]`` counts the trials skipped before the certifying
+    one, always 0 at d <= 2, which draws no trial.
     """
 
     extra_edges: tuple[tuple[int, int], ...]
@@ -594,45 +596,42 @@ def _sparsify_exactly(g: Graph, d: int, how: str):
     and 0 trials skipped.
 
     G passes the route's test (``_tests``), or its note is the error. One
-    pebble game (``rigidity._pebble``) gives the basis B and the
-    fundamental circuit of every other edge. The cover H is B plus the
-    first circuit through each basis edge, that is every circuit that
-    meets a basis edge no earlier kept one meets. A globally rigid G has no
-    bridge, so every basis edge lies on some circuit, and H is rigid and
-    bridgeless: redundantly rigid at d = 2, 2-edge-connected at d = 1.
-    When H passes the route's test too, so is (d + 1)-connected, it
-    replaces G. Each edge of H, in canonical order, is then deleted when
-    the route's exact test (``_exact_deletions``) accepts it; the test is
-    rebuilt only after a deletion.
+    pebble game (``rigidity._pebble``) gives the basis B, the pivots of the
+    stress route. Its two passes then run with the route's exact test
+    (``_exact_deletions``), which is rebuilt only after a deletion: the
+    first over the edges outside B, skipped when there are at most
+    n - d - 1 of them, the second over B, or over every edge after a
+    skipped first pass, each in canonical order. An edge the first pass
+    keeps was rejected on a supergraph, so the second would reject it
+    again. The output is the stress route's, with no draw; the extra edges
+    are its edges outside B.
     """
     try:
         _, deleted = next(_tests(g, d, how, ()))
     except StopIteration as failure:
         raise NotGloballyRigidError(
             f"input is not globally rigid in dimension {d}: {failure.value}") from None
-    pivots, own, _ = _pebble(g, d, (), True, range(g.m))
-    first = {j: circuit for circuit in reversed(own) for j in circuit}  # the earliest wins
-    kept = set(pivots).union(*(first[j] for j in pivots))
-    h = Graph(g.n, tuple(g.edges[j] for j in kept))
-    proof = next(_tests(h, d, how, ()), None) if h.m < g.m else None  # H = G: G's test stands
-    h, deleted = (h, proof[1]) if proof else (g, deleted)
-    edges = h.edges
-    for e in edges:
+    basis = [g.edges[j] for j in _pebble(g, d, (), False, range(g.m))[0]]
+    rest = sorted(g.edge_set - set(basis))
+    first = rest if len(rest) > g.n - d - 1 else []
+    second = basis if first else list(g.edges)
+    h = g
+    for e in first + second:
         if deleted(h.edges.index(e)):
             h = h.delete_edge(e)
             deleted = _exact_deletions(h, d)
-    extra_edges = tuple(sorted(h.edge_set - {g.edges[j] for j in pivots}))
-    return len(pivots), extra_edges, h, len(edges) - h.m, 0
+    removed = sum(e not in h.edge_set for e in second)
+    return len(basis), tuple(sorted(h.edge_set - set(basis))), h, removed, 0
 
 
 def sparsify_globally_rigid(g: Graph, d: int, rng: Rng | None = None) -> SparsifyResult:
     """Extract a minimally globally rigid spanning subgraph.
 
     At d <= 2 (``_sparsify_exactly``) the route of ``is_globally_rigid``
-    decides the input, and the rest is read off one pebble game and the
-    route's exact test of each G - e, with no draw: a rigid and bridgeless
-    cover of G by fundamental circuits, then one greedy pass over its edges
-    in canonical order.
+    decides the input, and the two greedy passes described next run with
+    the route's exact test of each G - e, on the basis B of one pebble
+    game, with no draw. Their output is the stress passes' output whenever
+    no draw of those errs.
 
     At d >= 3 each trial of ``_proofs``, the stress route's proofs, factors
     R(G,p)^T once and proves G globally rigid with one random combination

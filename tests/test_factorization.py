@@ -9,6 +9,7 @@ predicates and the sparsifier, and the resample and retry paths driven by a
 degenerate ``Rng``.
 """
 
+from dataclasses import replace
 from itertools import combinations, count
 
 import pytest
@@ -441,9 +442,12 @@ class TestAgainstEdgeByEdge:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @given(data=st.data())
     def test_sparsifier_matches_its_oracle(self, d, data):
-        # both refuse the same inputs. At d = 3 the stress route gives the
-        # earlier sparsifier's output; at d <= 2, on up to 12 vertices, the
-        # exact route's output passes the exact predicates
+        # both refuse the same inputs and give the same output: the earlier
+        # sparsifier's stress passes at every d, which the exact route at
+        # d <= 2 replays with exact tests. There its extra edges are the
+        # output's edges outside B, where the stress route keeps every
+        # non-basis edge when it skips its first pass; and on up to 12
+        # vertices the output also passes the exact predicates
         g = data.draw(dense_graphs(d) if d == 3 else st.one_of(dense_graphs(d), small_graphs(d)))
         rng = Rng(data.draw(st.integers(0, 2**32)))
         try:
@@ -454,11 +458,34 @@ class TestAgainstEdgeByEdge:
             return
         if d <= 2:
             assert exact_sparsifier_faults([g], d) == (1, [])
-            return
+            kept = tuple(e for e in expect.extra_edges if e in expect.graph.edge_set)
+            expect = replace(expect, extra_edges=kept,
+                             log={**expect.log, "generators_after": len(kept)})
         got = sparsify_globally_rigid(g, d, rng.child(1))
         assert got.graph == expect.graph
         assert got.extra_edges == expect.extra_edges
         assert got.log == expect.log
+
+    @pytest.mark.parametrize("d, sparsified, skipped", [(1, 538, 172), (2, 151, 43)])
+    def test_exact_route_replays_the_stress_sparsifier(self, graphs_by_n, d, sparsified,
+                                                       skipped):
+        # every class with n <= 7: the same refusals and the same output as
+        # the stress passes, a skipped first pass included, with the extra
+        # edges read off the output
+        done, short = 0, 0
+        for g in (g for n in range(d + 2, 8) for g in graphs_by_n[n]):
+            try:
+                expect = sparsify_three_realizations(g, d, Rng(g.n))
+            except NotGloballyRigidError:
+                with pytest.raises(NotGloballyRigidError):
+                    sparsify_globally_rigid(g, d)
+                continue
+            got = sparsify_globally_rigid(g, d)
+            kept = tuple(e for e in expect.extra_edges if e in expect.graph.edge_set)
+            assert (got.graph, got.extra_edges) == (expect.graph, kept)
+            assert got.log == {**expect.log, "generators_after": len(kept)}
+            done, short = done + 1, short + (kept != expect.extra_edges)
+        assert (done, short) == (sparsified, skipped)
 
 
 class TestCocircuitRoute:
